@@ -7,9 +7,10 @@ The package splits into five layers:
 * :mod:`ladderlab.tails` / :mod:`ladderlab.construct` /
   :mod:`ladderlab.diagnostics` - tail-function distributions, the
   dominating-increment construction (majorant, splice, truncation) and the
-  heavy-tail class diagnostics,
-* :mod:`ladderlab.walk` - reproducible walk simulation: descent epochs,
-  running maxima, busy cycles,
+  heavy-tail class diagnostics, all integrating through
+  :mod:`ladderlab.numerics`,
+* :mod:`ladderlab.walk` - reproducible walk simulation: descent epochs and
+  running maxima,
 * :mod:`ladderlab.estimate` - mergeable moment estimates and the check
   suites,
 * :mod:`ladderlab.cli` - the batch pipeline front end.
@@ -69,17 +70,6 @@ from .tails import (
     make_builtin_dist,
     tail_table,
 )
-from .walk import (
-    LadderSample,
-    SampleBatch,
-    WalkConfig,
-    WalkError,
-    ladder_epoch,
-    ladder_epoch_shifted,
-    lindley_busy_cycle,
-    replay_path,
-    sample_increment,
-    simulate_batch,
-)
+from .walk import SampleBatch, WalkError, replay_path, simulate_batch
 
 __version__ = "0.1.0"

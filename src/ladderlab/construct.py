@@ -24,9 +24,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .growth import ConditionReport, GrowthFunction
+from .numerics import doubling_integral
 from .tails import MajorantIncrement, ShiftedTail, SplicedTail, TailSpec, TruncatedBelow
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
 ]
 
 _LOG_TAIL_FLOOR = math.log(1e-300)
-_QUAD_OPTS = dict(epsabs=1e-15, epsrel=1e-10, limit=200)
 
 
 class ConstructionError(ValueError):
@@ -84,18 +83,11 @@ def _exp_growth_moment(base: TailSpec, g: GrowthFunction, t_hi: float) -> float 
     def integrand(t):
         return np.exp(np.minimum(_transformed_log_product(base, g, t), 700.0))
 
-    total = 1.0  # the region s in (0, 1] contributes at most one, tail = 1 there
-    lo = 0.0
-    width = 1.0
-    while lo < max(4.0 * t_hi, 64.0):
-        hi = lo + width
-        part, _ = integrate.quad(integrand, lo, hi, **_QUAD_OPTS)
-        total += part
-        if part < 1e-12 * total:
-            return total
-        lo = hi
-        width *= 2.0
-    return None
+    # the region s in (0, 1] contributes at most one, tail = 1 there
+    total, converged = doubling_integral(
+        integrand, 0.0, reach=max(4.0 * t_hi, 64.0), rel_tol=1e-12, total=1.0
+    )
+    return total if converged else None
 
 
 @dataclass
@@ -179,19 +171,6 @@ def fit_majorant_coefficient(base: TailSpec, g: GrowthFunction, x0: float) -> Ma
 # ---------------------------------------------------------------------------
 
 
-def _tail_integral_above(spec: TailSpec, level: float) -> float:
-    """Integral of the tail over [level, inf)."""
-    hi = spec.support[1]
-    if math.isfinite(hi):
-        return spec._integrate_tail(level, hi) if hi > level else 0.0
-    knots = [p for p in spec._breakpoints() if p > level]
-    start = max(knots, default=level)
-    body = spec._integrate_tail(level, start) if start > level else 0.0
-    from .tails import _doubling_tail_integral
-
-    return body + _doubling_tail_integral(lambda x: spec.tail(x), start)
-
-
 def splice_at(base: TailSpec, hat: MajorantIncrement, v: float) -> tuple[float, SplicedTail, float]:
     """Splice with the crossover fixed at V; returns (V', spliced, mean).
 
@@ -208,9 +187,9 @@ def splice_at(base: TailSpec, hat: MajorantIncrement, v: float) -> tuple[float, 
     v_prime = max(v_prime, v)
     mean = (
         base.mean
-        - _tail_integral_above(base, v)
+        - base.tail_integral_above(v)
         + q_v * (v_prime - v)
-        + _tail_integral_above(hat, v_prime)
+        + hat.tail_integral_above(v_prime)
     )
     return v_prime, SplicedTail(base, hat, v, v_prime), mean
 
@@ -249,19 +228,6 @@ def splice(
 # ---------------------------------------------------------------------------
 
 
-def _mass_integral_below(spec: TailSpec, level: float) -> float:
-    """Integral of the CDF over (-inf, level] = E(X + |level|; X <= level) magnitude."""
-    lo = spec.support[0]
-    if math.isfinite(lo):
-        return spec._integrate_cdf(lo, level) if level > lo else 0.0
-    from .tails import _doubling_tail_integral
-
-    knots = [p for p in spec._breakpoints() if p < level]
-    start = min(knots, default=level)
-    body = spec._integrate_cdf(start, level) if level > start else 0.0
-    return body + _doubling_tail_integral(lambda x: 1.0 - spec.tail(x), start, direction=-1)
-
-
 def truncate_below(
     base: TailSpec, target_mean_margin: float, l_cap: float = 1e10
 ) -> tuple[float, TruncatedBelow]:
@@ -284,7 +250,7 @@ def truncate_below(
         )
     level = 1.0
     while level <= l_cap:
-        gain = _mass_integral_below(base, -level)
+        gain = base.mass_integral_below(-level)
         if gain <= target_mean_margin:
             return level, TruncatedBelow(base, level)
         level *= 1.25

@@ -20,12 +20,11 @@ usable horizon.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
+from .numerics import quad, stabilized_running_max
 from .tails import TailSpec
 
 __all__ = [
@@ -38,17 +37,6 @@ __all__ = [
 ]
 
 _LOG_FLOOR = math.log(1e-290)
-_QUAD_OPTS = dict(epsabs=0.0, epsrel=1e-9, limit=400)
-
-
-def _quad(f, a, b) -> float:
-    """scipy.quad with roundoff chatter suppressed; segments that sit at
-    noise level by construction are governed by the closed-form cross-checks
-    in the test suite, not by the library's roundoff heuristic."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        value, _ = integrate.quad(f, a, b, **_QUAD_OPTS)
-    return value
 
 
 @dataclass
@@ -182,7 +170,9 @@ def _convolution_ratio(spec: TailSpec, x: float, m: float) -> float:
         if 0.0 < q < half:
             knots.add(q)
     edges = [0.0] + sorted(knots) + [half]
-    total = sum(_quad(integrand, a, b) for a, b in zip(edges[:-1], edges[1:]))
+    total = sum(
+        quad(integrand, a, b, epsabs=0.0, epsrel=1e-9, limit=400) for a, b in zip(edges[:-1], edges[1:])
+    )
     return 2.0 * total / (2.0 * m)
 
 
@@ -263,11 +253,7 @@ def check_log_tail_increment(
     ys = ys[usable_rows]
 
     row_max = res.max(axis=1)
-    running = np.maximum.accumulate(row_max)
-    in_last = xs >= xs[-1] / 10.0
-    rm_all = float(running[-1])
-    rm_before = float(running[~in_last][-1]) if (~in_last).any() else -math.inf
-    stabilized = rm_all - rm_before < 1e-6
+    rm_all, in_last, stabilized = stabilized_running_max(xs, row_max)
     slack = max(rm_all, 0.0)
 
     if stabilized:

@@ -24,12 +24,12 @@ never beyond.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
+
+from .numerics import doubling_integral, stabilized_running_max
 
 __all__ = [
     "GrowthFunction",
@@ -412,6 +412,8 @@ def check_tail_integral(g: GrowthFunction, gamma: float) -> tuple[str, float]:
     accumulated value.  The upper limit doubles until the last doubling
     contributes less than 1e-10 of the total; if that has not happened by
     x = 1e12 the integral is reported divergent (a finite-range statement).
+    An evaluation error or a non-finite segment makes the verdict
+    undetermined, and the value is then not finite.
     """
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must be in (0,1), got {gamma}")
@@ -420,23 +422,15 @@ def check_tail_integral(g: GrowthFunction, gamma: float) -> tuple[str, float]:
     def integrand(x):
         return np.exp(-coef * g(x))
 
-    total = 0.0
-    lo = 1.0
-    while lo < INTEGRAL_X_MAX:
-        hi = 2.0 * lo
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", integrate.IntegrationWarning)
-                part, _ = integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-10, limit=200)
-        except Exception:
-            return "undetermined", total
-        if not math.isfinite(part):
-            return "undetermined", total
-        total += part
-        lo = hi
-        if total > 0 and part < 1e-10 * total:
-            return "finite", total
-    return "divergent", total
+    try:
+        total, converged = doubling_integral(
+            integrand, 1.0, reach=INTEGRAL_X_MAX, rel_tol=1e-10, epsabs=0.0
+        )
+    except Exception:
+        return "undetermined", math.nan
+    if not math.isfinite(total):
+        return "undetermined", total
+    return ("finite" if converged else "divergent"), total
 
 
 def check_increment_slack(
@@ -466,13 +460,7 @@ def check_increment_slack(
 
     res, ys = residual(xs[:, None], frac[None, :])
 
-    row_max = res.max(axis=1)
-    decades = np.floor(np.log10(xs)).astype(int)
-    running = np.maximum.accumulate(row_max)
-    in_last = xs >= INCREMENT_X_MAX / 10.0
-    rm_all = float(running[-1])
-    rm_before = float(running[~in_last][-1]) if (~in_last).any() else -math.inf
-    stabilized = rm_all - rm_before < 1e-6
+    rm_all, in_last, stabilized = stabilized_running_max(xs, res.max(axis=1))
 
     # polish the raw grid maximum with three nested local refinements
     i, j = np.unravel_index(np.argmax(res), res.shape)

@@ -22,6 +22,7 @@ _W0 = np.uint64(0x9E3779B9)
 _W1 = np.uint64(0xBB67AE85)
 
 _INV_2_53 = 1.0 / float(1 << 53)
+_MAX_UNIT = 1.0 - _INV_2_53
 
 
 def _as_u64(x) -> np.ndarray:
@@ -59,9 +60,10 @@ def _block(seed, stream, step):
 
 
 def _to_unit(hi, lo):
-    # 53 leading bits of the 64-bit concatenation -> double in (0, 1).
+    # 53 leading bits of the 64-bit concatenation -> double in (0, 1).  All
+    # ones would round up to exactly 1.0; the clamp moves only that pattern.
     bits = ((hi << np.uint64(32)) | lo) >> np.uint64(11)
-    return (bits.astype(np.float64) + 0.5) * _INV_2_53
+    return np.minimum((bits.astype(np.float64) + 0.5) * _INV_2_53, _MAX_UNIT)
 
 
 def uniform_pair(seed, stream, step):
@@ -72,18 +74,6 @@ def uniform_pair(seed, stream, step):
     """
     w0, w1, w2, w3 = _block(seed, stream, step)
     return _to_unit(w0, w1), _to_unit(w2, w3)
-
-
-def uniform_matrix(seed, streams, steps, slot: int = 0):
-    """Uniform draws for the outer product of `streams` and `steps`.
-
-    Returns an array of shape (len(streams), len(steps)) with the slot-0 (or
-    slot-1) uniform of each (stream, step) cell.
-    """
-    streams = _as_u64(streams).reshape(-1, 1)
-    steps = _as_u64(steps).reshape(1, -1)
-    u0, u1 = uniform_pair(seed, streams, steps)
-    return u0 if slot == 0 else u1
 
 
 def uniform_sequence(seed, stream, count: int, start: int = 0):

@@ -16,11 +16,12 @@ two tail-ordered distributions yields ordered samples.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import special
+
+from .numerics import doubling_integral, quad
 
 __all__ = [
     "TailSpec",
@@ -41,7 +42,6 @@ __all__ = [
     "tail_table",
 ]
 
-_QUAD_OPTS = dict(epsabs=1e-15, epsrel=1e-10, limit=200)
 _TINY_TAIL = 1e-300
 
 
@@ -49,39 +49,18 @@ class TailError(ValueError):
     """Invalid distribution spec or non-integrable tail."""
 
 
-def _quad(f, a, b) -> float:
-    """scipy.quad with the module tolerances; roundoff chatter suppressed.
-
-    Far-tail integrands sit at rounding-noise level by design; convergence is
-    governed by the callers' own decay criteria and the closed-form checks in
-    the test suite, so the library's roundoff warning carries no signal here.
-    """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        value, _ = integrate.quad(f, a, b, **_QUAD_OPTS)
-    return value
-
-
-def _doubling_tail_integral(f, start: float, direction: int = +1, rel_tol: float = 1e-13,
-                            max_abs: float = 1e18) -> float:
+def _half_line_integral(f, start: float, direction: int = +1) -> float:
     """Integrate f over [start, +inf) (or (-inf, start]) by geometric doubling.
 
-    Stops once a doubling contributes less than rel_tol of the running total;
-    raises TailError if no decay is seen before |x| = max_abs.
+    Stops once a doubling contributes less than 1e-13 of the running total;
+    raises TailError if no decay is seen before |x| = 1e18.
     """
-    total = 0.0
-    lo = start
-    width = max(abs(start), 1.0)
-    while abs(lo) < max_abs:
-        hi = lo + direction * width
-        a, b = (lo, hi) if direction > 0 else (hi, lo)
-        part = _quad(f, a, b)
-        total += part
-        lo = hi
-        width *= 2.0
-        if abs(part) < rel_tol * max(abs(total), 1e-30) + 1e-300:
-            return total
-    raise TailError("tail integral did not converge (non-integrable tail?)")
+    total, converged = doubling_integral(
+        f, start, reach=1e18, rel_tol=1e-13, direction=direction, floor=1e-30
+    )
+    if not converged:
+        raise TailError("tail integral did not converge (non-integrable tail?)")
+    return total
 
 
 class TailSpec:
@@ -90,10 +69,7 @@ class TailSpec:
     Attributes:
         support: (lo, hi) pair, extended reals.
         atoms: list of (location, mass) pairs for point masses.
-        needs_pair: True when sampling consumes two uniforms per step.
     """
-
-    needs_pair = False
 
     def __init__(self):
         self._mean_cache: float | None = None
@@ -150,7 +126,7 @@ class TailSpec:
         edges = [a] + knots + [b]
         total = 0.0
         for left, right in zip(edges[:-1], edges[1:]):
-            total += _quad(lambda x: self.tail(x), left, right)
+            total += quad(lambda x: self.tail(x), left, right)
         return total
 
     def _integrate_cdf(self, a: float, b: float) -> float:
@@ -158,8 +134,28 @@ class TailSpec:
         edges = [a] + knots + [b]
         total = 0.0
         for left, right in zip(edges[:-1], edges[1:]):
-            total += _quad(lambda x: 1.0 - self.tail(x), left, right)
+            total += quad(lambda x: 1.0 - self.tail(x), left, right)
         return total
+
+    def tail_integral_above(self, level: float) -> float:
+        """Integral of the tail over [level, inf)."""
+        hi = self.support[1]
+        if math.isfinite(hi):
+            return self._integrate_tail(level, hi) if hi > level else 0.0
+        knots = [p for p in self._breakpoints() if p > level]
+        start = max(knots, default=level)
+        body = self._integrate_tail(level, start) if start > level else 0.0
+        return body + _half_line_integral(lambda x: self.tail(x), start)
+
+    def mass_integral_below(self, level: float) -> float:
+        """Integral of the CDF over (-inf, level] = E(X + |level|; X <= level) magnitude."""
+        lo = self.support[0]
+        if math.isfinite(lo):
+            return self._integrate_cdf(lo, level) if level > lo else 0.0
+        knots = [p for p in self._breakpoints() if p < level]
+        start = min(knots, default=level)
+        body = self._integrate_cdf(start, level) if level > start else 0.0
+        return body + _half_line_integral(lambda x: 1.0 - self.tail(x), start, direction=-1)
 
     @property
     def pos_mean(self) -> float:
@@ -174,7 +170,7 @@ class TailSpec:
                 if math.isfinite(hi):
                     tail_part = self._integrate_tail(max(edge, 1.0), hi) if hi > max(edge, 1.0) else 0.0
                 else:
-                    tail_part = _doubling_tail_integral(lambda x: self.tail(x), max(edge, 1.0))
+                    tail_part = _half_line_integral(lambda x: self.tail(x), max(edge, 1.0))
                 self._pos_mean_cache = body + tail_part
         return self._pos_mean_cache
 
@@ -188,7 +184,7 @@ class TailSpec:
                 neg = self._integrate_cdf(lo, 0.0)
             else:
                 edge = min([p for p in self._breakpoints() if p < 0], default=-1.0)
-                neg = self._integrate_cdf(min(edge, -1.0), 0.0) + _doubling_tail_integral(
+                neg = self._integrate_cdf(min(edge, -1.0), 0.0) + _half_line_integral(
                     lambda x: 1.0 - self.tail(x), min(edge, -1.0), direction=-1
                 )
             self._mean_cache = self.pos_mean - neg
@@ -291,17 +287,17 @@ class LognormalShifted(TailSpec):
         x = np.asarray(x, dtype=float)
         t = np.maximum(x - self.shift, _TINY_TAIL)
         z = (np.log(t) - self.mu) / self._sigma
-        return np.where(x <= self.shift, 1.0, stats.norm.sf(z))
+        return np.where(x <= self.shift, 1.0, special.ndtr(-z))
 
     def log_tail(self, x):
         x = np.asarray(x, dtype=float)
         t = np.maximum(x - self.shift, _TINY_TAIL)
         z = (np.log(t) - self.mu) / self._sigma
-        return np.where(x <= self.shift, 0.0, stats.norm.logsf(z))
+        return np.where(x <= self.shift, 0.0, special.log_ndtr(-z))
 
     def tail_quantile(self, q):
         q = np.asarray(q, dtype=float)
-        return self.shift + np.exp(self.mu + self._sigma * stats.norm.isf(q))
+        return self.shift + np.exp(self.mu - self._sigma * special.ndtri(q))
 
     def spec_dict(self):
         return {"family": "lognormal_shifted", "mu": self.mu, "sigma2": self.sigma2, "shift": self.shift}
@@ -446,7 +442,6 @@ class QueuePair(TailSpec):
     fixed-order Gauss-Legendre over the interarrival quantile.
     """
 
-    needs_pair = True
     _GL_NODES = 256
 
     def __init__(self, sigma: TailSpec, t: TailSpec):

@@ -1,4 +1,4 @@
-"""Random-walk simulation: first descent below zero, running maxima, busy cycles.
+"""Random-walk simulation: first descent below zero and running maxima.
 
 The engine drives many walks at once.  Increments are inverse-transform
 samples from counter-based uniforms keyed by (seed, stream, step), so every
@@ -9,10 +9,10 @@ carry-over, which keeps the stopping test sharp even for walks that run for
 hundreds of thousands of steps.  Censoring at the step cap is a recorded
 data state, never an error.
 
-The busy-cycle view of the same walk (waiting-time recursion of a FIFO
-single-server queue) is evaluated blockwise as max(0, S_n) over the identical
-partial sums, so cycle lengths agree with the descent epochs sample for
-sample under a shared seed, by construction.
+A busy cycle of a FIFO single-server queue is the descent epoch of the walk
+with service-minus-interarrival increments (``tails.QueuePair``): during the
+cycle the waiting-time recursion W_{n+1} = max(0, W_n + sigma_n - t_n) equals
+max(0, S_n).
 """
 
 from __future__ import annotations
@@ -22,18 +22,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng
-from .tails import QueuePair, TailSpec
+from .tails import TailSpec
 
 __all__ = [
     "WalkError",
-    "WalkConfig",
-    "LadderSample",
     "SampleBatch",
-    "sample_increment",
     "simulate_batch",
-    "ladder_epoch",
-    "ladder_epoch_shifted",
-    "lindley_busy_cycle",
     "replay_path",
 ]
 
@@ -43,35 +37,6 @@ _DEFAULT_CHUNK = 250_000
 
 class WalkError(ValueError):
     """Invalid walk configuration."""
-
-
-@dataclass(frozen=True)
-class WalkConfig:
-    """One walk: increment distribution, RNG coordinates, censoring horizon."""
-
-    increments: TailSpec
-    seed: int
-    stream_id: int = 0
-    step_cap: int = 1_000_000
-
-    def __post_init__(self):
-        if self.step_cap < 1:
-            raise WalkError("step_cap must be at least one")
-        if not self.increments.mean < 0:
-            raise WalkError("walk increments must have strictly negative mean")
-
-
-@dataclass(frozen=True)
-class LadderSample:
-    """One simulated excursion up to its first descent to or below zero."""
-
-    tau: int
-    s_tau: float
-    m_tau: float
-    censored: bool
-    seed: int
-    stream_id: int
-    psi_max: float | None = None
 
 
 @dataclass
@@ -95,17 +60,6 @@ class SampleBatch:
     @property
     def censored_n(self) -> int:
         return int(self.censored.sum())
-
-    def sample(self, i: int) -> LadderSample:
-        return LadderSample(
-            tau=int(self.tau[i]),
-            s_tau=float(self.s_tau[i]),
-            m_tau=float(self.m_tau[i]),
-            censored=bool(self.censored[i]),
-            seed=self.seed,
-            stream_id=int(self.stream_ids[i]),
-            psi_max=float(self.psi_max[i]),
-        )
 
     def head(self, n: int) -> "SampleBatch":
         sl = slice(0, n)
@@ -133,11 +87,6 @@ class SampleBatch:
             psi_max=np.concatenate([p.psi_max for p in parts]),
             censored=np.concatenate([p.censored for p in parts]),
         )
-
-
-def sample_increment(spec: TailSpec, u: float) -> float:
-    """Inverse-transform draw; shared u on tail-ordered specs gives ordered samples."""
-    return float(spec.quantile(u))
 
 
 def _block_schedule(step_cap: int):
@@ -284,56 +233,6 @@ def simulate_batch(
             )
         )
     return SampleBatch.concat(parts) if len(parts) > 1 else parts[0]
-
-
-def ladder_epoch(cfg: WalkConfig) -> LadderSample:
-    """First epoch with S_n <= 0, its overshoot and the running maximum."""
-    batch = simulate_batch(
-        cfg.increments, cfg.seed, stream_ids=[cfg.stream_id], step_cap=cfg.step_cap
-    )
-    return batch.sample(0)
-
-
-def ladder_epoch_shifted(cfg: WalkConfig, shift: float) -> LadderSample:
-    """Ladder epoch of the original walk plus the compensated-walk maximum.
-
-    The stopping time is defined by the unshifted walk; alongside it the
-    running maximum of S_n + n*shift is recorded.  Rejected when the
-    compensated increments do not keep a negative mean.
-    """
-    batch = simulate_batch(
-        cfg.increments,
-        cfg.seed,
-        stream_ids=[cfg.stream_id],
-        step_cap=cfg.step_cap,
-        shift=shift,
-    )
-    return batch.sample(0)
-
-
-def lindley_busy_cycle(
-    sigma: TailSpec,
-    t: TailSpec,
-    seed: int,
-    n_samples: int | None = None,
-    stream_ids=None,
-    step_cap: int = 1_000_000,
-) -> SampleBatch:
-    """Customers served in the first busy cycle of a FIFO single-server queue.
-
-    Iterates the waiting-time recursion W_{n+1} = max(0, W_n + sigma_n - t_n)
-    from W_1 = 0 and stops when W returns to zero.  During the first cycle
-    W_{n+1} equals max(0, S_n) for the walk with increments sigma - t, so the
-    recursion is evaluated blockwise over those partial sums; cycle lengths
-    therefore match `ladder_epoch` on the paired increments exactly under the
-    same seed.
-    """
-    if not sigma.mean < t.mean:
-        raise WalkError("stability requires the service mean below the interarrival mean")
-    pair = QueuePair(sigma, t)
-    return simulate_batch(
-        pair, seed, n_samples=n_samples, stream_ids=stream_ids, step_cap=step_cap
-    )
 
 
 def replay_path(

@@ -1,8 +1,10 @@
 """Independent oracles for the test suite.
 
 These are deliberately separate from the library code paths they check:
-an exhaustive level-occupation recursion for the two-point walk, and closed
-forms for the integrals the quadrature routines must reproduce.
+an exhaustive level-occupation recursion for the two-point walk, a scalar
+waiting-time recursion for single-server queues, and closed forms for the
+integrals the quadrature routines must reproduce and for the D/M/1 busy
+cycle.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from ladderlab import rng
 
 
 def bernoulli_descent_pmf(p: float, depth: int) -> np.ndarray:
@@ -54,3 +58,49 @@ def weibull_exp_tail_integral(c: float) -> float:
 def exponential_self_convolution_ratio(x: float, mean: float = 1.0) -> float:
     """For the exponential tail the class ratio is exactly x / (2 m)."""
     return x / (2.0 * mean)
+
+
+def lindley_busy_cycles(seed: int, n: int, service_quantile, interarrival_quantile, block: int = 16):
+    """Customers served in the first busy cycle of a FIFO single-server queue.
+
+    Queue i (streams 0..n-1) iterates W <- max(0, W + sigma - t) from W = 0,
+    one customer at a time, and stops at the first customer who leaves the
+    server idle (W + sigma - t <= 0).  Customer k's service sigma and the
+    following interarrival time t come from the two uniforms of cell
+    (seed, i, k) through the given scalar inverse CDFs.  Returns the counts and
+    the final W + sigma - t of every queue.
+    """
+    u0, u1 = rng.uniform_pair(seed, np.arange(n)[:, None], np.arange(block)[None, :])
+    served = np.empty(n, dtype=np.int64)
+    last = np.empty(n)
+    for i in range(n):
+        us, ut = u0[i].tolist(), u1[i].tolist()
+        w, k = 0.0, 0
+        while True:
+            if k == len(us):
+                more = rng.uniform_pair(seed, i, np.arange(k, 2 * k))
+                us += more[0].tolist()
+                ut += more[1].tolist()
+            d = w + service_quantile(us[k]) - interarrival_quantile(ut[k])
+            k += 1
+            if d <= 0.0:
+                break
+            w = d
+        served[i], last[i] = k, d
+    return served, last
+
+
+def dm1_busy_cycle_mean(service_mean: float, interarrival: float) -> float:
+    """Mean number served per busy cycle of the D/M/1 queue.
+
+    GI/M/1 theory (Asmussen, Applied Probability and Queues, 2003): the mean
+    is 1/(1 - s), with s the root in (0, 1) of s = A(mu (1 - s)), where A is
+    the Laplace transform of the interarrival time and mu the service rate.
+    For a deterministic interarrival d, A(x) = exp(-d x).  The map is
+    increasing and convex, so fixed-point iteration from 0 climbs to its
+    smallest root, the one in (0, 1) for a stable queue.
+    """
+    s = 0.0
+    for _ in range(500):
+        s = math.exp(-interarrival * (1.0 - s) / service_mean)
+    return 1.0 / (1.0 - s)

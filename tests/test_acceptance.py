@@ -23,14 +23,18 @@ from ladderlab import (
     dominance_suite,
     estimate_growth_moment,
     finiteness_diagnostic,
-    lindley_busy_cycle,
     running_max_ratio_check,
     simulate_batch,
     sstar_ratio,
 )
 from ladderlab.cli import main
 
-from oracles import bernoulli_descent_pmf, exponential_self_convolution_ratio
+from oracles import (
+    bernoulli_descent_pmf,
+    dm1_busy_cycle_mean,
+    exponential_self_convolution_ratio,
+    lindley_busy_cycles,
+)
 
 SEED = 20260810
 
@@ -209,12 +213,22 @@ def test_criterion_06_two_point_oracle():
 
 
 def test_criterion_07_busy_cycle_equivalence():
-    sigma, t = Exponential(1.0), Constant(2.0)
+    # exponential(1) service against deterministic interarrival 2 (D/M/1)
     n = 100_000
-    cycles = lindley_busy_cycle(sigma, t, seed=SEED, n_samples=n)
-    walks = simulate_batch(QueuePair(sigma, t), seed=SEED, n_samples=n)
-    identical = bool(np.array_equal(cycles.tau, walks.tau))
-    _report(7, "waiting-time recursion and descent epochs agree on every one of 1e5 cycles", identical)
+    walks = simulate_batch(QueuePair(Exponential(1.0), Constant(2.0)), seed=SEED, n_samples=n)
+    served, _ = lindley_busy_cycles(SEED, n, lambda u: -math.log1p(-u), lambda u: 2.0)
+    identical = bool(np.array_equal(served, walks.tau))
+    exact = dm1_busy_cycle_mean(1.0, 2.0)
+    assert exact == pytest.approx(1.2550, abs=5e-5)
+    mean = float(walks.tau.mean())
+    se = float(walks.tau.std(ddof=1)) / math.sqrt(n)
+    _report(
+        7,
+        "waiting-time recursion and descent epochs agree on every one of 1e5 cycles, "
+        "and their mean is within 4 SE of the D/M/1 closed form",
+        identical and abs(mean - exact) <= 4 * se,
+        f"mean {mean:.5f} +- {se:.5f} vs {exact:.5f}",
+    )
 
 
 # -- 8. running-maximum ratio limit ----------------------------------------------------------

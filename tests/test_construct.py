@@ -214,12 +214,10 @@ def test_truncate_unbounded_exponential_left_tail():
     # tail unchanged above the floor, one below it
     assert float(trunc.tail(-level + 0.1)) == pytest.approx(float(base.tail(-level + 0.1)))
     assert float(trunc.tail(-level - 0.1)) == 1.0
-    # removed mass integral shrinks to zero as the level grows
-    from ladderlab.construct import _mass_integral_below
-
+    # removed mass integral shrinks to zero as the level grows;
     # left tail of the pair decays like 2 exp(-L/2), so the removed-mass
     # integral must track that scale
-    gains = [_mass_integral_below(base, -l) for l in [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]]
+    gains = [base.mass_integral_below(-l) for l in [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]]
     assert all(b < a for a, b in zip(gains[:-1], gains[1:]))
     assert gains[-1] < 3.0 * math.exp(-16.0)
 

@@ -13,7 +13,7 @@ def test_determinism_and_shape():
     a0, a1 = rng.uniform_pair(123, 5, 7)
     b0, b1 = rng.uniform_pair(123, 5, 7)
     assert float(a0) == float(b0) and float(a1) == float(b1)
-    m = rng.uniform_matrix(123, np.arange(4), np.arange(9))
+    m = rng.uniform_pair(123, np.arange(4)[:, None], np.arange(9)[None, :])[0]
     assert m.shape == (4, 9)
     assert float(m[2, 3]) == float(rng.uniform_pair(123, 2, 3)[0])
 
@@ -28,12 +28,21 @@ def test_streams_steps_slots_distinct():
 
 
 def test_open_interval_and_uniformity():
-    u = rng.uniform_matrix(99, np.arange(2000), np.arange(50)).ravel()
+    u = rng.uniform_pair(99, np.arange(2000)[:, None], np.arange(50)[None, :])[0].ravel()
     assert np.all((u > 0.0) & (u < 1.0))
     # gross uniformity: mean 1/2 within 5 sigma, variance about 1/12
     n = u.size
     assert abs(u.mean() - 0.5) < 5 * (1.0 / np.sqrt(12 * n))
     assert abs(u.var() - 1.0 / 12.0) < 5e-3
+
+
+def test_open_interval_at_the_bit_extremes():
+    # all 53 kept bits set used to round to exactly 1.0
+    ones = np.uint64(0xFFFFFFFF)
+    top = float(rng._to_unit(ones, ones))
+    assert top < 1.0 and top == 1.0 - 2.0**-53
+    assert float(rng._to_unit(ones, np.uint64(0xFFFFF7FF))) == 1.0 - 2.0**-52
+    assert float(rng._to_unit(np.uint64(0), np.uint64(0))) == 2.0**-54
 
 
 def test_sequence_matches_pairs():

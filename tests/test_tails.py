@@ -18,7 +18,6 @@ from ladderlab import (
     TailError,
     WeibullShifted,
     make_builtin_dist,
-    sample_increment,
 )
 
 
@@ -59,7 +58,9 @@ def test_queue_pair_mean_and_tail():
     assert float(qp.tail(0.0)) == pytest.approx(math.exp(-2.0), rel=1e-12)
     assert float(qp.tail(-2.0)) == pytest.approx(1.0)
     assert qp.pos_mean == pytest.approx(math.exp(-2.0), rel=1e-9)
-    assert qp.needs_pair
+    # sampling consumes the uniform pair: service from slot 0, interarrival from slot 1
+    pair = QueuePair(Exponential(1.0), Exponential(2.0))
+    assert float(pair.increment_from_uniforms(0.5, 0.25)) == pytest.approx(math.log(2.0) - 2.0 * math.log(4.0 / 3.0))
 
 
 def test_queue_pair_continuous_interarrival_tail():
@@ -164,6 +165,21 @@ def test_quantile_tail_round_trip(u):
         assert left >= (1.0 - u) * (1 - 1e-12)
 
 
+def test_lognormal_matches_scipy_stats_bit_for_bit():
+    # the scipy.special calls must give exactly what scipy.stats.norm gave
+    from scipy import stats
+
+    spec = LognormalShifted(0.3, 0.25, -2.1)
+    x = np.concatenate([[-3.0, -2.1, np.nextafter(-2.1, 0.0)], np.geomspace(1e-12, 1e300, 4000) - 2.1])
+    z = (np.log(np.maximum(x + 2.1, 1e-300)) - 0.3) / 0.5
+    above = x > -2.1
+    assert np.array_equal(spec.tail(x)[above], stats.norm.sf(z)[above])
+    assert np.array_equal(spec.log_tail(x)[above], stats.norm.logsf(z)[above])
+    q = np.concatenate([np.geomspace(1e-300, 0.5, 2000), 1.0 - np.geomspace(1e-16, 0.5, 2000)])
+    expect = -2.1 + np.exp(0.3 + 0.5 * stats.norm.isf(q))
+    assert np.array_equal(spec.tail_quantile(q), expect)
+
+
 def test_quantile_rejects_boundary():
     w = WeibullShifted(1.0, 0.5, 0.0)
     for bad in [0.0, 1.0, -0.5, 2.0]:
@@ -174,9 +190,9 @@ def test_quantile_rejects_boundary():
 def test_sample_increment_coupling():
     light, heavy = Exponential(1.0), Exponential(2.0)
     for u in [0.05, 0.5, 0.99]:
-        assert sample_increment(light, u) <= sample_increment(heavy, u)
-    assert sample_increment(BernoulliPM1(0.25), 0.9) == 1.0
-    assert sample_increment(BernoulliPM1(0.25), 0.1) == -1.0
+        assert float(light.quantile(u)) <= float(heavy.quantile(u))
+    assert float(BernoulliPM1(0.25).quantile(0.9)) == 1.0
+    assert float(BernoulliPM1(0.25).quantile(0.1)) == -1.0
 
 
 def test_generic_bisection_quantile_on_queue_pair():

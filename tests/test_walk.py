@@ -8,16 +8,13 @@ from ladderlab import (
     Constant,
     Exponential,
     QueuePair,
-    WalkConfig,
     WalkError,
-    ladder_epoch,
-    ladder_epoch_shifted,
-    lindley_busy_cycle,
     replay_path,
     simulate_batch,
 )
+from ladderlab import rng
 
-from oracles import bernoulli_descent_pmf
+from oracles import bernoulli_descent_pmf, lindley_busy_cycles
 
 SEED = 20260810
 
@@ -27,9 +24,9 @@ SEED = 20260810
 
 def test_config_validation():
     with pytest.raises(WalkError):
-        WalkConfig(Constant(-1.0), seed=1, step_cap=0)
+        simulate_batch(Constant(-1.0), seed=1, n_samples=1, step_cap=0)
     with pytest.raises(WalkError):
-        WalkConfig(Constant(1.0), seed=1)  # nonnegative drift
+        simulate_batch(Constant(1.0), seed=1, n_samples=1)  # nonnegative drift
     with pytest.raises(WalkError):
         simulate_batch(BernoulliPM1(0.5), seed=1, n_samples=10)  # zero mean
     with pytest.raises(WalkError):
@@ -45,22 +42,21 @@ def test_shift_must_keep_negative_drift():
 
 
 def test_point_mass_descends_first_step():
-    s = ladder_epoch(WalkConfig(Constant(-1.0), seed=3, stream_id=9))
-    assert (s.tau, s.s_tau, s.m_tau, s.censored) == (1, -1.0, 0.0, False)
+    s = simulate_batch(Constant(-1.0), seed=3, stream_ids=[9])
+    assert (int(s.tau[0]), float(s.s_tau[0]), float(s.m_tau[0]), bool(s.censored[0])) == (1, -1.0, 0.0, False)
 
 
 def test_point_mass_shifted():
-    s = ladder_epoch_shifted(WalkConfig(Constant(-1.0), seed=3), shift=0.5)
-    assert s.tau == 1 and s.s_tau == -1.0
+    s = simulate_batch(Constant(-1.0), seed=3, stream_ids=[0], shift=0.5)
+    assert s.tau[0] == 1 and s.s_tau[0] == -1.0
     # compensated partial sum is -0.5; the running max keeps the empty prefix 0
-    assert s.psi_max == 0.0
+    assert s.psi_max[0] == 0.0
 
 
 def test_zero_shift_equals_plain_epoch():
-    cfg = WalkConfig(BernoulliPM1(0.25), seed=5, stream_id=17)
-    a = ladder_epoch(cfg)
-    b = ladder_epoch_shifted(cfg, shift=0.0)
-    assert (a.tau, a.s_tau, a.m_tau) == (b.tau, b.s_tau, b.m_tau)
+    a = simulate_batch(BernoulliPM1(0.25), seed=5, stream_ids=[17])
+    b = simulate_batch(BernoulliPM1(0.25), seed=5, stream_ids=[17], shift=0.0)
+    assert (a.tau[0], a.s_tau[0], a.m_tau[0]) == (b.tau[0], b.s_tau[0], b.m_tau[0])
 
 
 def test_compensated_sum_identity_per_sample():
@@ -184,11 +180,9 @@ def test_censoring_rare_at_default_cap():
 def test_coupled_partial_sums_dominate(chains):
     # shared uniforms: the spliced walk runs above the base walk path by path,
     # so its descent epoch cannot come earlier
-    from ladderlab import rng
-
     chain = chains["g2"]
     horizon = 200
-    u = rng.uniform_matrix(SEED, np.arange(300), np.arange(horizon))
+    u = rng.uniform_pair(SEED, np.arange(300)[:, None], np.arange(horizon)[None, :])[0]
     inc_base = chain.base.quantile(u)
     inc_tilde = chain.tilde.quantile(u)
     s_base = np.cumsum(inc_base, axis=1)
@@ -204,21 +198,26 @@ def test_coupled_partial_sums_dominate(chains):
 
 
 def test_lindley_deterministic():
-    batch = lindley_busy_cycle(Constant(1.0), Constant(2.0), seed=1, n_samples=50)
+    batch = simulate_batch(QueuePair(Constant(1.0), Constant(2.0)), seed=1, n_samples=50)
     assert np.all(batch.tau == 1)
     assert np.all(batch.s_tau == -1.0)
 
 
 def test_lindley_matches_ladder_sample_for_sample():
-    sigma, t = Exponential(1.0), Constant(2.0)
-    cycles = lindley_busy_cycle(sigma, t, seed=SEED, n_samples=20_000)
-    walks = simulate_batch(QueuePair(sigma, t), seed=SEED, n_samples=20_000)
-    assert np.array_equal(cycles.tau, walks.tau)
+    # exponential service against exponential interarrivals: both uniforms of
+    # every cell matter, and the recursion uses its own inverse CDFs
+    n = 20_000
+    walks = simulate_batch(QueuePair(Exponential(1.0), Exponential(2.0)), seed=SEED, n_samples=n)
+    served, last = lindley_busy_cycles(
+        SEED, n, lambda u: -math.log1p(-u), lambda u: -2.0 * math.log1p(-u)
+    )
+    assert np.array_equal(served, walks.tau)
+    np.testing.assert_allclose(last, walks.s_tau, rtol=0, atol=1e-9)
 
 
 def test_lindley_requires_stability():
     with pytest.raises(WalkError):
-        lindley_busy_cycle(Exponential(2.0), Constant(1.0), seed=1, n_samples=10)
+        simulate_batch(QueuePair(Exponential(2.0), Constant(1.0)), seed=1, n_samples=10)
 
 
 def test_bounded_below_increments_bound_overshoot(chains):
