@@ -6,6 +6,14 @@ the 64-bit stream id and the 64-bit step index, so simulations are
 reproducible sample-by-sample, streams never overlap, and any path can be
 replayed for audit without regenerating the rest of the batch.
 
+The seed is one scalar integer (the Philox key); stream ids and steps may be
+integer arrays that broadcast together.  All three are reduced mod 2^64:
+Python ints by masking, numpy integers by the wrapping cast to uint64.  The
+ten round keys of a seed are Python ints, and the rounds run in place on six
+uint64 planes (four counter words, two products) of at most `_TILE` cells, so
+a large draw streams through cache-sized tiles instead of allocating
+full-size temporaries per operation.
+
 Each (seed, stream, step) block yields two independent 53-bit uniforms in the
 open interval (0, 1): slot 0 drives the primary inverse-transform draw, slot 1
 the secondary draw needed by service/interarrival pairs.
@@ -13,67 +21,116 @@ the secondary draw needed by service/interarrival pairs.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 _MASK32 = np.uint64(0xFFFFFFFF)
 _M0 = np.uint64(0xD2511F53)
 _M1 = np.uint64(0xCD9E8D57)
-_W0 = np.uint64(0x9E3779B9)
-_W1 = np.uint64(0xBB67AE85)
+_W0 = 0x9E3779B9
+_W1 = 0xBB67AE85
+_MASK64 = (1 << 64) - 1
 
 _INV_2_53 = 1.0 / float(1 << 53)
 _MAX_UNIT = 1.0 - _INV_2_53
 
+_TILE = 1 << 15  # cells per pass: six uint64 planes of 256 KiB stay in cache
+
 
 def _as_u64(x) -> np.ndarray:
-    # Accept python ints / arrays, reduce mod 2^64.
-    return np.asarray(np.asarray(x, dtype=object) & ((1 << 64) - 1)).astype(np.uint64)
+    # Reduce mod 2^64: Python ints by masking, numpy integers by the cast.
+    if isinstance(x, int):
+        x &= _MASK64
+    a = np.asarray(x)
+    if a.dtype.kind not in "biu":
+        raise TypeError(f"stream ids and steps must be integers, got {a.dtype}")
+    return a.astype(np.uint64, copy=False)
+
+
+def _round_keys(seed) -> list[tuple[np.uint64, np.uint64]]:
+    key = operator.index(seed) & _MASK64
+    k0, k1 = key & 0xFFFFFFFF, key >> 32
+    return [
+        (np.uint64((k0 + r * _W0) & 0xFFFFFFFF), np.uint64((k1 + r * _W1) & 0xFFFFFFFF))
+        for r in range(10)
+    ]
+
+
+def _rounds(x0, x1, x2, x3, p0, p1, seed):
+    """Ten Philox rounds in place on uint64 planes holding 32-bit words."""
+    for k0, k1 in _round_keys(seed):
+        np.multiply(x0, _M0, out=p0)  # 32x32 -> 64 bit, exact in uint64
+        np.multiply(x2, _M1, out=p1)
+        # (x0, x1, x2, x3) <- (hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0)
+        np.right_shift(p1, 32, out=x0)
+        np.bitwise_xor(x0, x1, out=x0)
+        np.bitwise_xor(x0, k0, out=x0)
+        np.bitwise_and(p1, _MASK32, out=x1)
+        np.right_shift(p0, 32, out=x2)
+        np.bitwise_xor(x2, x3, out=x2)
+        np.bitwise_xor(x2, k1, out=x2)
+        np.bitwise_and(p0, _MASK32, out=x3)
+    return x0, x1, x2, x3
 
 
 def _philox_4x32_10(c0, c1, c2, c3, k0, k1):
-    """Run ten Philox rounds; inputs/outputs are uint64 arrays holding 32-bit words."""
-    for rnd in range(10):
-        p0 = _M0 * c0  # 32x32 -> 64 bit, exact in uint64
-        p1 = _M1 * c2
-        hi0, lo0 = p0 >> np.uint64(32), p0 & _MASK32
-        hi1, lo1 = p1 >> np.uint64(32), p1 & _MASK32
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-        if rnd < 9:
-            k0 = (k0 + _W0) & _MASK32
-            k1 = (k1 + _W1) & _MASK32
-    return c0, c1, c2, c3
+    """Run ten Philox rounds on counter words c0..c3 under the key (k0, k1)."""
+    shape = np.broadcast_shapes(*(np.shape(c) for c in (c0, c1, c2, c3)))
+    planes = [np.empty(shape, dtype=np.uint64) for _ in range(6)]
+    for plane, c in zip(planes, (c0, c1, c2, c3)):
+        plane[...] = c
+    return _rounds(*planes, int(k0) | int(k1) << 32)
 
 
-def _block(seed, stream, step):
-    """Philox block for (seed, stream, step); arguments broadcast together."""
-    seed = _as_u64(seed)
-    stream = _as_u64(stream)
-    step = _as_u64(step)
-    c0 = step & _MASK32
-    c1 = step >> np.uint64(32)
-    c2 = stream & _MASK32
-    c3 = stream >> np.uint64(32)
-    k0 = seed & _MASK32
-    k1 = seed >> np.uint64(32)
-    c0, c1, c2, c3, k0, k1 = np.broadcast_arrays(c0, c1, c2, c3, k0, k1)
-    return _philox_4x32_10(c0.copy(), c1.copy(), c2.copy(), c3.copy(), k0.copy(), k1.copy())
+def _block(seed, stream, step, planes=None):
+    """Philox words of (seed, stream, step); `stream` and `step` broadcast.
+
+    `planes` lends six uint64 arrays of the broadcast shape to run in.
+    """
+    stream, step = _as_u64(stream), _as_u64(step)
+    if planes is None:
+        planes = np.empty((6,) + np.broadcast_shapes(stream.shape, step.shape), dtype=np.uint64)
+    x0, x1, x2, x3, p0, p1 = (planes[i, ...] for i in range(6))
+    np.bitwise_and(step, _MASK32, out=x0)
+    np.right_shift(step, 32, out=x1)
+    np.bitwise_and(stream, _MASK32, out=x2)
+    np.right_shift(stream, 32, out=x3)
+    return _rounds(x0, x1, x2, x3, p0, p1, seed)
 
 
-def _to_unit(hi, lo):
+def _to_unit(hi, lo, out=None):
     # 53 leading bits of the 64-bit concatenation -> double in (0, 1).  All
     # ones would round up to exactly 1.0; the clamp moves only that pattern.
     bits = ((hi << np.uint64(32)) | lo) >> np.uint64(11)
-    return np.minimum((bits.astype(np.float64) + 0.5) * _INV_2_53, _MAX_UNIT)
+    return np.minimum((bits + 0.5) * _INV_2_53, _MAX_UNIT, out=out)
 
 
 def uniform_pair(seed, stream, step):
     """Two uniforms in (0,1) for one (seed, stream, step) cell.
 
-    `stream` and `step` may be arrays; they broadcast and the returned pair of
-    arrays has the broadcast shape.
+    `seed` is a scalar integer.  `stream` and `step` may be integer arrays;
+    they broadcast and the returned pair of arrays has the broadcast shape.
     """
-    w0, w1, w2, w3 = _block(seed, stream, step)
-    return _to_unit(w0, w1), _to_unit(w2, w3)
+    stream, step = _as_u64(stream), _as_u64(step)
+    shape = np.broadcast_shapes(stream.shape, step.shape)
+    u0, u1 = np.empty(shape), np.empty(shape)
+    if u0.size == 0:
+        return u0, u1
+    # walk the broadcast shape as a (rows, cols) grid in tiles of <= _TILE cells
+    cols = shape[-1] if shape else 1
+    stream2, step2 = (np.broadcast_to(a, shape).reshape(-1, cols) for a in (stream, step))
+    v0, v1 = u0.reshape(-1, cols), u1.reshape(-1, cols)
+    rows, width = max(1, _TILE // cols), min(cols, _TILE)
+    planes = np.empty((6, min(rows, v0.shape[0]), width), dtype=np.uint64)
+    for r in range(0, v0.shape[0], rows):
+        for c in range(0, cols, width):
+            tile = np.s_[r : r + rows, c : c + width]
+            n_rows, n_cols = v0[tile].shape
+            w0, w1, w2, w3 = _block(seed, stream2[tile], step2[tile], planes[:, :n_rows, :n_cols])
+            _to_unit(w0, w1, out=v0[tile])
+            _to_unit(w2, w3, out=v1[tile])
+    return u0, u1
 
 
 def uniform_sequence(seed, stream, count: int, start: int = 0):

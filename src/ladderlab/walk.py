@@ -9,6 +9,30 @@ carry-over, which keeps the stopping test sharp even for walks that run for
 hundreds of thousands of steps.  Censoring at the step cap is a recorded
 data state, never an error.
 
+Cells are drawn lazily.  Inside a block the engine takes sub-blocks of 1, 1,
+2, 4, ... steps, and only for the walks that have not descended yet, so a
+walk that stops at step 1 costs one Philox cell instead of a whole block.
+Each sub-block's cumulative sum starts from a leading row that holds the
+in-block partial sum so far, so the increments are added in exactly the
+order of one cumsum over the whole block.  The compensated (Kahan) carry
+into the block base stays at the block ends: it is not associative, so a
+carry at every sub-block would round differently.  Hence tau, s_tau, m_tau
+and psi_max keep every bit of whole-block drawing, whatever the sub-block
+widths and the chunking.
+
+Each chunk of walks works in one arena of `chunk x _FIRST_BLOCK` doubles,
+split into a plane for the partial sums and one for their running maximum,
+written with `out=`; a sub-block too large for it runs in row slices, so
+memory per chunk stays bounded.  The arena belongs to the call, because the
+CLI simulates on two threads at once.  Its size matters beyond the walk:
+freeing a buffer that large raises glibc's dynamic mmap threshold, so later
+arrays of a similar size (the estimators' per-walk arrays) come from the heap
+instead of fresh zeroed mappings.  Without it, `estimate_growth_moment` on
+2e5 walks took twice as long, with about 1,500 minor page faults per call.
+For the same reason `simulate_batch` concatenates per-chunk columns: writing
+the chunks into preallocated full-length columns cost the estimators of 2e6
+Pareto walks 1,100 to 4,400 minor page faults per call.
+
 A busy cycle of a FIFO single-server queue is the descent epoch of the walk
 with service-minus-interarrival increments (``tails.QueuePair``): during the
 cycle the waiting-time recursion W_{n+1} = max(0, W_n + sigma_n - t_n) equals
@@ -33,6 +57,7 @@ __all__ = [
 
 _FIRST_BLOCK = 8
 _DEFAULT_CHUNK = 250_000
+_ROW_SCAN_MIN = 128  # walks from which _scan loops over rows
 
 
 class WalkError(ValueError):
@@ -98,6 +123,15 @@ def _block_schedule(step_cap: int):
         length *= 2
 
 
+def _sub_blocks(start: int, length: int):
+    """(start, width) of sub-blocks of 1, 1, 2, 4, ... steps that tile one block."""
+    done = 0
+    while done < length:
+        width = min(max(done, 1), length - done)
+        yield start + done, width
+        done += width
+
+
 def _kahan_add(total, comp, inc):
     y = inc - comp
     t = total + y
@@ -105,10 +139,104 @@ def _kahan_add(total, comp, inc):
     return t, comp
 
 
-def _draw_block(spec: TailSpec, seed: int, streams: np.ndarray, start: int, length: int):
-    steps = np.arange(start, start + length, dtype=np.uint64)
-    u0, u1 = rng.uniform_pair(seed, streams[:, None], steps[None, :])
+def _scan(ufunc, head, body, out):
+    """out[0] = head, out[j + 1] = ufunc(out[j], body[j]): an accumulate with a leading row.
+
+    Rows are steps and columns walks.  numpy's accumulate down axis 0 runs its
+    inner loop along the short step axis, which is many times slower than a
+    loop over rows once there are more than a few dozen walks; both apply
+    ufunc in the same order, so they give the same bits.
+    """
+    out[0] = head
+    if body.shape[1] >= _ROW_SCAN_MIN:
+        for j in range(body.shape[0]):
+            ufunc(out[j], body[j], out=out[j + 1])
+    else:
+        out[1:] = body
+        ufunc.accumulate(out, axis=0, out=out)
+
+
+def _draw_columns(spec: TailSpec, seed: int, streams: np.ndarray, start: int, width: int):
+    steps = np.arange(start, start + width, dtype=np.uint64)
+    u0, u1 = rng.uniform_pair(seed, streams[None, :], steps[:, None])
     return spec.increment_from_uniforms(u0, u1)
+
+
+class _Chunk:
+    """State of the walks of one chunk that have not descended yet.
+
+    Arrays are indexed by live walk; `part` is the partial sum of the
+    increments drawn so far in the current block, `base`/`comp` the
+    compensated sum of the blocks before it.
+    """
+
+    def __init__(self, streams: np.ndarray, shift: float, out):
+        m = streams.size
+        self.shift = shift
+        self.tau, self.s_tau, self.m_tau, self.psi_max, _ = out
+        self.idx = np.arange(m)
+        self.streams = streams.astype(np.uint64)
+        self.base = np.zeros(m)
+        self.comp = np.zeros(m)
+        self.part = np.zeros(m)
+        self.run_max = np.zeros(m)  # covers the empty partial sum S_0 = 0
+        self.run_psi = np.zeros(m)
+        # two planes, for the partial sums and their running max
+        self.arena = np.empty((2, m * _FIRST_BLOCK // 2))
+
+    def advance(self, spec, seed, start, width, path_sink):
+        """Draw steps start..start+width-1 for every live walk; drop the ones that descend."""
+        cells = self.arena.shape[1]
+        if width + 1 > cells:
+            self.arena = np.empty((2, width + 1))
+            cells = width + 1
+        per_slice = cells // (width + 1)
+        stopped = np.zeros(self.idx.size, dtype=bool)
+        for lo in range(0, self.idx.size, per_slice):
+            sl = slice(lo, lo + per_slice)
+            stopped[sl] = self._advance_slice(spec, seed, start, width, sl, path_sink)
+        if stopped.any():
+            keep = ~stopped
+            for name in ("idx", "streams", "base", "comp", "part", "run_max", "run_psi"):
+                setattr(self, name, getattr(self, name)[keep])
+
+    def _advance_slice(self, spec, seed, start, width, sl, path_sink):
+        x = _draw_columns(spec, seed, self.streams[sl], start, width)
+        n = x.shape[1]
+        # row 0 carries the in-block partial sum, so the sum adds in the same
+        # order as one cumsum over the whole block
+        c = self.arena[0, : (width + 1) * n].reshape(width + 1, n)
+        _scan(np.add, self.part[sl], x, c)
+        self.part[sl] = c[-1]
+        s = c[1:]
+        np.add(s, self.base[sl], out=s)
+        if path_sink is not None:
+            path_sink.append((x[:, 0].copy(), s[:, 0].copy()))
+
+        stop_mask = s <= 0.0
+        stopped = stop_mask.any(axis=0)
+        rows = np.nonzero(stopped)[0]
+        first = stop_mask[:, rows].argmax(axis=0)
+        oi = self.idx[sl][rows]
+        self.tau[oi] = start + first + 1
+        self.s_tau[oi] = s[first, rows]
+
+        acc = self.arena[1, : (width + 1) * n].reshape(width + 1, n)
+        _scan(np.maximum, self.run_max[sl], s, acc)
+        self.m_tau[oi] = acc[first + 1, rows]
+        self.run_max[sl] = acc[-1]
+        if self.shift != 0.0:
+            offsets = self.shift * np.arange(start + 1, start + width + 1, dtype=np.float64)
+            np.add(s, offsets[:, None], out=acc[1:])
+            _scan(np.maximum, self.run_psi[sl], acc[1:], acc)
+            self.psi_max[oi] = acc[first + 1, rows]
+            self.run_psi[sl] = acc[-1]
+        return stopped
+
+
+def _columns(n: int):
+    """Empty tau, s_tau, m_tau, psi_max and censored columns for n walks."""
+    return np.empty(n, dtype=np.int64), np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=bool)
 
 
 def _simulate_chunk(
@@ -117,71 +245,32 @@ def _simulate_chunk(
     streams: np.ndarray,
     step_cap: int,
     shift: float,
+    out,
     path_sink: list | None = None,
 ):
-    m = streams.size
-    out_tau = np.full(m, step_cap, dtype=np.int64)
-    out_s = np.zeros(m)
-    out_m = np.zeros(m)
-    out_psi = np.zeros(m)
-    out_cens = np.zeros(m, dtype=bool)
-
-    idx = np.arange(m)
-    act_streams = streams.astype(np.uint64)
-    base = np.zeros(m)
-    comp = np.zeros(m)
-    run_max = np.zeros(m)  # covers the empty partial sum S_0 = 0
-    run_psi = np.zeros(m)
-
+    """Run the walks of `streams`; write tau, s_tau, m_tau, psi_max, censored into `out`."""
+    ch = _Chunk(streams, shift, out)
     for start, length in _block_schedule(step_cap):
-        if idx.size == 0:
+        for sub_start, width in _sub_blocks(start, length):
+            if ch.idx.size == 0:
+                break
+            ch.advance(spec, seed, sub_start, width, path_sink)
+        if ch.idx.size == 0:
             break
-        x = _draw_block(spec, seed, act_streams, start, length)
-        c = np.cumsum(x, axis=1)
-        s = base[:, None] + c
-        if shift != 0.0:
-            offsets = shift * np.arange(start + 1, start + length + 1, dtype=np.float64)
-            psi = s + offsets[None, :]
-        else:
-            psi = s
-        if path_sink is not None:
-            path_sink.append((x[0].copy(), s[0].copy()))
+        # the compensated carry runs at block ends only, as in one cumsum per block
+        ch.base, ch.comp = _kahan_add(ch.base, ch.comp, ch.part)
+        ch.part[:] = 0.0
 
-        stop_mask = s <= 0.0
-        stopped = stop_mask.any(axis=1)
-        first = stop_mask.argmax(axis=1)
-        s_acc = np.maximum.accumulate(s, axis=1)
-        psi_acc = np.maximum.accumulate(psi, axis=1) if shift != 0.0 else s_acc
-
-        rows = np.nonzero(stopped)[0]
-        if rows.size:
-            f = first[rows]
-            oi = idx[rows]
-            out_tau[oi] = start + f + 1
-            out_s[oi] = s[rows, f]
-            out_m[oi] = np.maximum(run_max[rows], s_acc[rows, f])
-            out_psi[oi] = np.maximum(run_psi[rows], psi_acc[rows, f])
-
-        keep = ~stopped
-        if not keep.all():
-            idx = idx[keep]
-            act_streams = act_streams[keep]
-            base, comp = base[keep], comp[keep]
-            run_max, run_psi = run_max[keep], run_psi[keep]
-            c = c[keep]
-            s_acc, psi_acc = s_acc[keep], psi_acc[keep]
-        if idx.size:
-            base, comp = _kahan_add(base, comp, c[:, -1])
-            run_max = np.maximum(run_max, s_acc[:, -1])
-            run_psi = np.maximum(run_psi, psi_acc[:, -1])
-
-    if idx.size:
-        out_cens[idx] = True
-        out_s[idx] = base
-        out_m[idx] = run_max
-        out_psi[idx] = run_psi
-
-    return out_tau, out_s, out_m, out_psi, out_cens
+    tau, s_tau, m_tau, psi_max, censored = out
+    censored[:] = False
+    censored[ch.idx] = True
+    tau[ch.idx] = step_cap
+    s_tau[ch.idx] = ch.base
+    m_tau[ch.idx] = ch.run_max
+    if shift == 0.0:
+        psi_max[:] = m_tau
+    else:
+        psi_max[ch.idx] = ch.run_psi
 
 
 def simulate_batch(
@@ -216,9 +305,8 @@ def simulate_batch(
     parts = []
     for lo in range(0, stream_ids.size, chunk_size):
         chunk = stream_ids[lo : lo + chunk_size]
-        tau, s_tau, m_tau, psi_max, cens = _simulate_chunk(
-            spec, seed, chunk, step_cap, shift
-        )
+        tau, s_tau, m_tau, psi_max, cens = out = _columns(chunk.size)
+        _simulate_chunk(spec, seed, chunk, step_cap, shift, out)
         parts.append(
             SampleBatch(
                 seed=seed,
@@ -245,9 +333,9 @@ def replay_path(
     """
     sink: list = []
     streams = np.asarray([stream_id], dtype=np.int64)
-    tau, s_tau, m_tau, psi_max, cens = _simulate_chunk(
-        spec, seed, streams, step_cap, shift, path_sink=sink
-    )
+    out = _columns(1)
+    _simulate_chunk(spec, seed, streams, step_cap, shift, out, path_sink=sink)
+    tau, s_tau, m_tau, psi_max, cens = out
     increments = np.concatenate([x for x, _ in sink])
     partial = np.concatenate([s for _, s in sink])
     n = int(tau[0])

@@ -272,37 +272,77 @@ def test_construct_writes_tail_tables(tmp_path, cfg_path):
         assert spliced <= majorant * (1 + 1e-12)
 
 
-# sha256 of the check and construct artifacts of two example configs at
-# --seed 7 --streams 1.  QUADPACK's last bits depend on the numpy and scipy
-# builds, so the digests hold for the versions they were recorded with.
+# sha256 of stage artifacts at --seed 7 --streams 1: check and construct on
+# two example configs, simulate on every config (and on one with a walk shift,
+# so the psi_max column is pinned) with n_samples cut to GOLDEN_SAMPLES.
+# QUADPACK's and the quantiles' last bits depend on the numpy and scipy builds,
+# so the digests hold for the versions they were recorded with.
 GOLDEN_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
+GOLDEN_SAMPLES = 20_000
+GOLDEN_VARIANTS = {"pareto_ratio_shift": ("pareto_ratio", {"shift": 0.5})}
 GOLDEN_DIGESTS = {
+    "bernoulli_oracle": {"samples.csv": "c03ef427bd44683baf58e9515e67871c606609df00dadf1203429c6cb1ff26a3"},
     "g1_lognormal": {
         "condition_report.json": "8e57f41cddd4f8defa211162efb8121250f118bb05365c6f49c3c2c7345e4dd8",
         "chain.json": "94f6bfb70c35dc242771fdc316c1968aae1de89587c332f6263bc6b74ea9ca1a",
         "tail_tables.csv": "0cac49e430c7c2d70ada9f438272347cc4b4127b120f44ec9865df4224d89e59",
+        "samples.csv": "dedd44a01621dd585373c7af0f58438c78f940cca01c07388f6625d3800709fd",
     },
     "g2_weibull": {
         "condition_report.json": "b48a42e664869098a858953259c39a3944c2a44d2d9d78ec51845cb796518663",
         "chain.json": "24d326c05869ab01d6ba538a3a28e2d9ddebd755b2536950ae2ed30fdb624de4",
         "tail_tables.csv": "5b587dee95a4c1230fbd002281277f099be73cabfd880bbb5f19ec8a2dbc391e",
+        "samples.csv": "66ca06aad179d7fe02e12e622a04581978f5e7b661f1acb776a5c01f59b5dd8a",
     },
+    "g3_weibull": {"samples.csv": "0cf60cf2acc1191ec4e36f84cfa550ef41bfb42755b4436d156c8b4e4865c657"},
+    "pareto_ratio": {"samples.csv": "32d61394121fb6811dc7f8460a0454f3d7b53cc5d3c268aecfae153bb8b28f45"},
+    "pareto_ratio_shift": {"samples.csv": "856fdb9accf7f2c225fc1b8598a0ed412b875803b59a6aacc8980ca260eeb36f"},
+    "probe_g1_small_delta": {"samples.csv": "dedd44a01621dd585373c7af0f58438c78f940cca01c07388f6625d3800709fd"},
+    "probe_g2_small_eps": {"samples.csv": "66ca06aad179d7fe02e12e622a04581978f5e7b661f1acb776a5c01f59b5dd8a"},
+    "queue_busy_cycle": {"samples.csv": "d358dbd4c81c011d7a7734dcc2270333eb84913937f0bced8d9e57d0950c3778"},
 }
+# sha256 over the tau, s_tau, m_tau, psi_max and censored bytes of
+# simulate_batch(Pareto(2, 1, -3), seed=11, n_samples=100_000, chunk_size=30_000)
+GOLDEN_BATCH = "e3df3df41eadbb68718936d82e996620af76859d8e944dc384cb8c3f5f19c7ec"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
-def test_golden_digests(tmp_path, name):
-    import hashlib
-
+def _require_golden_versions():
     import numpy
     import scipy
 
     found = {"numpy": numpy.__version__, "scipy": scipy.__version__}
     if found != GOLDEN_VERSIONS:
         pytest.skip(f"golden digests recorded with {GOLDEN_VERSIONS}, running {found}")
-    cfg = Path(__file__).resolve().parents[1] / "configs" / f"{name}.yaml"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_golden_digests(tmp_path, name):
+    import hashlib
+
+    _require_golden_versions()
+    base, overrides = GOLDEN_VARIANTS.get(name, (name, {}))
+    cfg = CONFIGS / f"{base}.yaml"
     out = tmp_path / name
-    for stage in ("check", "construct"):
-        assert main([stage, "--config", str(cfg), "--out", str(out), "--seed", "7", "--streams", "1"]) == 0
+    args = ["--out", str(out), "--seed", "7", "--streams", "1"]
+    if "chain.json" in GOLDEN_DIGESTS[name]:
+        for stage in ("check", "construct"):
+            assert main([stage, "--config", str(cfg), *args]) == 0
+    small = tmp_path / "small.yaml"
+    small.write_text(yaml.safe_dump({**yaml.safe_load(cfg.read_text()), "n_samples": GOLDEN_SAMPLES, **overrides}))
+    assert main(["simulate", "--config", str(small), *args]) == 0
     digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in GOLDEN_DIGESTS[name]}
     assert digests == GOLDEN_DIGESTS[name]
+
+
+def test_golden_batch_digest():
+    import hashlib
+
+    from ladderlab import Pareto, simulate_batch
+
+    _require_golden_versions()
+    batch = simulate_batch(Pareto(2.0, 1.0, -3.0), seed=11, n_samples=100_000, chunk_size=30_000)
+    h = hashlib.sha256()
+    for field in ("tau", "s_tau", "m_tau", "psi_max", "censored"):
+        h.update(getattr(batch, field).tobytes())
+    assert h.hexdigest() == GOLDEN_BATCH

@@ -9,6 +9,20 @@ def test_known_answer_zero_block():
     assert [int(w) for w in words] == [0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8]
 
 
+def test_known_answer_all_ones_block():
+    # Random123 vector: every counter and key word 0xffffffff.
+    words = rng._philox_4x32_10(*[np.uint64(0xFFFFFFFF)] * 6)
+    assert [int(w) for w in words] == [0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD]
+
+
+def test_known_answer_pi_block():
+    # Random123 vector: counter and key from the hex digits of pi.
+    ctr = [0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344]
+    key = [0xA4093822, 0x299F31D0]
+    words = rng._philox_4x32_10(*[np.uint64(w) for w in ctr + key])
+    assert [int(w) for w in words] == [0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1]
+
+
 def test_determinism_and_shape():
     a0, a1 = rng.uniform_pair(123, 5, 7)
     b0, b1 = rng.uniform_pair(123, 5, 7)
@@ -55,3 +69,23 @@ def test_large_indices_no_wrap():
     big = 2**63 + 11
     u0, _ = rng.uniform_pair(2**64 - 1, big, 2**40)
     assert 0.0 < float(u0) < 1.0
+
+
+def test_indices_reduce_mod_2_64():
+    # words recorded with the object-dtype reduction the integer cast replaced
+    ids = np.array([2**63 - 1, 2**63, 2**63 + 11], dtype=np.uint64)
+    words = rng._block(2**64 - 1, ids, 2**40)
+    assert [[int(v) for v in w] for w in words] == [
+        [0xF0B0A54F, 0xE6EE7504, 0x4C29699E],
+        [0xF678B43B, 0x8E0F21B0, 0xFEE5707A],
+        [0x4715E5A0, 0x952227D2, 0x3AAA0DD1],
+        [0xE62777F0, 0x7147864D, 0xFB44F5ED],
+    ]
+    signed = rng._block(2**64 - 1, np.array([-1, -(2**63)], dtype=np.int64), 0)
+    unsigned = rng._block(-1, np.array([2**64 - 1, 2**63], dtype=np.uint64), 0)
+    assert [[int(v) for v in w] for w in signed] == [[int(v) for v in w] for w in unsigned]
+    assert [int(w[0]) for w in signed] == [0x3D3BE307, 0x716983D6, 0x70094BED, 0x36C3CF91]
+    wrapped = rng._block(2**64 + 3, 2**64 + 5, 2**65 + 1)
+    assert [int(w) for w in wrapped] == [int(w) for w in rng._block(3, 5, 1)]
+    assert [int(w) for w in wrapped] == [0x55E6C104, 0xCCE538FB, 0x316B4A9D, 0x805685D3]
+    assert float(rng.uniform_pair(np.uint64(2**64 - 1), 0, 0)[0]) == float(rng.uniform_pair(-1, 0, 0)[0])

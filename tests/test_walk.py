@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -124,6 +126,48 @@ def test_stream_keyed_subsets():
     part = simulate_batch(spec, seed=11, stream_ids=np.arange(20, 40))
     assert np.array_equal(part.tau, full.tau[20:40])
     assert np.array_equal(part.s_tau, full.s_tau[20:40])
+
+
+def test_draws_only_cells_it_uses(monkeypatch):
+    # E tau = 1.5 here; a walk that stops must not draw the rest of its block
+    cells = []
+    draw = rng.uniform_pair
+
+    def counting(seed, stream, step):
+        u0, u1 = draw(seed, stream, step)
+        cells.append(u0.size)
+        return u0, u1
+
+    monkeypatch.setattr(rng, "uniform_pair", counting)
+    batch = simulate_batch(BernoulliPM1(0.25), 7, n_samples=100_000)
+    assert sum(cells) / batch.tau.sum() <= 1.5
+
+
+def test_concurrent_batches_match_serial():
+    # each call owns its work arena, so batches on several threads at once
+    # (the CLI runs two) keep the serial bits
+    spec = QueuePair(Exponential(1.0), Exponential(1.25))
+    ids = [np.arange(k * 5_000, (k + 1) * 5_000) for k in range(4)]
+    serial = [simulate_batch(spec, 3, stream_ids=i, chunk_size=2_000) for i in ids]
+    results = [None] * len(ids)
+
+    def run(k):
+        results[k] = simulate_batch(spec, 3, stream_ids=ids[k], chunk_size=2_000)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(ids))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    for a, b in zip(serial, results):
+        assert np.array_equal(a.tau, b.tau)
+        assert np.array_equal(a.s_tau, b.s_tau) and np.array_equal(a.m_tau, b.m_tau)
 
 
 def test_chunking_invisible():
