@@ -7,6 +7,19 @@ samples whose hash does not match the effective config (stale-input
 protection).  No artifact contains timestamps or machine identifiers: given
 the same config and seed, a re-run reproduces every output byte for byte.
 
+Every table goes through one writer, `_write_csv`: unquoted cells, CRLF line
+ends (the dialect of the standard `csv` module, so the bytes are those of
+earlier versions), written in slices of `_SLICE_ROWS` rows.  `samples.csv` is
+formatted column by column, floats by `repr`, and read back column by column
+with `np.loadtxt`, which parses every value to the same bits.  A samples file
+must end in a line end, have the manifest's columns, and hold exactly the
+manifest's stream ids `start, start + 1, ...` in order, so a truncated,
+ragged, reordered or swapped file is rejected with exit 1.  Every artifact is
+written to a temp file in the output directory and moved into place with
+`os.replace`; `simulate` removes the old manifest before it replaces the
+samples, so a killed run never leaves new samples beside an old manifest or
+a half-written file under an artifact's name.
+
 Exit codes: 0 success, 1 usage/config error, 2 verification or certification
 failure, 3 censored-dominated estimate.
 """
@@ -14,11 +27,12 @@ failure, 3 censored-dominated estimate.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -37,70 +51,105 @@ EXIT_CENSORED = 3
 
 _SAMPLES_FILE = "samples.csv"
 _MANIFEST_FILE = "manifest.json"
+_SLICE_ROWS = 1 << 16  # rows formatted and written at a time
+# samples.csv columns and their dtypes; "f8" columns are written by repr
+_SAMPLE_FIELDS = [("stream_id", "i8"), ("tau", "i8"), ("s_tau", "f8"), ("m_tau", "f8"), ("censored", "i1")]
+_PSI_FIELD = ("psi_max", "f8")  # written only for a walk with a shift
+
+
+@contextmanager
+def _atomic_open(path: Path):
+    """A text handle on a temp file beside `path` that replaces `path` on success.
+
+    On any error the temp file is removed and `path` keeps its old content.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # no-op once replaced
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(jsonify(obj), sort_keys=True, indent=2) + "\n")
+    with _atomic_open(path) as fh:
+        fh.write(json.dumps(jsonify(obj), sort_keys=True, indent=2) + "\n")
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write `header` and `rows` (sequences of formatted cells) as CRLF CSV,
+    `_SLICE_ROWS` rows at a time.
+
+    Cells are written as given, unquoted: none of the CLI's cells holds a
+    comma, a quote or a line end.
+    """
+    rows = iter(rows)
+    with _atomic_open(path) as fh:
+        fh.write(",".join(header) + "\r\n")
+        while block := list(islice(rows, _SLICE_ROWS)):
+            fh.write("\r\n".join(map(",".join, block)))
+            fh.write("\r\n")
+
+
+def _format_ints(col: np.ndarray):
+    return map(str, col.tolist())
+
+
+def _format_floats(col: np.ndarray):
+    return map(repr, col.tolist())
 
 
 def _write_samples_csv(path: Path, batch: SampleBatch) -> list[str]:
-    columns = ["stream_id", "tau", "s_tau", "m_tau", "censored"]
-    with_psi = batch.shift != 0.0
-    if with_psi:
-        columns.append("psi_max")
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for i in range(batch.n):
-            row = [
-                int(batch.stream_ids[i]),
-                int(batch.tau[i]),
-                repr(float(batch.s_tau[i])),
-                repr(float(batch.m_tau[i])),
-                int(batch.censored[i]),
-            ]
-            if with_psi:
-                row.append(repr(float(batch.psi_max[i])))
-            writer.writerow(row)
+    fields = list(_SAMPLE_FIELDS)
+    cols = [batch.stream_ids, batch.tau, batch.s_tau, batch.m_tau, batch.censored.view(np.uint8)]
+    if batch.shift != 0.0:
+        fields.append(_PSI_FIELD)
+        cols.append(batch.psi_max)
+    formats = [_format_floats if kind == "f8" else _format_ints for _, kind in fields]
+    slices = (
+        zip(*(fmt(col[a : a + _SLICE_ROWS]) for col, fmt in zip(cols, formats)))
+        for a in range(0, batch.n, _SLICE_ROWS)
+    )
+    columns = [name for name, _ in fields]
+    _write_csv(path, columns, chain.from_iterable(slices))
     return columns
 
 
 def _read_samples(out_dir: Path) -> tuple[SampleBatch, dict]:
+    """Samples and manifest; a file that disagrees with its manifest is a ValueError."""
     manifest = json.loads((out_dir / _MANIFEST_FILE).read_text())
-    rows = []
-    with (out_dir / _SAMPLES_FILE).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        for row in reader:
-            rows.append(row)
-    if header[:5] != ["stream_id", "tau", "s_tau", "m_tau", "censored"]:
-        raise ValueError("unexpected samples.csv header")
-    n = len(rows)
-    stream_ids = np.empty(n, dtype=np.int64)
-    tau = np.empty(n, dtype=np.int64)
-    s_tau = np.empty(n)
-    m_tau = np.empty(n)
-    censored = np.empty(n, dtype=bool)
-    has_psi = len(header) > 5
-    psi = np.empty(n)
-    for i, row in enumerate(rows):
-        stream_ids[i] = int(row[0])
-        tau[i] = int(row[1])
-        s_tau[i] = float(row[2])
-        m_tau[i] = float(row[3])
-        censored[i] = bool(int(row[4]))
-        psi[i] = float(row[5]) if has_psi else m_tau[i]
+    path = out_dir / _SAMPLES_FILE
+    with path.open("rb") as fh:
+        header = fh.readline().decode().rstrip("\r\n").split(",")
+        fh.seek(0, os.SEEK_END)
+        fh.seek(max(fh.tell() - 2, 0))
+        ends_in_line_end = fh.read() == b"\r\n"
+    with_psi = len(header) > len(_SAMPLE_FIELDS)
+    fields = _SAMPLE_FIELDS + ([_PSI_FIELD] if with_psi else [])
+    if header != [name for name, _ in fields] or header != manifest.get("columns"):
+        raise ValueError(f"samples.csv header {header} does not match the manifest columns")
+    if not ends_in_line_end:
+        raise ValueError("samples.csv does not end in a line end (truncated file?)")
+    table = np.loadtxt(path, delimiter=",", skiprows=1, comments=None, ndmin=1, dtype=fields)
+    start, count = int(manifest["stream_ids"]["start"]), int(manifest["stream_ids"]["count"])
+    if table.size != count:
+        raise ValueError(f"samples.csv has {table.size} rows, the manifest {count}")
+    stream_ids = np.ascontiguousarray(table["stream_id"])
+    if count and (stream_ids[0] != start or np.any(np.diff(stream_ids) != 1)):
+        raise ValueError(f"samples.csv stream ids are not {start}..{start + count - 1} in order")
+    m_tau = np.ascontiguousarray(table["m_tau"])
     return (
         SampleBatch(
             seed=int(manifest["seed"]),
             step_cap=int(manifest["step_cap"]),
             shift=float(manifest["shift"]),
             stream_ids=stream_ids,
-            tau=tau,
-            s_tau=s_tau,
+            tau=np.ascontiguousarray(table["tau"]),
+            s_tau=np.ascontiguousarray(table["s_tau"]),
             m_tau=m_tau,
-            psi_max=psi,
-            censored=censored,
+            psi_max=np.ascontiguousarray(table["psi_max"]) if with_psi else m_tau.copy(),
+            censored=table["censored"] != 0,
         ),
         manifest,
     )
@@ -205,11 +254,7 @@ def cmd_construct(cfg: ExperimentConfig, out_dir: Path) -> int:
     hi = diagnostics.usable_tail_horizon(chain.base)
     xs = np.concatenate([np.linspace(lo, max(lo + 1.0, 1.0), 64), np.geomspace(1.0, hi, 192)])
     rows = tail_table({"base": chain.base, "spliced": chain.tilde, "majorant": chain.hat}, xs)
-    with (out_dir / "tail_tables.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(rows[0])
-        for row in rows[1:]:
-            writer.writerow([repr(v) for v in row])
+    _write_csv(out_dir / "tail_tables.csv", rows[0], ([repr(v) for v in row] for row in rows[1:]))
 
     print(
         f"construct: K={chain.K:.6g} V={chain.V:.6g} V'={chain.V_prime:.6g} "
@@ -224,17 +269,22 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, replay: int | None = None
         # audit mode: re-emit one stream's full path instead of a fresh batch
         path = replay_path(spec, cfg.seed, replay, step_cap=cfg.step_cap, shift=cfg.shift)
         target = out_dir / f"replay_{replay}.csv"
-        with target.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "increment", "partial_sum"])
-            for i in range(path["tau"]):
-                writer.writerow([i + 1, repr(float(path["increments"][i])), repr(float(path["partial_sums"][i]))])
+        tau = path["tau"]
+        _write_csv(
+            target,
+            ["step", "increment", "partial_sum"],
+            zip(_format_ints(np.arange(1, tau + 1)), _format_floats(path["increments"][:tau]),
+                _format_floats(path["partial_sums"][:tau])),
+        )
         print(
             f"replay: stream={replay} tau={path['tau']} s_tau={path['s_tau']!r} "
             f"censored={path['censored']} -> {target}"
         )
         return EXIT_OK
     batch = _simulate_config(cfg, spec)
+    # the old manifest goes first: a run killed before the new one is written
+    # leaves samples without a manifest, never new samples with an old one
+    (out_dir / _MANIFEST_FILE).unlink(missing_ok=True)
     columns = _write_samples_csv(out_dir / _SAMPLES_FILE, batch)
     manifest = {
         "config_hash": cfg.config_hash,
@@ -285,14 +335,12 @@ def cmd_estimate(cfg: ExperimentConfig, out_dir: Path, fmt: str) -> int:
     }
     _write_json(out_dir / "estimates.json", payload)
     if fmt == "csv":
-        with (out_dir / "estimates.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["kind", "n", "point", "std_error", "ci_lo", "ci_hi", "top1_share", "censored_n", "verdict"])
-            for e in estimates:
-                writer.writerow(
-                    [e.estimand["kind"], e.n, repr(e.point), repr(e.std_error),
-                     repr(e.ci95[0]), repr(e.ci95[1]), repr(e.top1_share), e.censored_n, e.verdict]
-                )
+        _write_csv(
+            out_dir / "estimates.csv",
+            ["kind", "n", "point", "std_error", "ci_lo", "ci_hi", "top1_share", "censored_n", "verdict"],
+            ([e.estimand["kind"], str(e.n), repr(e.point), repr(e.std_error), repr(e.ci95[0]),
+              repr(e.ci95[1]), repr(e.top1_share), str(e.censored_n), e.verdict] for e in estimates),
+        )
     for e in estimates:
         print(
             f"estimate[{e.estimand['kind']}]: point={e.point:.8g} se={e.std_error:.3g} "
@@ -343,14 +391,12 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
         report["psi_sstar"] = {"skipped": str(exc)}
     ratio = est.running_max_ratio_check(batch, psi_spec)
     report["running_max_ratio"] = ratio.to_dict()
-    with (out_dir / "ratio_curve.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "exceedances", "ratio", "ratio_lo", "ratio_hi", "e_tau"])
-        for row in ratio.rows:
-            writer.writerow(
-                [repr(row["x"]), row["exceedances"], repr(row["ratio"]),
-                 repr(row["ratio_lo"]), repr(row["ratio_hi"]), repr(ratio.e_tau)]
-            )
+    _write_csv(
+        out_dir / "ratio_curve.csv",
+        ["x", "exceedances", "ratio", "ratio_lo", "ratio_hi", "e_tau"],
+        ([repr(row["x"]), str(row["exceedances"]), repr(row["ratio"]), repr(row["ratio_lo"]),
+          repr(row["ratio_hi"]), repr(ratio.e_tau)] for row in ratio.rows),
+    )
 
     sizes = sorted({cfg.n_samples // 64, cfg.n_samples // 16, cfg.n_samples // 4, cfg.n_samples})
     sizes = [s for s in sizes if s >= 2]
@@ -360,11 +406,12 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
             series = [_configured_estimates(cfg, batch.head(s), a)[0] for s in sizes]
             stability = est.finiteness_diagnostic(series)
             report["finiteness"] = stability.to_dict()
-            with (out_dir / "stability_curve.csv").open("w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["n", "point", "std_error", "top1_share"])
-                for p in stability.points:
-                    writer.writerow([p["n"], repr(p["point"]), repr(p["std_error"]), repr(p["top1_share"])])
+            _write_csv(
+                out_dir / "stability_curve.csv",
+                ["n", "point", "std_error", "top1_share"],
+                ([str(p["n"]), repr(p["point"]), repr(p["std_error"]), repr(p["top1_share"])]
+                 for p in stability.points),
+            )
         except ConfigError:
             report["finiteness"] = {"skipped": "no estimand configured"}
     else:

@@ -4,11 +4,12 @@ These are deliberately separate from the library code paths they check:
 an exhaustive level-occupation recursion for the two-point walk, a scalar
 waiting-time recursion for single-server queues, and closed forms for the
 integrals the quadrature routines must reproduce and for the D/M/1 busy
-cycle.
+cycle, and the row-by-row `csv.writer` form of `samples.csv`.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -104,3 +105,26 @@ def dm1_busy_cycle_mean(service_mean: float, interarrival: float) -> float:
     for _ in range(500):
         s = math.exp(-interarrival * (1.0 - s) / service_mean)
     return 1.0 / (1.0 - s)
+
+
+def write_samples_csv_rowwise(path, batch) -> None:
+    """`samples.csv` written one row at a time through `csv.writer`.
+
+    Integers by `int`, floats by `repr(float(.))`, `psi_max` only when the
+    batch has a walk shift: the format every version of the CLI has written.
+    """
+    with_psi = batch.shift != 0.0
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["stream_id", "tau", "s_tau", "m_tau", "censored"] + ["psi_max"] * with_psi)
+        for i in range(batch.n):
+            row = [
+                int(batch.stream_ids[i]),
+                int(batch.tau[i]),
+                repr(float(batch.s_tau[i])),
+                repr(float(batch.m_tau[i])),
+                int(batch.censored[i]),
+            ]
+            if with_psi:
+                row.append(repr(float(batch.psi_max[i])))
+            writer.writerow(row)

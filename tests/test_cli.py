@@ -1,11 +1,24 @@
+import csv
+import importlib
 import json
+import math
 import os
+import pkgutil
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import ladderlab
+from ladderlab import cli
 from ladderlab.cli import main
+from ladderlab.walk import SampleBatch
+
+from oracles import write_samples_csv_rowwise
 
 SEED = 20260810
 
@@ -123,6 +136,105 @@ def test_corrupted_samples_rejected(tmp_path, cfg_path):
     (out / "samples.csv").write_text("stream_id,tau\n0,banana\n")
     assert main(["estimate", "--config", str(cfg_path), "--out", str(out)]) == 1
     assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 1
+
+
+@pytest.mark.parametrize("damage", ["mid_row", "whole_rows", "no_final_line_end", "reordered_rows"])
+def test_damaged_samples_rejected(tmp_path, cfg_path, damage):
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    path = out / "samples.csv"
+    data = path.read_bytes()
+    lines = data.split(b"\r\n")[:-1]
+    if damage == "mid_row":
+        data = data[: data.index(b",", len(data) // 2)]
+    elif damage == "whole_rows":
+        data = b"".join(line + b"\r\n" for line in lines[: len(lines) // 2])
+    elif damage == "no_final_line_end":
+        data = data[:-2]
+    else:
+        lines[10], lines[11] = lines[11], lines[10]
+        data = b"".join(line + b"\r\n" for line in lines)
+    path.write_bytes(data)
+    assert main(["estimate", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 1
+
+
+def test_failed_simulate_leaves_no_half_file(tmp_path, cfg_path, monkeypatch):
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    before = (out / "samples.csv").read_bytes()
+    format_floats, calls = cli._format_floats, []
+
+    def fail_on_second_slice(col):
+        calls.append(len(col))
+        if len(calls) > 2:  # s_tau and m_tau of the first slice are formatted
+            raise RuntimeError("formatter failed")
+        return format_floats(col)
+
+    monkeypatch.setattr(cli, "_SLICE_ROWS", 1000)
+    monkeypatch.setattr(cli, "_format_floats", fail_on_second_slice)
+    with pytest.raises(RuntimeError, match="formatter failed"):
+        main(["simulate", "--config", str(cfg_path), "--out", str(out)])
+    assert calls == [1000, 1000, 1000]
+    assert [p.name for p in out.iterdir()] == ["samples.csv"]
+    assert (out / "samples.csv").read_bytes() == before
+    assert main(["estimate", "--config", str(cfg_path), "--out", str(out)]) == 1
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-5, 1e16, 9999999999999998.0, 1.7976931348623157e308, math.inf, -math.inf]
+SAMPLE_ROW = st.tuples(
+    st.integers(0, 2**62),
+    *[st.floats(allow_nan=False) | st.sampled_from(SPECIAL_FLOATS)] * 3,
+    st.booleans(),
+)
+EVERY_SPECIAL_FLOAT = [(2**62, x, -x, x, i % 2 == 0) for i, x in enumerate(SPECIAL_FLOATS)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    rows=st.lists(SAMPLE_ROW, min_size=1, max_size=16),
+    n=st.sampled_from([1, 2, 65535, 65536, 65537]),
+    start=st.sampled_from([0, 2**62 - 1, 2**62]) | st.integers(0, 2**62),
+    shift=st.sampled_from([0.0, 0.5]),
+)
+@example(rows=EVERY_SPECIAL_FLOAT, n=65537, start=2**62, shift=0.5)
+@example(rows=EVERY_SPECIAL_FLOAT, n=len(SPECIAL_FLOATS), start=0, shift=0.0)
+def test_samples_csv_round_trip(rows, n, start, shift):
+    tau, s_tau, m_tau, psi_max, censored = (np.resize(np.array(col), n) for col in zip(*rows))
+    batch = SampleBatch(
+        seed=1,
+        step_cap=10,
+        shift=shift,
+        stream_ids=np.arange(start, start + n, dtype=np.int64),
+        tau=tau.astype(np.int64),
+        s_tau=s_tau.astype(float),
+        m_tau=m_tau.astype(float),
+        psi_max=psi_max.astype(float),
+        censored=censored.astype(bool),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        write_samples_csv_rowwise(out / "oracle.csv", batch)
+        columns = cli._write_samples_csv(out / "samples.csv", batch)
+        assert (out / "samples.csv").read_bytes() == (out / "oracle.csv").read_bytes()
+        manifest = {"seed": 1, "step_cap": 10, "shift": shift, "stream_ids": {"start": start, "count": n}, "columns": columns}
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        read, _ = cli._read_samples(out)
+    expected_psi = batch.psi_max if shift else batch.m_tau
+    for field in ("stream_ids", "tau", "s_tau", "m_tau", "censored"):
+        got, want = getattr(read, field), getattr(batch, field)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
+    assert read.psi_max.tobytes() == expected_psi.tobytes()
+
+
+def test_no_module_binds_the_csv_module():
+    banned = [csv, csv.writer, csv.reader, csv.DictWriter, csv.DictReader]
+    binders = set()
+    for info in pkgutil.iter_modules(ladderlab.__path__):
+        module = importlib.import_module(f"ladderlab.{info.name}")
+        if any(value is b for value in vars(module).values() for b in banned):
+            binders.add(info.name)
+    assert binders == set()
 
 
 def test_check_failure_exit_code(tmp_path):
@@ -253,10 +365,8 @@ def test_replay_emits_audit_path(tmp_path, cfg_path):
     lines = (out / "replay_5.csv").read_text().splitlines()
     assert lines[0] == "step,increment,partial_sum"
     # the replayed descent matches the batch row for stream 5
-    import csv as _csv
-
     with (out / "samples.csv").open() as fh:
-        rows = list(_csv.DictReader(fh))
+        rows = list(csv.DictReader(fh))
     assert len(lines) - 1 == int(rows[5]["tau"])
     assert lines[-1].split(",")[2] == rows[5]["s_tau"]
 
@@ -274,14 +384,24 @@ def test_construct_writes_tail_tables(tmp_path, cfg_path):
 
 # sha256 of stage artifacts at --seed 7 --streams 1: check and construct on
 # two example configs, simulate on every config (and on one with a walk shift,
-# so the psi_max column is pinned) with n_samples cut to GOLDEN_SAMPLES.
+# so the psi_max column is pinned) with n_samples cut to GOLDEN_SAMPLES, and on
+# two of them estimate --format csv, verify and simulate --replay 5 as well, so
+# every field read back from samples.csv and every CLI table writer is pinned.
 # QUADPACK's and the quantiles' last bits depend on the numpy and scipy builds,
 # so the digests hold for the versions they were recorded with.
 GOLDEN_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
 GOLDEN_SAMPLES = 20_000
 GOLDEN_VARIANTS = {"pareto_ratio_shift": ("pareto_ratio", {"shift": 0.5})}
 GOLDEN_DIGESTS = {
-    "bernoulli_oracle": {"samples.csv": "c03ef427bd44683baf58e9515e67871c606609df00dadf1203429c6cb1ff26a3"},
+    "bernoulli_oracle": {
+        "samples.csv": "c03ef427bd44683baf58e9515e67871c606609df00dadf1203429c6cb1ff26a3",
+        "estimates.json": "c7a9953d49f30502d59987ac233712ec3cfa378f595261bd70e05dd90aba0504",
+        "estimates.csv": "3ba98bfdd51d3ec13130f5338fb333be56754856fb5ea91d5fe394e7d368c4a5",
+        "verify_report.json": "64344bd3e9826ce6040a4e854a7e4cc1eb2c66fbd1c97205a2068807c1d01c0f",
+        "ratio_curve.csv": "01a2eda3c8ea461e43dca25383aa5b82154d4dc5ef5c02eb38a1bdb2306f4b51",
+        "stability_curve.csv": "cbbba9aed54b06f38e841685ac0b78552f7f01a27b8c1f04e991d50a8bd52ca5",
+        "replay_5.csv": "32fbf4e26d5ee99dfcb8f9caa0ab0b61829e24e74b80a350f71fc20970fcab4e",
+    },
     "g1_lognormal": {
         "condition_report.json": "8e57f41cddd4f8defa211162efb8121250f118bb05365c6f49c3c2c7345e4dd8",
         "chain.json": "94f6bfb70c35dc242771fdc316c1968aae1de89587c332f6263bc6b74ea9ca1a",
@@ -296,7 +416,15 @@ GOLDEN_DIGESTS = {
     },
     "g3_weibull": {"samples.csv": "0cf60cf2acc1191ec4e36f84cfa550ef41bfb42755b4436d156c8b4e4865c657"},
     "pareto_ratio": {"samples.csv": "32d61394121fb6811dc7f8460a0454f3d7b53cc5d3c268aecfae153bb8b28f45"},
-    "pareto_ratio_shift": {"samples.csv": "856fdb9accf7f2c225fc1b8598a0ed412b875803b59a6aacc8980ca260eeb36f"},
+    "pareto_ratio_shift": {
+        "samples.csv": "856fdb9accf7f2c225fc1b8598a0ed412b875803b59a6aacc8980ca260eeb36f",
+        "estimates.json": "056953c3db9c5b79e8ce82af2b719dc48f5cd6ec02735b7af00fa5fd9b9d8937",
+        "estimates.csv": "0e721d5e61b438ceb42b769fef779742f0ecbb17b134405c6f172d96c1c20e5f",
+        "verify_report.json": "442e7b33ec96296539476b6ef44e152baebdbca18abcf9af4b9587682b5bb295",
+        "ratio_curve.csv": "fd22e674751d9f672a8f6a4772dee505a9ec2fc62087f42bb5fee286dc561808",
+        "stability_curve.csv": "fc76c8044fdfabccec4ec0c696f493cc6dfbcaec099052bb42b8cdd952e726aa",
+        "replay_5.csv": "dbe296343119d0c835aa633cb97f69a2b0526f56b7250249d2f37cc6347a01a8",
+    },
     "probe_g1_small_delta": {"samples.csv": "dedd44a01621dd585373c7af0f58438c78f940cca01c07388f6625d3800709fd"},
     "probe_g2_small_eps": {"samples.csv": "66ca06aad179d7fe02e12e622a04581978f5e7b661f1acb776a5c01f59b5dd8a"},
     "queue_busy_cycle": {"samples.csv": "d358dbd4c81c011d7a7734dcc2270333eb84913937f0bced8d9e57d0950c3778"},
@@ -331,6 +459,10 @@ def test_golden_digests(tmp_path, name):
     small = tmp_path / "small.yaml"
     small.write_text(yaml.safe_dump({**yaml.safe_load(cfg.read_text()), "n_samples": GOLDEN_SAMPLES, **overrides}))
     assert main(["simulate", "--config", str(small), *args]) == 0
+    if "estimates.json" in GOLDEN_DIGESTS[name]:
+        assert main(["estimate", "--config", str(small), "--format", "csv", *args]) == 0
+        assert main(["verify", "--config", str(small), *args]) == 0
+        assert main(["simulate", "--config", str(small), "--replay", "5", *args]) == 0
     digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in GOLDEN_DIGESTS[name]}
     assert digests == GOLDEN_DIGESTS[name]
 
