@@ -11,8 +11,7 @@ The package splits into five layers:
   :mod:`ladderlab.numerics`,
 * :mod:`ladderlab.walk` - reproducible walk simulation: descent epochs and
   running maxima,
-* :mod:`ladderlab.estimate` - mergeable moment estimates and the check
-  suites,
+* :mod:`ladderlab.estimate` - moment estimates and the check suites,
 * :mod:`ladderlab.cli` - the batch pipeline front end.
 """
 

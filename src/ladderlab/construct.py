@@ -64,9 +64,10 @@ def _find_log_tail_horizon(base: TailSpec, g: GrowthFunction) -> float:
     if math.isfinite(hi):
         return float(g(hi))
     # expand x until the log-tail dips below the floor, then map through g
+    log_tail = base.scalar_log_tail()
     x = max(1.0, base.support[0] + 1.0, abs(base.support[0]))
     for _ in range(200):
-        if float(base.log_tail(x)) < _LOG_TAIL_FLOOR:
+        if log_tail(x) < _LOG_TAIL_FLOOR:
             return float(g(x))
         x *= 2.0
     raise UndeterminedError("tail does not decay: cannot place the majorant grid")
@@ -80,8 +81,11 @@ def _exp_growth_moment(base: TailSpec, g: GrowthFunction, t_hi: float) -> float 
     recorded rather than raised; the fit gates on sup stabilization instead.
     """
 
+    log_tail, inverse = base.scalar_log_tail(), g.scalar_inverse()
+
     def integrand(t):
-        return np.exp(np.minimum(_transformed_log_product(base, g, t), 700.0))
+        v = t + log_tail(inverse(t))  # _transformed_log_product at one abscissa
+        return float(np.exp(700.0 if v >= 700.0 else v))
 
     # the region s in (0, 1] contributes at most one, tail = 1 there
     total, converged = doubling_integral(

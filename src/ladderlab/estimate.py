@@ -7,10 +7,6 @@ summands (a CLT-reliability flag for heavy tails) and the share contributed
 by censored excursions (which enter at their step-cap lower bound, never
 silently dropped).
 
-Summaries are mergeable across disjoint streams: count, sum, sum of squares,
-censored accounting and a top-value sketch all combine associatively, so
-parallel stream chunks reduce to the same estimate as a single pass.
-
 The check suites cover what is exactly assertable (shared-uniform dominance
 coupling, the stopping-identity consistency of means) and what is only
 observable (the running-maximum tail ratio against its predicted limit, and
@@ -47,13 +43,13 @@ _Z95 = 1.96
 
 
 def _sketch_size(n: int) -> int:
-    # twice the top-1% size, so merging balanced parts stays exact
+    # twice the top-1% size that top_share reads
     return max(_SKETCH_MIN, math.ceil(0.02 * n))
 
 
 @dataclass
 class MomentSummary:
-    """Mergeable reduction of functional values over one sample batch."""
+    """Reduction of functional values over one sample batch."""
 
     n: int
     total: float
@@ -74,18 +70,6 @@ class MomentSummary:
             censored_n=int(censored.sum()),
             censored_total=float(values[censored].sum()) if censored.any() else 0.0,
             top_values=top,
-        )
-
-    def merge(self, other: "MomentSummary") -> "MomentSummary":
-        n = self.n + other.n
-        top = np.sort(np.concatenate([self.top_values, other.top_values]))[::-1]
-        return MomentSummary(
-            n=n,
-            total=self.total + other.total,
-            total_sq=self.total_sq + other.total_sq,
-            censored_n=self.censored_n + other.censored_n,
-            censored_total=self.censored_total + other.censored_total,
-            top_values=top[: _sketch_size(n)],
         )
 
     def top_share(self, fraction: float = 0.01) -> float:

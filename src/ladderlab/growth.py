@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import doubling_integral, stabilized_running_max
+from .numerics import doubling_integral, scalar_power, stabilized_running_max
 
 __all__ = [
     "GrowthFunction",
@@ -94,7 +94,9 @@ class GrowthFunction:
 
     The inverse follows the convention inf{x : g(x) > t}, so it is defined for
     every t >= 0 even where g has flat stretches.  All three callables accept
-    and return numpy arrays.
+    and return numpy arrays.  The closed-form families also carry float ->
+    float forms of g and of its inverse for quadrature integrands, written
+    under the bit-identity rule of the ``tails`` module docstring.
     """
 
     family: str
@@ -102,6 +104,8 @@ class GrowthFunction:
     _eval: Callable
     _deriv: Callable
     _inverse: Callable
+    _scalar_eval: Callable | None = None
+    _scalar_inverse: Callable | None = None
 
     def __call__(self, x):
         return self._eval(np.asarray(x, dtype=float))
@@ -111,6 +115,14 @@ class GrowthFunction:
 
     def inverse(self, t):
         return self._inverse(np.asarray(t, dtype=float))
+
+    def scalar_eval(self):
+        """float -> float g with the bits of float(self(x))."""
+        return self._scalar_eval or (lambda x: float(self(x)))
+
+    def scalar_inverse(self):
+        """float -> float inverse with the bits of float(self.inverse(t))."""
+        return self._scalar_inverse or (lambda t: float(self.inverse(t)))
 
     def spec_dict(self) -> dict:
         if self.family == "table":
@@ -135,7 +147,13 @@ def _make_g1(alpha: float) -> GrowthFunction:
         t = np.maximum(t, 0.0)
         return np.exp(t ** (1.0 / alpha))
 
-    return GrowthFunction("g1", {"param": alpha}, ev, dv, inv)
+    def ev_scalar(x):
+        return scalar_power(float(np.log(1.0 if x <= 1.0 else x)), alpha)
+
+    def inv_scalar(t):
+        return float(np.exp(scalar_power(0.0 if t <= 0.0 else t, 1.0 / alpha)))
+
+    return GrowthFunction("g1", {"param": alpha}, ev, dv, inv, ev_scalar, inv_scalar)
 
 
 def _make_g2(beta: float) -> GrowthFunction:
@@ -154,7 +172,13 @@ def _make_g2(beta: float) -> GrowthFunction:
     def inv(t):
         return np.maximum(t, 0.0) ** (1.0 / beta)
 
-    return GrowthFunction("g2", {"param": beta}, ev, dv, inv)
+    def ev_scalar(x):
+        return scalar_power(0.0 if x <= 0.0 else x, beta)
+
+    def inv_scalar(t):
+        return scalar_power(0.0 if t <= 0.0 else t, 1.0 / beta)
+
+    return GrowthFunction("g2", {"param": beta}, ev, dv, inv, ev_scalar, inv_scalar)
 
 
 def _make_g3(beta: float) -> GrowthFunction:
@@ -174,7 +198,10 @@ def _make_g3(beta: float) -> GrowthFunction:
         # No closed form: bracketed bisection above the flat region [., 1].
         return _bisect_increasing(ev, t, lo=1.0)
 
-    return GrowthFunction("g3", {"param": beta}, ev, dv, inv)
+    def ev_scalar(x):
+        return scalar_power(0.0 if x <= 0.0 else x, beta) * float(np.log(1.0 if x <= 1.0 else x))
+
+    return GrowthFunction("g3", {"param": beta}, ev, dv, inv, ev_scalar)
 
 
 def _make_table(points: Sequence[Sequence[float]]) -> GrowthFunction:
@@ -418,9 +445,10 @@ def check_tail_integral(g: GrowthFunction, gamma: float) -> tuple[str, float]:
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must be in (0,1), got {gamma}")
     coef = 1.0 - gamma
+    g_scalar = g.scalar_eval()
 
     def integrand(x):
-        return np.exp(-coef * g(x))
+        return float(np.exp(-coef * g_scalar(x)))
 
     try:
         total, converged = doubling_integral(

@@ -18,6 +18,11 @@ def quad(
 ) -> float:
     """Integral of f over [a, b] by QUADPACK (Piessens et al., 1983).
 
+    QUADPACK calls f once per abscissa, so f maps a Python float to a Python
+    float: the ``scalar_tail``/``scalar_log_tail`` closures of ``tails`` and
+    the ``scalar_eval``/``scalar_inverse`` closures of ``growth`` do, where
+    numpy's 0-d array overhead would cost more than the arithmetic.
+
     Far-tail integrands sit at rounding-noise level by design; convergence is
     governed by the callers' own decay criteria and the closed-form checks in
     the test suite, so the library's roundoff warning carries no signal here.
@@ -26,6 +31,17 @@ def quad(
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         value, _ = integrate.quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit)
     return value
+
+
+def scalar_power(x: float, p: float) -> float:
+    """x ** p as numpy computes it on a float64 scalar: libm's pow, inf or nan
+    in place of an exception.
+
+    The array code's ``v ** p`` acts on such scalars, since a ufunc on a 0-d
+    array returns one; ``np.power`` on a float takes numpy's vectorized loop
+    instead and differs in the last bit.
+    """
+    return float(np.float64(x) ** p)
 
 
 def doubling_integral(

@@ -11,6 +11,27 @@ service times and service-minus-interarrival pairs.
 Quantiles use the convention ``tail_quantile(q) = inf{x : tail(x) <= q}``;
 ``quantile(u) = tail_quantile(1 - u)`` so that one shared uniform applied to
 two tail-ordered distributions yields ordered samples.
+
+QUADPACK calls its integrand one abscissa at a time, so every quadrature
+integrand is built from ``scalar_tail()``/``scalar_log_tail()``: float -> float
+closures that return the same bits as ``float(self.tail(x))`` on the 0-d array
+and skip numpy's per-call array overhead.  The families and constructed tails
+that quadrature reaches override them under one rule, which the test suite
+checks bit for bit:
+
+* every transcendental is the numpy/scipy ufunc of the array code, called on
+  a Python float (``np.log``, ``np.exp``, ``special.ndtr``,
+  ``special.log_ndtr``), and its result is converted with ``float``;
+* ``v ** p`` in the array code acts on a numpy float64 scalar (a ufunc on a
+  0-d array returns one), which is libm's pow: write
+  ``numerics.scalar_power(v, p)``.  Neither ``np.power`` on a float (numpy's
+  vectorized loop) nor Python ``**`` (it raises on overflow) gives those bits;
+* only + - * /, unary minus and comparisons run as Python float operations,
+  and no ``math`` function: ``math.log`` and ``np.log`` differ in the last
+  bit on some inputs;
+* ``np.maximum(v, c)`` and ``np.minimum(v, c)`` return their second argument
+  on a tie and propagate NaN, so they become ``c if v <= c else v`` and
+  ``c if v >= c else v``, and ``np.minimum(c, v)`` becomes ``c if v > c else v``.
 """
 
 from __future__ import annotations
@@ -21,7 +42,7 @@ from typing import Sequence
 import numpy as np
 from scipy import special
 
-from .numerics import doubling_integral, quad
+from .numerics import doubling_integral, quad, scalar_power
 
 __all__ = [
     "TailSpec",
@@ -92,6 +113,14 @@ class TailSpec:
         with np.errstate(divide="ignore"):
             return np.log(self.tail(x))
 
+    def scalar_tail(self):
+        """float -> float tail with the bits of float(self.tail(x)), for integrands."""
+        return lambda x: float(self.tail(x))
+
+    def scalar_log_tail(self):
+        """float -> float log-tail with the bits of float(self.log_tail(x))."""
+        return lambda x: float(self.log_tail(x))
+
     def tail_quantile(self, q):
         """inf{x : tail(x) <= q}; default is bracketed bisection on the tail."""
         return self._bisect_tail_quantile(q)
@@ -120,22 +149,24 @@ class TailSpec:
             pts.append(hi)
         return sorted(set(pts))
 
-    def _integrate_tail(self, a: float, b: float) -> float:
-        """Integral of the tail over [a, b], split at breakpoints."""
+    def _scalar_cdf(self):
+        tail = self.scalar_tail()
+        return lambda x: 1.0 - tail(x)
+
+    def _integrate(self, f, a: float, b: float) -> float:
+        """Integral of the scalar f over [a, b], split at breakpoints."""
         knots = [p for p in self._breakpoints() if a < p < b]
         edges = [a] + knots + [b]
         total = 0.0
         for left, right in zip(edges[:-1], edges[1:]):
-            total += quad(lambda x: self.tail(x), left, right)
+            total += quad(f, left, right)
         return total
 
+    def _integrate_tail(self, a: float, b: float) -> float:
+        return self._integrate(self.scalar_tail(), a, b)
+
     def _integrate_cdf(self, a: float, b: float) -> float:
-        knots = [p for p in self._breakpoints() if a < p < b]
-        edges = [a] + knots + [b]
-        total = 0.0
-        for left, right in zip(edges[:-1], edges[1:]):
-            total += quad(lambda x: 1.0 - self.tail(x), left, right)
-        return total
+        return self._integrate(self._scalar_cdf(), a, b)
 
     def tail_integral_above(self, level: float) -> float:
         """Integral of the tail over [level, inf)."""
@@ -145,7 +176,7 @@ class TailSpec:
         knots = [p for p in self._breakpoints() if p > level]
         start = max(knots, default=level)
         body = self._integrate_tail(level, start) if start > level else 0.0
-        return body + _half_line_integral(lambda x: self.tail(x), start)
+        return body + _half_line_integral(self.scalar_tail(), start)
 
     def mass_integral_below(self, level: float) -> float:
         """Integral of the CDF over (-inf, level] = E(X + |level|; X <= level) magnitude."""
@@ -155,7 +186,7 @@ class TailSpec:
         knots = [p for p in self._breakpoints() if p < level]
         start = min(knots, default=level)
         body = self._integrate_cdf(start, level) if level > start else 0.0
-        return body + _half_line_integral(lambda x: 1.0 - self.tail(x), start, direction=-1)
+        return body + _half_line_integral(self._scalar_cdf(), start, direction=-1)
 
     @property
     def pos_mean(self) -> float:
@@ -170,7 +201,7 @@ class TailSpec:
                 if math.isfinite(hi):
                     tail_part = self._integrate_tail(max(edge, 1.0), hi) if hi > max(edge, 1.0) else 0.0
                 else:
-                    tail_part = _half_line_integral(lambda x: self.tail(x), max(edge, 1.0))
+                    tail_part = _half_line_integral(self.scalar_tail(), max(edge, 1.0))
                 self._pos_mean_cache = body + tail_part
         return self._pos_mean_cache
 
@@ -185,7 +216,7 @@ class TailSpec:
             else:
                 edge = min([p for p in self._breakpoints() if p < 0], default=-1.0)
                 neg = self._integrate_cdf(min(edge, -1.0), 0.0) + _half_line_integral(
-                    lambda x: 1.0 - self.tail(x), min(edge, -1.0), direction=-1
+                    self._scalar_cdf(), min(edge, -1.0), direction=-1
                 )
             self._mean_cache = self.pos_mean - neg
         return self._mean_cache
@@ -237,10 +268,11 @@ class WeibullShifted(TailSpec):
         if not 0 < beta < 1:
             raise TailError("weibull_shifted needs beta in (0, 1)")
         self.c, self.beta, self.shift = float(c), float(beta), float(shift)
+        self._ln_c = math.log(self.c)
 
     @property
     def support(self):
-        lo = self.shift if self.c <= 1 else self.shift + math.log(self.c) ** (1.0 / self.beta)
+        lo = self.shift if self.c <= 1 else self.shift + self._ln_c ** (1.0 / self.beta)
         return (lo, math.inf)
 
     @property
@@ -256,8 +288,32 @@ class WeibullShifted(TailSpec):
     def log_tail(self, x):
         x = np.asarray(x, dtype=float)
         t = np.maximum(x - self.shift, 0.0)
-        out = np.minimum(0.0, math.log(self.c) - t**self.beta)
+        out = np.minimum(0.0, self._ln_c - t**self.beta)
         return np.where(x < self.shift, 0.0, out)
+
+    def scalar_tail(self):
+        c, beta, shift = self.c, self.beta, self.shift
+
+        def tail(x):
+            if x < shift:
+                return 1.0
+            t = x - shift
+            v = c * float(np.exp(-scalar_power(0.0 if t <= 0.0 else t, beta)))
+            return 1.0 if v > 1.0 else v
+
+        return tail
+
+    def scalar_log_tail(self):
+        ln_c, beta, shift = self._ln_c, self.beta, self.shift
+
+        def log_tail(x):
+            if x < shift:
+                return 0.0
+            t = x - shift
+            v = ln_c - scalar_power(0.0 if t <= 0.0 else t, beta)
+            return 0.0 if v > 0.0 else v
+
+        return log_tail
 
     def tail_quantile(self, q):
         q = np.asarray(q, dtype=float)
@@ -295,6 +351,24 @@ class LognormalShifted(TailSpec):
         z = (np.log(t) - self.mu) / self._sigma
         return np.where(x <= self.shift, 0.0, special.log_ndtr(-z))
 
+    def _scalar_via(self, ndtr, at_shift: float):
+        mu, sigma, shift = self.mu, self._sigma, self.shift
+
+        def f(x):
+            if x <= shift:
+                return at_shift
+            t = x - shift
+            z = (float(np.log(_TINY_TAIL if t <= _TINY_TAIL else t)) - mu) / sigma
+            return float(ndtr(-z))
+
+        return f
+
+    def scalar_tail(self):
+        return self._scalar_via(special.ndtr, 1.0)
+
+    def scalar_log_tail(self):
+        return self._scalar_via(special.log_ndtr, 0.0)
+
     def tail_quantile(self, q):
         q = np.asarray(q, dtype=float)
         return self.shift + np.exp(self.mu - self._sigma * special.ndtri(q))
@@ -325,6 +399,23 @@ class Pareto(TailSpec):
         x = np.asarray(x, dtype=float)
         t = np.maximum((x - self.shift) / self.scale, 1.0)
         return -self.index * np.log(t)
+
+    def _scalar_t(self):
+        shift, scale = self.shift, self.scale
+
+        def t(x):
+            v = (x - shift) / scale
+            return 1.0 if v <= 1.0 else v
+
+        return t
+
+    def scalar_tail(self):
+        t, neg_index = self._scalar_t(), -self.index
+        return lambda x: scalar_power(t(x), neg_index)
+
+    def scalar_log_tail(self):
+        t, neg_index = self._scalar_t(), -self.index
+        return lambda x: neg_index * float(np.log(t(x)))
 
     def tail_quantile(self, q):
         q = np.asarray(q, dtype=float)
@@ -424,6 +515,14 @@ class Exponential(TailSpec):
         x = np.asarray(x, dtype=float)
         return np.where(x < 0, 0.0, -np.maximum(x, 0.0) / self.mean_param)
 
+    def scalar_tail(self):
+        log_tail = self.scalar_log_tail()
+        return lambda x: 1.0 if x < 0 else float(np.exp(log_tail(x)))
+
+    def scalar_log_tail(self):
+        mean = self.mean_param
+        return lambda x: 0.0 if x < 0 else -(0.0 if x <= 0.0 else x) / mean
+
     def tail_quantile(self, q):
         q = np.asarray(q, dtype=float)
         return -self.mean_param * np.log(q)
@@ -452,6 +551,10 @@ class QueuePair(TailSpec):
         nodes, weights = np.polynomial.legendre.leggauss(self._GL_NODES)
         self._v = 0.5 * (nodes + 1.0)
         self._w = 0.5 * weights
+        # an atomic interarrival gives the exact finite sum, otherwise the
+        # quadrature runs over these fixed interarrival quantiles
+        self._t_atoms = t.atoms if abs(sum(m for _, m in t.atoms) - 1.0) < 1e-12 else []
+        self._tq = None if self._t_atoms else t.quantile(self._v)
 
     @property
     def support(self):
@@ -461,13 +564,12 @@ class QueuePair(TailSpec):
 
     def tail(self, x):
         x = np.asarray(x, dtype=float)
-        if self.t.atoms and abs(sum(m for _, m in self.t.atoms) - 1.0) < 1e-12:
+        if self._t_atoms:
             out = np.zeros_like(x, dtype=float)
-            for loc, mass in self.t.atoms:
+            for loc, mass in self._t_atoms:
                 out += mass * self.sigma.tail(x + loc)
             return out
-        tq = self.t.quantile(self._v)
-        return np.tensordot(self.sigma.tail(x[..., None] + tq), self._w, axes=([-1], [0]))
+        return np.tensordot(self.sigma.tail(x[..., None] + self._tq), self._w, axes=([-1], [0]))
 
     def increment_from_uniforms(self, u0, u1):
         return self.sigma.quantile(u0) - self.t.quantile(u1)
@@ -533,6 +635,19 @@ class MajorantIncrement(TailSpec):
         x = np.asarray(x, dtype=float)
         return np.minimum(0.0, self._ln_k - self.g(x))
 
+    def scalar_tail(self):
+        log_tail = self.scalar_log_tail()
+        return lambda x: float(np.exp(log_tail(x)))
+
+    def scalar_log_tail(self):
+        g, ln_k = self.g.scalar_eval(), self._ln_k
+
+        def log_tail(x):
+            v = ln_k - g(x)
+            return 0.0 if v > 0.0 else v
+
+        return log_tail
+
     def tail_quantile(self, q):
         q = np.asarray(q, dtype=float)
         return self.g.inverse(self._ln_k - np.log(q))
@@ -569,6 +684,17 @@ class SplicedTail(TailSpec):
         x = np.asarray(x, dtype=float)
         flat_or_hat = np.where(x < self.v_prime, self._q_v, self.hat.tail(x))
         return np.where(x < self.v, self.base.tail(x), flat_or_hat)
+
+    def scalar_tail(self):
+        base, hat = self.base.scalar_tail(), self.hat.scalar_tail()
+        v, v_prime, q_v = self.v, self.v_prime, self._q_v
+
+        def tail(x):
+            if x < v:
+                return base(x)
+            return q_v if x < v_prime else hat(x)
+
+        return tail
 
     def tail_quantile(self, q):
         q = np.asarray(q, dtype=float)
@@ -610,6 +736,10 @@ class TruncatedBelow(TailSpec):
         x = np.asarray(x, dtype=float)
         return np.where(x < self._floor, 1.0, self.base.tail(x))
 
+    def scalar_tail(self):
+        base, floor = self.base.scalar_tail(), self._floor
+        return lambda x: 1.0 if x < floor else base(x)
+
     def tail_quantile(self, q):
         return np.maximum(self.base.tail_quantile(q), self._floor)
 
@@ -638,6 +768,14 @@ class ShiftedTail(TailSpec):
 
     def log_tail(self, x):
         return self.base.log_tail(np.asarray(x, dtype=float) - self.offset)
+
+    def scalar_tail(self):
+        base, offset = self.base.scalar_tail(), self.offset
+        return lambda x: base(x - offset)
+
+    def scalar_log_tail(self):
+        base, offset = self.base.scalar_log_tail(), self.offset
+        return lambda x: base(x - offset)
 
     def tail_quantile(self, q):
         return self.base.tail_quantile(q) + self.offset

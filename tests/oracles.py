@@ -4,7 +4,8 @@ These are deliberately separate from the library code paths they check:
 an exhaustive level-occupation recursion for the two-point walk, a scalar
 waiting-time recursion for single-server queues, and closed forms for the
 integrals the quadrature routines must reproduce and for the D/M/1 busy
-cycle, and the row-by-row `csv.writer` form of `samples.csv`.
+cycle, the row-by-row `csv.writer` form of `samples.csv`, and 30-digit
+`mpmath.quad` integrals of the family tails, written from their formulas.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 
+import mpmath
 import numpy as np
 
 from ladderlab import rng
@@ -128,3 +130,66 @@ def write_samples_csv_rowwise(path, batch) -> None:
             if with_psi:
                 row.append(repr(float(batch.psi_max[i])))
             writer.writerow(row)
+
+
+_MP_DPS = 30
+
+
+def lognormal_log_tail_mp(mu: float, sigma2: float, shift: float):
+    """log P{shift + exp(mu + sigma N) > x} as an mpmath function of x."""
+    mu, sigma, shift = mpmath.mpf(mu), mpmath.sqrt(mpmath.mpf(sigma2)), mpmath.mpf(shift)
+
+    def log_tail(x):
+        if x <= shift:
+            return mpmath.mpf(0)
+        z = (mpmath.log(x - shift) - mu) / sigma
+        return mpmath.log(mpmath.erfc(z / mpmath.sqrt(2)) / 2)
+
+    return log_tail
+
+
+def log_power_majorant_log_tail_mp(alpha: float, k: float):
+    """log min(1, K exp(-(log max(x, 1))^alpha)), the g1 dominating increment."""
+    alpha, ln_k = mpmath.mpf(alpha), mpmath.log(mpmath.mpf(k))
+
+    def log_tail(x):
+        return min(mpmath.mpf(0), ln_k - mpmath.log(max(x, 1)) ** alpha)
+
+    return log_tail
+
+
+def _split_quad(f, a, b, knots=()):
+    """mpmath.quad over [a, b] split at the given knots and on a geometric grid."""
+    pts = {mpmath.mpf(a), mpmath.mpf(b)}
+    pts |= {mpmath.mpf(k) for k in knots if a < k < b}
+    edge = mpmath.mpf(1)
+    while edge < b:
+        if edge > a:
+            pts.add(edge)
+        edge *= 4
+    return mpmath.quad(f, sorted(pts))
+
+
+def lognormal_pos_mean(mu: float, sigma2: float, shift: float) -> float:
+    """Integral of the shifted-lognormal tail over (0, inf), to 30 digits."""
+    with mpmath.workdps(_MP_DPS):
+        log_tail = lognormal_log_tail_mp(mu, sigma2, shift)
+        lo = max(mpmath.mpf(shift), 0)
+        body = lo  # the tail is one on (0, shift] when shift > 0
+        upper = mpmath.quad(lambda x: mpmath.exp(log_tail(x)), [lo, lo + 1, lo + 10, lo + 100, mpmath.inf])
+        return float(body + upper)
+
+
+def self_convolution_ratio(log_tail, x: float, m: float, knots=()) -> float:
+    """int_0^x tail(x-y) tail(y) dy / (2 m tail(x)) by mpmath, to 30 digits.
+
+    log_tail is an mpmath function; knots are the points where it has a kink
+    (the integrand is folded at x/2, so each knot and its mirror are split).
+    """
+    with mpmath.workdps(_MP_DPS):
+        x = mpmath.mpf(x)
+        lt_x = log_tail(x)
+        half = x / 2
+        mirrored = [*knots, *(x - k for k in knots)]
+        folded = _split_quad(lambda y: mpmath.exp(log_tail(x - y) + log_tail(y) - lt_x), 0, half, mirrored)
+        return float(2 * folded / (2 * mpmath.mpf(m)))

@@ -383,10 +383,12 @@ def test_construct_writes_tail_tables(tmp_path, cfg_path):
 
 
 # sha256 of stage artifacts at --seed 7 --streams 1: check and construct on
-# two example configs, simulate on every config (and on one with a walk shift,
-# so the psi_max column is pinned) with n_samples cut to GOLDEN_SAMPLES, and on
-# two of them estimate --format csv, verify and simulate --replay 5 as well, so
-# every field read back from samples.csv and every CLI table writer is pinned.
+# the three growth-family configs, simulate on every config (and on one with a
+# walk shift, so the psi_max column is pinned) with n_samples cut to
+# GOLDEN_SAMPLES, and on four of them estimate --format csv, verify and
+# simulate --replay 5 as well, so every field read back from samples.csv, every
+# CLI table writer and verify's S* profile of the increments (psi_sstar) are
+# pinned; the splice and truncation tails reach the digests through chain.json.
 # QUADPACK's and the quantiles' last bits depend on the numpy and scipy builds,
 # so the digests hold for the versions they were recorded with.
 GOLDEN_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
@@ -407,14 +409,25 @@ GOLDEN_DIGESTS = {
         "chain.json": "94f6bfb70c35dc242771fdc316c1968aae1de89587c332f6263bc6b74ea9ca1a",
         "tail_tables.csv": "0cac49e430c7c2d70ada9f438272347cc4b4127b120f44ec9865df4224d89e59",
         "samples.csv": "dedd44a01621dd585373c7af0f58438c78f940cca01c07388f6625d3800709fd",
+        "estimates.json": "7e2b34b23bb619e3d6cc9623d6db9146088354fe0dafacdab778aa8130a1bbd0",
+        "verify_report.json": "7f9c21467966c3323040a15a09cc9cbb028dd65ed171a28977f552f09b0fcc92",
+        "replay_5.csv": "eaa006407f01a7e3ba88353bb416cc2f29994de88ea6e423f347da07468a6df3",
     },
     "g2_weibull": {
         "condition_report.json": "b48a42e664869098a858953259c39a3944c2a44d2d9d78ec51845cb796518663",
         "chain.json": "24d326c05869ab01d6ba538a3a28e2d9ddebd755b2536950ae2ed30fdb624de4",
         "tail_tables.csv": "5b587dee95a4c1230fbd002281277f099be73cabfd880bbb5f19ec8a2dbc391e",
         "samples.csv": "66ca06aad179d7fe02e12e622a04581978f5e7b661f1acb776a5c01f59b5dd8a",
+        "estimates.json": "7aec8d0afedc07744693a43746de1d9c42d921523aec7f985d7dd5825ddff200",
+        "verify_report.json": "74491efc7d0329acc91b2d59888e36b43d0a1091c28c9859692e319c2aeec4a6",
+        "replay_5.csv": "431f8a3c9d7f3a715d749d37f44e295f5a64bd6fd7ad3b0ea5376f01dbd159ae",
     },
-    "g3_weibull": {"samples.csv": "0cf60cf2acc1191ec4e36f84cfa550ef41bfb42755b4436d156c8b4e4865c657"},
+    "g3_weibull": {
+        "condition_report.json": "8e3e65351ad86a263b8fb39b5e9450669693119f45c6de89493b57c296183cd8",
+        "chain.json": "bf3554afdb02e60142498751e892d0b01ab59e7629adad059c9686c375044dfb",
+        "tail_tables.csv": "fb346a53f930c710ebe36e3ed796d0fd6b27b878492869a0a103d941a6fe5e8e",
+        "samples.csv": "0cf60cf2acc1191ec4e36f84cfa550ef41bfb42755b4436d156c8b4e4865c657",
+    },
     "pareto_ratio": {"samples.csv": "32d61394121fb6811dc7f8460a0454f3d7b53cc5d3c268aecfae153bb8b28f45"},
     "pareto_ratio_shift": {
         "samples.csv": "856fdb9accf7f2c225fc1b8598a0ed412b875803b59a6aacc8980ca260eeb36f",

@@ -13,7 +13,12 @@ from ladderlab import (
 )
 from ladderlab.diagnostics import _convolution_ratio, usable_tail_horizon
 
-from oracles import exponential_self_convolution_ratio
+from oracles import (
+    exponential_self_convolution_ratio,
+    log_power_majorant_log_tail_mp,
+    lognormal_log_tail_mp,
+    self_convolution_ratio,
+)
 
 
 # -- long-tailed profile -------------------------------------------------------
@@ -73,11 +78,25 @@ def test_sstar_symmetric_split_equals_full_integral():
     p = Pareto(2.0, 1.0)
     x = 100.0
     m = p.pos_mean
-    folded = _convolution_ratio(p, x, m) * 2.0 * m * float(p.tail(x))
+    folded = _convolution_ratio(p, x, m, float(p.log_tail(x))) * 2.0 * m * float(p.tail(x))
     full, _ = integrate.quad(
         lambda y: float(p.tail(x - y)) * float(p.tail(y)), 0.0, x, limit=400, points=[1.0, x / 2, x - 1.0]
     )
     assert folded == pytest.approx(full, rel=1e-8)
+
+
+@pytest.mark.parametrize("x", [30.0, 3000.0])
+@pytest.mark.parametrize("part", ["base", "hat"])
+def test_convolution_ratio_matches_mpmath(chains, part, x):
+    chain = chains["g1"]
+    spec = getattr(chain, part)
+    if part == "base":
+        log_tail, knots = lognormal_log_tail_mp(spec.mu, spec.sigma2, spec.shift), []
+    else:
+        log_tail, knots = log_power_majorant_log_tail_mp(chain.g.params["param"], chain.K), [spec.support[0]]
+    m = spec.pos_mean
+    got = _convolution_ratio(spec, x, m, float(spec.log_tail(x)))
+    assert got == pytest.approx(self_convolution_ratio(log_tail, x, m, knots), rel=1e-12)
 
 
 @pytest.mark.parametrize("key", ["g1", "g2", "g3"])

@@ -6,7 +6,6 @@ import pytest
 from ladderlab import (
     BernoulliPM1,
     Constant,
-    MomentSummary,
     WeibullShifted,
     dominance_suite,
     estimate_exp_moment,
@@ -99,30 +98,7 @@ def test_exp_moment_matches_enumeration(bern_batch):
     assert abs(est.point - oracle) <= 4 * est.std_error
 
 
-# -- summary mechanics ----------------------------------------------------------------
-
-
-def test_merge_two_halves_equals_whole(bern_batch, g2):
-    values = np.exp(0.5 * g2(0.25 * bern_batch.tau.astype(float)))
-    half = bern_batch.n // 2
-    whole = MomentSummary.from_values(values, bern_batch.censored)
-    left = MomentSummary.from_values(values[:half], bern_batch.censored[:half])
-    right = MomentSummary.from_values(values[half:], bern_batch.censored[half:])
-    merged = left.merge(right)
-    assert merged.n == whole.n
-    assert merged.total == whole.total
-    assert merged.total_sq == whole.total_sq
-    assert merged.top_share() == whole.top_share()
-
-
-def test_merge_associative(bern_batch):
-    values = bern_batch.tau.astype(float)
-    thirds = np.array_split(np.arange(bern_batch.n), 3)
-    parts = [MomentSummary.from_values(values[i], bern_batch.censored[i]) for i in thirds]
-    left_first = parts[0].merge(parts[1]).merge(parts[2])
-    right_first = parts[0].merge(parts[1].merge(parts[2]))
-    assert left_first.total == right_first.total
-    assert left_first.n == right_first.n
+# -- monotonicity -----------------------------------------------------------------------
 
 
 def test_monotone_in_eps_and_delta(g2, bern_batch):

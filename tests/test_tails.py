@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -11,14 +12,20 @@ from ladderlab import (
     Constant,
     Exponential,
     LognormalShifted,
+    MajorantIncrement,
     MajorantZeta,
     Pareto,
     QueuePair,
     ShiftedTail,
+    SplicedTail,
     TailError,
+    TruncatedBelow,
     WeibullShifted,
+    make_builtin,
     make_builtin_dist,
 )
+
+from oracles import lognormal_pos_mean
 
 
 def test_family_parameter_validation():
@@ -217,3 +224,145 @@ def test_spec_dict_round_trip():
         rebuilt = make_builtin_dist(spec.spec_dict())
         xs = np.linspace(-4.0, 10.0, 50)
         assert np.allclose(rebuilt.tail(xs), spec.tail(xs), atol=1e-12)
+
+
+# -- float -> float integrands ---------------------------------------------------
+
+FAMILIES = {
+    "weibull": WeibullShifted(1.0, 0.6, -2.5045754882515565),
+    "weibull_atom": WeibullShifted(0.5, 0.3, 1.0),
+    "weibull_c_above_one": WeibullShifted(2.0, 0.8, -1.0),
+    "lognormal": LognormalShifted(0.0, 0.25, -2.1331484530668263),
+    "lognormal_tiny_shift": LognormalShifted(-1.0, 2.0, 1e-290),
+    "pareto": Pareto(2.0, 1.0, -3.0),
+    "pareto_one": Pareto(1.0, 2.0, 0.5),
+    "exponential": Exponential(1.5),
+    "bernoulli": BernoulliPM1(0.25),
+    "constant": Constant(-1.0),
+    "queue_atomic": QueuePair(Exponential(1.0), Constant(2.0)),
+    "queue_continuous": QueuePair(Exponential(1.0), Exponential(2.0)),
+    "zeta": MajorantZeta(3.0),
+}
+GROWTH = {"g1": make_builtin("g1", 2.0), "g1_frac": make_builtin("g1", 1.7), "g2": make_builtin("g2", 0.5),
+          "g2_frac": make_builtin("g2", 0.6), "g3": make_builtin("g3", 0.5)}
+SPECIAL_X = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1.0, -1.0, 1e300, -1e300,
+             math.inf, -math.inf, math.nan]
+# 4e4 points: math.log and np.log disagree on about 2 in 1e4 of them
+DENSE_X = np.concatenate([np.linspace(-12.0, 80.0, 20_001), np.geomspace(1e-6, 1e12, 20_001)]).tolist()
+
+
+def _bits(value):
+    return struct.pack("<d", float(value))
+
+
+def _outcome(fn, x):
+    with np.errstate(all="ignore"):
+        try:
+            return _bits(fn(x))
+        except Exception as exc:  # both paths must fail the same way
+            return type(exc)
+
+
+def _constructed(chains):
+    out = {}
+    for key, chain in chains.items():
+        out[f"{key}_hat"] = chain.hat
+        out[f"{key}_tilde"] = chain.tilde
+        out[f"{key}_trunc"] = chain.trunc
+        out[f"{key}_psi"] = chain.psi
+    lognormal, weibull = FAMILIES["lognormal"], FAMILIES["weibull"]
+    hat = MajorantIncrement(make_builtin("g2", 0.5), 1.5)
+    out["spliced_flat_to_inf"] = SplicedTail(weibull, hat, 4.0, math.inf)
+    out["truncated_lognormal"] = TruncatedBelow(lognormal, 1.0)
+    out["shifted_truncated"] = ShiftedTail(TruncatedBelow(FAMILIES["exponential"], 0.5), -0.75)
+    return out
+
+
+def _edges(spec):
+    """Support ends, atoms, splice levels and shifts, each with its neighbouring floats."""
+    pts = {*spec.support, *spec._breakpoints(), getattr(spec, "shift", 0.0)}
+    pts = [float(p) for p in pts if math.isfinite(p)]
+    return [q for p in pts for q in (np.nextafter(p, -math.inf), p, np.nextafter(p, math.inf))]
+
+
+def _assert_scalar_paths_match(spec, xs):
+    """scalar_tail/scalar_log_tail against the 0-d call QUADPACK saw, bit for bit."""
+    tail, log_tail = spec.scalar_tail(), spec.scalar_log_tail()
+    for x in xs:
+        x = float(x)
+        assert _outcome(tail, x) == _outcome(lambda v: spec.tail(np.float64(v)), x), ("tail", x)
+        assert _outcome(log_tail, x) == _outcome(lambda v: spec.log_tail(np.float64(v)), x), ("log_tail", x)
+
+
+def _assert_growth_paths_match(g, ts):
+    ev, inv = g.scalar_eval(), g.scalar_inverse()
+    for t in ts:
+        t = float(t)
+        assert _outcome(ev, t) == _outcome(lambda v: g(np.float64(v)), t), ("eval", t)
+        assert _outcome(inv, t) == _outcome(lambda v: g.inverse(np.float64(v)), t), ("inverse", t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=st.one_of(st.floats(), st.floats(min_value=-20.0, max_value=200.0)))
+def test_scalar_tail_bit_identical(chains, x):
+    specs = {**FAMILIES, **_constructed(chains)}
+    for spec in specs.values():
+        _assert_scalar_paths_match(spec, [x])
+
+
+def test_scalar_tail_bit_identical_at_edges(chains):
+    for spec in {**FAMILIES, **_constructed(chains)}.values():
+        _assert_scalar_paths_match(spec, SPECIAL_X + _edges(spec))
+
+
+@pytest.mark.parametrize("name", ["weibull", "weibull_atom", "lognormal", "pareto", "pareto_one", "exponential"])
+def test_scalar_tail_bit_identical_dense(name):
+    _assert_scalar_paths_match(FAMILIES[name], DENSE_X)
+
+
+@settings(max_examples=150, deadline=None)
+@given(t=st.one_of(st.floats(), st.floats(min_value=-2.0, max_value=60.0)))
+def test_scalar_growth_bit_identical(t):
+    for g in GROWTH.values():
+        _assert_growth_paths_match(g, [t])
+
+
+@pytest.mark.parametrize("name", sorted(GROWTH))
+def test_scalar_growth_bit_identical_dense(name):
+    g = GROWTH[name]
+    xs = DENSE_X if name != "g3" else DENSE_X[::40]  # g3's inverse bisects, about 1 ms a call
+    _assert_growth_paths_match(g, SPECIAL_X + xs)
+
+
+# sha256 of the little-endian float64 bytes of QueuePair.tail on
+# linspace(-6, 12, 181); the Gauss-Legendre sum's last bits depend on the
+# numpy and scipy builds, so the digests hold for the versions they were
+# recorded with
+QUEUE_TAIL_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
+QUEUE_TAIL_DIGESTS = {
+    "continuous": "f9444c092115765416d898c28b46a14dc63bca6309372aaa4378525567a438ed",
+    "atomic": "dc6205e3ade32c0866e967db371bb7c40ddb6b4bc82cadb9381046d992b6ffd6",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(QUEUE_TAIL_DIGESTS))
+def test_queue_pair_tail_values_pinned(kind):
+    import hashlib
+
+    import scipy
+
+    found = {"numpy": np.__version__, "scipy": scipy.__version__}
+    if found != QUEUE_TAIL_VERSIONS:
+        pytest.skip(f"digests recorded with {QUEUE_TAIL_VERSIONS}, running {found}")
+    t = Exponential(2.0) if kind == "continuous" else Constant(2.0)
+    pair = QueuePair(Exponential(1.0), t)
+    grid = np.linspace(-6.0, 12.0, 181)
+    for _ in range(2):  # the second call sees the same constants as the first
+        values = np.asarray(pair.tail(grid), dtype="<f8")
+        assert hashlib.sha256(values.tobytes()).hexdigest() == QUEUE_TAIL_DIGESTS[kind]
+
+
+def test_lognormal_pos_mean_matches_mpmath():
+    spec = LognormalShifted(0.0, 0.25, -2.1331484530668263)
+    expect = lognormal_pos_mean(0.0, 0.25, -2.1331484530668263)
+    assert spec.pos_mean == pytest.approx(expect, rel=1e-12)
