@@ -7,11 +7,17 @@ samples whose hash does not match the effective config (stale-input
 protection).  No artifact contains timestamps or machine identifiers: given
 the same config and seed, a re-run reproduces every output byte for byte.
 
-Every table goes through one writer, `_write_csv`: unquoted cells, CRLF line
-ends (the dialect of the standard `csv` module, so the bytes are those of
-earlier versions), written in slices of `_SLICE_ROWS` rows.  `samples.csv` is
-formatted column by column, floats by `repr`, and read back column by column
-with `np.loadtxt`, which parses every value to the same bits.  A samples file
+Every table has unquoted cells and CRLF line ends (the dialect of the
+standard `csv` module, so the bytes are those of earlier versions), ints as
+`str` and floats as `repr` write them.  The small tables are joined row by
+row in `_write_csv`.  `samples.csv` and the replay path are formatted by
+`_write_table`, `_SLICE_ROWS` rows at a time, each slice into one numpy byte
+buffer: per-cell lengths give the row offsets, and each column is written at
+its offsets in vectorised digit passes.  Ints and integral floats below 2**53
+need no `repr`: for those doubles it is the integer's digits and ".0".  With a
+negative drift most walks descend at step 1, where m_tau is 0.0, so most m_tau
+cells take that path.  The file is read back column by column with
+`np.loadtxt`, which parses every value to the same bits.  A samples file
 must end in a line end, have the manifest's columns, and hold exactly the
 manifest's stream ids `start, start + 1, ...` in order, so a truncated,
 ragged, reordered or swapped file is rejected with exit 1.  Every artifact is
@@ -32,7 +38,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -55,17 +61,19 @@ _SLICE_ROWS = 1 << 16  # rows formatted and written at a time
 # samples.csv columns and their dtypes; "f8" columns are written by repr
 _SAMPLE_FIELDS = [("stream_id", "i8"), ("tau", "i8"), ("s_tau", "f8"), ("m_tau", "f8"), ("censored", "i1")]
 _PSI_FIELD = ("psi_max", "f8")  # written only for a walk with a shift
+_POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)  # a uint64 below 10**k has at most k digits
+_EXACT_INT = 2.0**53  # every integer of smaller magnitude is a double
 
 
 @contextmanager
 def _atomic_open(path: Path):
-    """A text handle on a temp file beside `path` that replaces `path` on success.
+    """A binary handle on a temp file beside `path` that replaces `path` on success.
 
     On any error the temp file is removed and `path` keeps its old content.
     """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with tmp.open("w", newline="") as fh:
+        with tmp.open("wb") as fh:
             yield fh
         os.replace(tmp, path)
     finally:
@@ -74,45 +82,101 @@ def _atomic_open(path: Path):
 
 def _write_json(path: Path, obj) -> None:
     with _atomic_open(path) as fh:
-        fh.write(json.dumps(jsonify(obj), sort_keys=True, indent=2) + "\n")
+        fh.write((json.dumps(jsonify(obj), sort_keys=True, indent=2) + "\n").encode())
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Write `header` and `rows` (sequences of formatted cells) as CRLF CSV,
-    `_SLICE_ROWS` rows at a time.
+    """Write `header` and `rows` (sequences of formatted cells) as CRLF CSV.
 
     Cells are written as given, unquoted: none of the CLI's cells holds a
     comma, a quote or a line end.
     """
-    rows = iter(rows)
     with _atomic_open(path) as fh:
-        fh.write(",".join(header) + "\r\n")
-        while block := list(islice(rows, _SLICE_ROWS)):
-            fh.write("\r\n".join(map(",".join, block)))
-            fh.write("\r\n")
+        fh.write("".join(",".join(row) + "\r\n" for row in chain([header], rows)).encode())
 
 
-def _format_ints(col: np.ndarray):
-    return map(str, col.tolist())
+def _write_table(path: Path, header: list[str], blocks) -> None:
+    """Write `header` and the rows of `blocks` as CRLF CSV, `_SLICE_ROWS` rows
+    at a time; each block is a list of equal-length int or float columns."""
+    with _atomic_open(path) as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        for cols in blocks:
+            for a in range(0, len(cols[0]), _SLICE_ROWS):
+                fh.write(_format_rows([col[a : a + _SLICE_ROWS] for col in cols]))
 
 
-def _format_floats(col: np.ndarray):
-    return map(repr, col.tolist())
+def _put_digits(buf: np.ndarray, last: np.ndarray, mag: np.ndarray) -> None:
+    """Write the decimal digits of each uint64 `mag` so that its last digit lands at `last`."""
+    while mag.size:
+        rest = mag // 10
+        buf[last] = (mag - rest * 10).astype(np.uint8) + ord("0")
+        live = rest != 0
+        last, mag = (last - 1, rest) if live.all() else (last[live] - 1, rest[live])
 
 
-def _write_samples_csv(path: Path, batch: SampleBatch) -> list[str]:
-    fields = list(_SAMPLE_FIELDS)
-    cols = [batch.stream_ids, batch.tau, batch.s_tau, batch.m_tau, batch.censored.view(np.uint8)]
-    if batch.shift != 0.0:
-        fields.append(_PSI_FIELD)
-        cols.append(batch.psi_max)
-    formats = [_format_floats if kind == "f8" else _format_ints for _, kind in fields]
-    slices = (
-        zip(*(fmt(col[a : a + _SLICE_ROWS]) for col, fmt in zip(cols, formats)))
-        for a in range(0, batch.n, _SLICE_ROWS)
-    )
+def _cells(col: np.ndarray):
+    """Cell lengths of a column, ints as `str` and floats as `repr` write them,
+    and a writer that puts the cells into a buffer at given starts.
+
+    Ints, and floats that are integral with |x| < 2**53, are written in bulk:
+    for such a double `repr` (the shortest decimal that reads back to it) is
+    the integer's digits and ".0", with a "-" wherever the sign bit is set,
+    -0.0 included.  `repr` runs only on the other floats.
+    """
+    if col.dtype.kind == "f":
+        with np.errstate(invalid="ignore"):  # a signalling NaN is repr'd like any NaN
+            fast = (np.abs(col) < _EXACT_INT) & (np.trunc(col) == col)
+        slow = ~fast
+        neg, mag, tail = np.signbit(col[fast]), np.abs(col[fast]).astype(np.uint64), ".0"
+    else:
+        fast, slow = slice(None), slice(0)
+        col = col.astype(np.int64, copy=False)
+        neg, mag, tail = col < 0, col.astype(np.uint64), ""
+        mag[neg] = -mag[neg]  # two's complement, so -2**63 becomes 2**63
+    fast_lengths = np.searchsorted(_POW10, mag, side="right") + 1 + neg + len(tail)
+    text = list(map(repr, col[slow].tolist()))
+    slow_lengths = np.fromiter(map(len, text), np.int64, len(text))
+    text = np.frombuffer("".join(text).encode(), np.uint8)
+    lengths = np.empty(col.size, np.int64)
+    lengths[fast], lengths[slow] = fast_lengths, slow_lengths
+
+    def put(buf, starts):
+        first = starts[fast]
+        end = first + fast_lengths
+        _put_digits(buf, end - len(tail) - 1, mag)
+        for k, ch in enumerate(tail):
+            buf[end - len(tail) + k] = ord(ch)
+        buf[first[neg]] = ord("-")
+        # each repr'd cell's bytes go from its offset in `text` to its start in `buf`
+        shift = starts[slow] - (np.cumsum(slow_lengths) - slow_lengths)
+        buf[np.repeat(shift, slow_lengths) + np.arange(text.size)] = text
+
+    return lengths, put
+
+
+def _format_rows(cols: list[np.ndarray]) -> np.ndarray:
+    """The CSV bytes of the rows of equal-length int or float columns."""
+    cells = list(map(_cells, cols))
+    widths = sum(lengths for lengths, _ in cells) + len(cols) + 1  # the commas and CRLF
+    ends = np.cumsum(widths)
+    buf = np.empty(int(ends[-1]), np.uint8)
+    starts = ends - widths
+    for lengths, put in cells:
+        put(buf, starts)
+        starts = starts + lengths
+        buf[starts] = ord(",")  # after the last column, the CR below overwrites it
+        starts += 1
+    buf[ends - 2] = ord("\r")
+    buf[ends - 1] = ord("\n")
+    return buf
+
+
+def _write_samples_csv(path: Path, *parts: SampleBatch) -> list[str]:
+    """Write the rows of `parts`, in order, as `samples.csv`; returns its columns."""
+    fields = _SAMPLE_FIELDS + ([_PSI_FIELD] if parts[0].shift != 0.0 else [])
     columns = [name for name, _ in fields]
-    _write_csv(path, columns, chain.from_iterable(slices))
+    blocks = ([p.stream_ids, p.tau, p.s_tau, p.m_tau, p.censored, p.psi_max][: len(fields)] for p in parts)
+    _write_table(path, columns, blocks)
     return columns
 
 
@@ -161,9 +225,10 @@ def _thread_budget(cfg: ExperimentConfig) -> int:
     return max(1, min(cfg.streams, cap))
 
 
-def _simulate_config(cfg: ExperimentConfig, spec: TailSpec) -> SampleBatch:
-    """Simulate across `streams` contiguous stream slices; values never depend
-    on the split because every draw is keyed by (seed, stream, step)."""
+def _simulate_config(cfg: ExperimentConfig, spec: TailSpec) -> list[SampleBatch]:
+    """Simulate across `streams` contiguous stream slices, one batch each, in
+    stream order; values never depend on the split because every draw is
+    keyed by (seed, stream, step)."""
     edges = np.linspace(0, cfg.n_samples, cfg.streams + 1, dtype=np.int64)
     slices = [np.arange(a, b, dtype=np.int64) for a, b in zip(edges[:-1], edges[1:]) if b > a]
 
@@ -178,7 +243,7 @@ def _simulate_config(cfg: ExperimentConfig, spec: TailSpec) -> SampleBatch:
             parts = list(pool.map(run, slices))
     else:
         parts = [run(ids) for ids in slices]
-    return SampleBatch.concat(parts) if len(parts) > 1 else parts[0]
+    return parts
 
 
 def _require(cfg_field, name: str):
@@ -270,22 +335,20 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, replay: int | None = None
         path = replay_path(spec, cfg.seed, replay, step_cap=cfg.step_cap, shift=cfg.shift)
         target = out_dir / f"replay_{replay}.csv"
         tau = path["tau"]
-        _write_csv(
-            target,
-            ["step", "increment", "partial_sum"],
-            zip(_format_ints(np.arange(1, tau + 1)), _format_floats(path["increments"][:tau]),
-                _format_floats(path["partial_sums"][:tau])),
-        )
+        cols = [np.arange(1, tau + 1), path["increments"][:tau], path["partial_sums"][:tau]]
+        _write_table(target, ["step", "increment", "partial_sum"], [cols])
         print(
             f"replay: stream={replay} tau={path['tau']} s_tau={path['s_tau']!r} "
             f"censored={path['censored']} -> {target}"
         )
         return EXIT_OK
-    batch = _simulate_config(cfg, spec)
+    parts = _simulate_config(cfg, spec)
+    n = sum(p.n for p in parts)
+    censored_n = sum(p.censored_n for p in parts)
     # the old manifest goes first: a run killed before the new one is written
     # leaves samples without a manifest, never new samples with an old one
     (out_dir / _MANIFEST_FILE).unlink(missing_ok=True)
-    columns = _write_samples_csv(out_dir / _SAMPLES_FILE, batch)
+    columns = _write_samples_csv(out_dir / _SAMPLES_FILE, *parts)
     manifest = {
         "config_hash": cfg.config_hash,
         "seed": cfg.seed,
@@ -293,13 +356,13 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, replay: int | None = None
         "step_cap": cfg.step_cap,
         "shift": cfg.shift,
         "stream_ids": {"start": 0, "count": cfg.n_samples},
-        "censored_n": batch.censored_n,
-        "censoring_rate": batch.censored_n / batch.n,
+        "censored_n": censored_n,
+        "censoring_rate": censored_n / n,
         "columns": columns,
     }
     _write_json(out_dir / _MANIFEST_FILE, manifest)
     print(
-        f"simulate: n={batch.n} censored={batch.censored_n} mean_tau={batch.tau.mean():.6g} "
+        f"simulate: n={n} censored={censored_n} mean_tau={sum(int(p.tau.sum()) for p in parts) / n:.6g} "
         f"-> {out_dir / _SAMPLES_FILE}"
     )
     return EXIT_OK

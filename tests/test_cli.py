@@ -163,25 +163,26 @@ def test_failed_simulate_leaves_no_half_file(tmp_path, cfg_path, monkeypatch):
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
     before = (out / "samples.csv").read_bytes()
-    format_floats, calls = cli._format_floats, []
+    format_rows, calls = cli._format_rows, []
 
-    def fail_on_second_slice(col):
-        calls.append(len(col))
-        if len(calls) > 2:  # s_tau and m_tau of the first slice are formatted
+    def fail_on_second_slice(cols):
+        calls.append(len(cols[0]))
+        if len(calls) > 1:  # the first slice is formatted and written
             raise RuntimeError("formatter failed")
-        return format_floats(col)
+        return format_rows(cols)
 
     monkeypatch.setattr(cli, "_SLICE_ROWS", 1000)
-    monkeypatch.setattr(cli, "_format_floats", fail_on_second_slice)
+    monkeypatch.setattr(cli, "_format_rows", fail_on_second_slice)
     with pytest.raises(RuntimeError, match="formatter failed"):
         main(["simulate", "--config", str(cfg_path), "--out", str(out)])
-    assert calls == [1000, 1000, 1000]
+    assert calls == [1000, 1000]
     assert [p.name for p in out.iterdir()] == ["samples.csv"]
     assert (out / "samples.csv").read_bytes() == before
     assert main(["estimate", "--config", str(cfg_path), "--out", str(out)]) == 1
 
 
-SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-5, 1e16, 9999999999999998.0, 1.7976931348623157e308, math.inf, -math.inf]
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-5, 1e16, 9999999999999998.0, 1.7976931348623157e308, math.inf, -math.inf,
+                  2.0**53, -(2.0**53), 2.0**53 - 1, -(2.0**53 - 1), 2.0**53 + 2, -1.0, 123.0, 1e15]
 SAMPLE_ROW = st.tuples(
     st.integers(0, 2**62),
     *[st.floats(allow_nan=False) | st.sampled_from(SPECIAL_FLOATS)] * 3,
@@ -225,6 +226,42 @@ def test_samples_csv_round_trip(rows, n, start, shift):
         got, want = getattr(read, field), getattr(batch, field)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
     assert read.psi_max.tobytes() == expected_psi.tobytes()
+
+
+def _dense_floats(rng) -> np.ndarray:
+    powers = [10.0**k for k in range(18)]
+    exact = [2.0**53 + d for d in range(-4, 5)] + [2.0**52 + 0.5 - d for d in range(4)] + [2.0**51 + 0.5]
+    special = [0.0, 5e-324, 2.2250738585072014e-308, 2.225073858507201e-308, 0.1, 0.5, 1.5, 1e16 - 2, 1e17 + 16]
+    some = powers + [p - 1 for p in powers] + [p + 1 for p in powers] + exact + special
+    bits = rng.integers(0, 2**64, 20_000, dtype=np.uint64, endpoint=False).view(np.float64)  # every kind of double
+    integral = np.concatenate([rng.integers(-(10**k), 10**k, 2_000) for k in range(1, 17)]).astype(np.float64)
+    scaled = 10.0 ** rng.uniform(-330, 308, 20_000)
+    subnormal = rng.integers(1, 2**52, 5_000).astype(np.uint64).view(np.float64)
+    halves = rng.integers(-(2**52), 2**52, 5_000) + 0.5
+    finite = np.concatenate([some, integral, scaled, subnormal, halves])
+    return np.concatenate([finite, -finite, bits, [math.inf, -math.inf, math.nan, -math.nan]])
+
+
+def _dense_ints(rng) -> np.ndarray:
+    powers = [10**k for k in range(19)]
+    some = powers + [p - 1 for p in powers] + [p + 1 for p in powers[:-1]] + [0, 2**63 - 1, 2**32, 2**53 + 1]
+    lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    spread = np.concatenate([rng.integers(-(10**k), 10**k, 3_000) for k in range(1, 19)])
+    return np.concatenate([some, [-v for v in some[1:]], [lo, lo + 1], spread, rng.integers(lo, hi, 20_000, endpoint=True)]).astype(np.int64)
+
+
+def test_format_rows_matches_repr_and_str_dense():
+    """Every cell the columnar formatter writes is `repr(float(v))` or `str(int(v))`."""
+    rng = np.random.default_rng(SEED)
+    floats, ints = _dense_floats(rng), _dense_ints(rng)
+    n = max(floats.size, ints.size)
+    floats, ints = np.resize(floats, n), np.resize(ints, n)
+    assert n > 100_000
+    rows = cli._format_rows([ints, floats, ints.astype(bool)]).tobytes().split(b"\r\n")
+    assert rows.pop() == b""
+    want = [f"{int(i)},{float(x)!r},{int(bool(i))}".encode() for i, x in zip(ints.tolist(), floats.tolist())]
+    bad = [(got, exp) for got, exp in zip(rows, want) if got != exp]
+    assert len(rows) == n and not bad, bad[:5]
 
 
 def test_no_module_binds_the_csv_module():
