@@ -16,15 +16,20 @@ buffer: per-cell lengths give the row offsets, and each column is written at
 its offsets in vectorised digit passes.  Ints and integral floats below 2**53
 need no `repr`: for those doubles it is the integer's digits and ".0".  With a
 negative drift most walks descend at step 1, where m_tau is 0.0, so most m_tau
-cells take that path.  The file is read back column by column with
-`np.loadtxt`, which parses every value to the same bits.  A samples file
-must end in a line end, have the manifest's columns, and hold exactly the
-manifest's stream ids `start, start + 1, ...` in order, so a truncated,
-ragged, reordered or swapped file is rejected with exit 1.  Every artifact is
-written to a temp file in the output directory and moved into place with
-`os.replace`; `simulate` removes the old manifest before it replaces the
-samples, so a killed run never leaves new samples beside an old manifest or
-a half-written file under an artifact's name.
+cells take that path.  Beside it, `simulate` writes `samples.npy`, a binary
+twin with the same values: one C-order structured array whose fields are the
+columns of `samples.csv`, written slice by slice.  Both files are hashed as
+they are written, and `manifest.json`, written last, records each one's size
+and sha256.  `estimate` and `verify` first refuse a manifest of another
+config, then check both digests, then load the twin (no CSV text is parsed)
+and check its fields, its row count and that it holds exactly the manifest's
+stream ids `start, start + 1, ...` in order.  So a samples file that is
+truncated, ragged, reordered, swapped or edited in place, a missing twin and a
+manifest without digests (from an older `simulate`) are all refused with exit
+1.  Every artifact is written to a temp file in the output directory and moved
+into place with `os.replace`; `simulate` removes the old manifest before it
+replaces the samples, so a killed run never leaves new samples beside an old
+manifest or a half-written file under an artifact's name.
 
 Exit codes: 0 success, 1 usage/config error, 2 verification or certification
 failure, 3 censored-dominated estimate.
@@ -33,6 +38,8 @@ failure, 3 censored-dominated estimate.
 from __future__ import annotations
 
 import argparse
+import hashlib
+import io
 import json
 import os
 import sys
@@ -56,9 +63,10 @@ EXIT_VERIFY = 2
 EXIT_CENSORED = 3
 
 _SAMPLES_FILE = "samples.csv"
+_TWIN_FILE = "samples.npy"  # the samples.csv values, read back by estimate and verify
 _MANIFEST_FILE = "manifest.json"
 _SLICE_ROWS = 1 << 16  # rows formatted and written at a time
-# samples.csv columns and their dtypes; "f8" columns are written by repr
+# samples.csv columns and samples.npy fields with their dtypes; "f8" cells are written by repr
 _SAMPLE_FIELDS = [("stream_id", "i8"), ("tau", "i8"), ("s_tau", "f8"), ("m_tau", "f8"), ("censored", "i1")]
 _PSI_FIELD = ("psi_max", "f8")  # written only for a walk with a shift
 _POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)  # a uint64 below 10**k has at most k digits
@@ -95,14 +103,30 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         fh.write("".join(",".join(row) + "\r\n" for row in chain([header], rows)).encode())
 
 
-def _write_table(path: Path, header: list[str], blocks) -> None:
-    """Write `header` and the rows of `blocks` as CRLF CSV, `_SLICE_ROWS` rows
-    at a time; each block is a list of equal-length int or float columns."""
+def _write_chunks(path: Path, chunks) -> dict:
+    """Write the byte buffers of `chunks` to `path` through `_atomic_open`,
+    hashing them on the way; returns their total size and sha256."""
+    sha, size = hashlib.sha256(), 0
     with _atomic_open(path) as fh:
-        fh.write((",".join(header) + "\r\n").encode())
-        for cols in blocks:
-            for a in range(0, len(cols[0]), _SLICE_ROWS):
-                fh.write(_format_rows([col[a : a + _SLICE_ROWS] for col in cols]))
+        for chunk in chunks:
+            sha.update(chunk)
+            size += fh.write(chunk)
+    return {"bytes": size, "sha256": sha.hexdigest()}
+
+
+def _write_table(path: Path, header: list[str], blocks) -> dict:
+    """Write `header` and the rows of `blocks` as CRLF CSV, `_SLICE_ROWS` rows
+    at a time; each block is a list of equal-length int or float columns.
+    Returns the file's size and sha256."""
+    head = (",".join(header) + "\r\n").encode()
+    return _write_chunks(path, chain([head], map(_format_rows, _slices(blocks))))
+
+
+def _slices(blocks):
+    """The rows of `blocks`, `_SLICE_ROWS` at a time, each as a list of column slices."""
+    for cols in blocks:
+        for a in range(0, len(cols[0]), _SLICE_ROWS):
+            yield [col[a : a + _SLICE_ROWS] for col in cols]
 
 
 def _put_digits(buf: np.ndarray, last: np.ndarray, mag: np.ndarray) -> None:
@@ -171,51 +195,85 @@ def _format_rows(cols: list[np.ndarray]) -> np.ndarray:
     return buf
 
 
-def _write_samples_csv(path: Path, *parts: SampleBatch) -> list[str]:
-    """Write the rows of `parts`, in order, as `samples.csv`; returns its columns."""
-    fields = _SAMPLE_FIELDS + ([_PSI_FIELD] if parts[0].shift != 0.0 else [])
-    columns = [name for name, _ in fields]
-    blocks = ([p.stream_ids, p.tau, p.s_tau, p.m_tau, p.censored, p.psi_max][: len(fields)] for p in parts)
-    _write_table(path, columns, blocks)
-    return columns
+def _sample_dtype(shift: float) -> np.dtype:
+    """The columns of `samples.csv` and the fields of `samples.npy`."""
+    return np.dtype(_SAMPLE_FIELDS + ([_PSI_FIELD] if shift != 0.0 else []))
 
 
-def _read_samples(out_dir: Path) -> tuple[SampleBatch, dict]:
-    """Samples and manifest; a file that disagrees with its manifest is a ValueError."""
-    manifest = json.loads((out_dir / _MANIFEST_FILE).read_text())
-    path = out_dir / _SAMPLES_FILE
-    with path.open("rb") as fh:
-        header = fh.readline().decode().rstrip("\r\n").split(",")
-        fh.seek(0, os.SEEK_END)
-        fh.seek(max(fh.tell() - 2, 0))
-        ends_in_line_end = fh.read() == b"\r\n"
-    with_psi = len(header) > len(_SAMPLE_FIELDS)
-    fields = _SAMPLE_FIELDS + ([_PSI_FIELD] if with_psi else [])
-    if header != [name for name, _ in fields] or header != manifest.get("columns"):
-        raise ValueError(f"samples.csv header {header} does not match the manifest columns")
-    if not ends_in_line_end:
-        raise ValueError("samples.csv does not end in a line end (truncated file?)")
-    table = np.loadtxt(path, delimiter=",", skiprows=1, comments=None, ndmin=1, dtype=fields)
+def _npy_chunks(dtype: np.dtype, blocks):
+    """The bytes of `samples.npy`: an .npy header, then the rows of `blocks`
+    as a C-order structured array of `dtype`, `_SLICE_ROWS` rows at a time."""
+    header = io.BytesIO()
+    shape = (sum(len(cols[0]) for cols in blocks),)
+    np.lib.format.write_array_header_1_0(
+        header, {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": shape}
+    )
+    yield header.getvalue()
+    for cols in _slices(blocks):
+        rows = np.empty(len(cols[0]), dtype)
+        for name, col in zip(dtype.names, cols):
+            rows[name] = col
+        yield rows
+
+
+def _write_samples_csv(path: Path, *parts: SampleBatch) -> dict:
+    """Write the rows of `parts`, in order, as `samples.csv` and as its binary
+    twin `samples.npy` beside it; returns the manifest's `columns` and `files`
+    (each file's size and sha256)."""
+    dtype = _sample_dtype(parts[0].shift)
+    blocks = [[p.stream_ids, p.tau, p.s_tau, p.m_tau, p.censored, p.psi_max][: len(dtype)] for p in parts]
+    files = {
+        path.name: _write_table(path, list(dtype.names), blocks),
+        _TWIN_FILE: _write_chunks(path.with_name(_TWIN_FILE), _npy_chunks(dtype, blocks)),
+    }
+    return {"columns": list(dtype.names), "files": files}
+
+
+def _check_digest(path: Path, record: dict) -> None:
+    """Raise a ValueError unless the file at `path` has the size and sha256 of `record`."""
+    try:
+        with path.open("rb") as fh:
+            ok = os.fstat(fh.fileno()).st_size == record["bytes"]
+            ok = ok and hashlib.file_digest(fh, "sha256").hexdigest() == record["sha256"]
+    except FileNotFoundError:
+        raise ValueError(f"{path.name} is missing; re-run simulate") from None
+    if not ok:
+        raise ValueError(f"{path.name} does not match its sha256 in {_MANIFEST_FILE}; re-run simulate")
+
+
+def _read_samples(out_dir: Path, manifest: dict) -> SampleBatch:
+    """The samples of `manifest`, from `samples.npy`; a samples file that
+    disagrees with the manifest is a ValueError."""
+    files = manifest.get("files")
+    if not (
+        isinstance(files, dict)
+        and set(files) == {_SAMPLES_FILE, _TWIN_FILE}
+        and all(isinstance(record, dict) for record in files.values())
+    ):
+        raise ValueError(f"{_MANIFEST_FILE} has no sha256 of {_SAMPLES_FILE} and {_TWIN_FILE}; re-run simulate")
+    for name, record in files.items():
+        _check_digest(out_dir / name, record)
+    table = np.load(out_dir / _TWIN_FILE, allow_pickle=False)
+    dtype = _sample_dtype(float(manifest["shift"]))
+    if table.dtype != dtype or manifest.get("columns") != list(dtype.names):
+        raise ValueError(f"{_TWIN_FILE} fields {table.dtype.names} do not match the manifest columns")
     start, count = int(manifest["stream_ids"]["start"]), int(manifest["stream_ids"]["count"])
-    if table.size != count:
-        raise ValueError(f"samples.csv has {table.size} rows, the manifest {count}")
+    if table.shape != (count,):
+        raise ValueError(f"{_TWIN_FILE} has shape {table.shape}, the manifest {count} rows")
     stream_ids = np.ascontiguousarray(table["stream_id"])
     if count and (stream_ids[0] != start or np.any(np.diff(stream_ids) != 1)):
-        raise ValueError(f"samples.csv stream ids are not {start}..{start + count - 1} in order")
+        raise ValueError(f"{_TWIN_FILE} stream ids are not {start}..{start + count - 1} in order")
     m_tau = np.ascontiguousarray(table["m_tau"])
-    return (
-        SampleBatch(
-            seed=int(manifest["seed"]),
-            step_cap=int(manifest["step_cap"]),
-            shift=float(manifest["shift"]),
-            stream_ids=stream_ids,
-            tau=np.ascontiguousarray(table["tau"]),
-            s_tau=np.ascontiguousarray(table["s_tau"]),
-            m_tau=m_tau,
-            psi_max=np.ascontiguousarray(table["psi_max"]) if with_psi else m_tau.copy(),
-            censored=table["censored"] != 0,
-        ),
-        manifest,
+    return SampleBatch(
+        seed=int(manifest["seed"]),
+        step_cap=int(manifest["step_cap"]),
+        shift=float(manifest["shift"]),
+        stream_ids=stream_ids,
+        tau=np.ascontiguousarray(table["tau"]),
+        s_tau=np.ascontiguousarray(table["s_tau"]),
+        m_tau=m_tau,
+        psi_max=np.ascontiguousarray(table["psi_max"]) if "psi_max" in dtype.names else m_tau.copy(),
+        censored=table["censored"] != 0,
     )
 
 
@@ -348,7 +406,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, replay: int | None = None
     # the old manifest goes first: a run killed before the new one is written
     # leaves samples without a manifest, never new samples with an old one
     (out_dir / _MANIFEST_FILE).unlink(missing_ok=True)
-    columns = _write_samples_csv(out_dir / _SAMPLES_FILE, *parts)
+    written = _write_samples_csv(out_dir / _SAMPLES_FILE, *parts)
     manifest = {
         "config_hash": cfg.config_hash,
         "seed": cfg.seed,
@@ -358,7 +416,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, replay: int | None = None
         "stream_ids": {"start": 0, "count": cfg.n_samples},
         "censored_n": censored_n,
         "censoring_rate": censored_n / n,
-        "columns": columns,
+        **written,
     }
     _write_json(out_dir / _MANIFEST_FILE, manifest)
     print(
@@ -385,10 +443,11 @@ def _configured_estimates(cfg: ExperimentConfig, batch: SampleBatch, a: float) -
 
 def cmd_estimate(cfg: ExperimentConfig, out_dir: Path, fmt: str) -> int:
     spec = _increments_from(cfg)
-    batch, manifest = _read_samples(out_dir)
+    manifest = json.loads((out_dir / _MANIFEST_FILE).read_text())
     if manifest.get("config_hash") != cfg.config_hash:
         print("estimate: samples were produced by a different config (hash mismatch)", file=sys.stderr)
         return EXIT_CONFIG
+    batch = _read_samples(out_dir, manifest)
     a = -spec.mean
     estimates = _configured_estimates(cfg, batch, a)
     payload = {
@@ -423,10 +482,11 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
     CI-based or heuristic and are reported without failing the run.
     """
     spec = _increments_from(cfg)
-    batch, manifest = _read_samples(out_dir)
+    manifest = json.loads((out_dir / _MANIFEST_FILE).read_text())
     if manifest.get("config_hash") != cfg.config_hash:
         print("verify: samples were produced by a different config (hash mismatch)", file=sys.stderr)
         return EXIT_CONFIG
+    batch = _read_samples(out_dir, manifest)
 
     report: dict = {"config_hash": cfg.config_hash}
     exact_ok = True

@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import yaml
-
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "jsonify"]
 
 
@@ -124,6 +122,8 @@ _KNOWN_KEYS = {
 
 def load_config(path, seed_override: int | None = None, streams_override: int | None = None) -> ExperimentConfig:
     """Load and validate a YAML/JSON config; overrides apply before hashing."""
+    import yaml  # here, not at the top, so that `import ladderlab` does not load PyYAML
+
     text = Path(path).read_text()
     try:
         raw = yaml.safe_load(text)

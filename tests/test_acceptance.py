@@ -321,6 +321,7 @@ def test_criterion_10_reproducibility(tmp_path):
         "condition_report.json",
         "chain.json",
         "samples.csv",
+        "samples.npy",
         "manifest.json",
         "estimates.json",
         "verify_report.json",

@@ -1,5 +1,6 @@
 import csv
 import importlib
+import io
 import json
 import math
 import os
@@ -138,11 +139,28 @@ def test_corrupted_samples_rejected(tmp_path, cfg_path):
     assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 1
 
 
-@pytest.mark.parametrize("damage", ["mid_row", "whole_rows", "no_final_line_end", "reordered_rows"])
+def test_stale_config_refused_before_samples_are_read(tmp_path, cfg_path, monkeypatch):
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    stale = _write_config(tmp_path / "other.yaml", eps=0.25)
+
+    def must_not_read(*args):
+        raise AssertionError("samples hashed or loaded before the config hash was checked")
+
+    monkeypatch.setattr(cli, "_read_samples", must_not_read)
+    assert main(["estimate", "--config", str(stale), "--out", str(out)]) == 1
+    assert main(["verify", "--config", str(stale), "--out", str(out)]) == 1
+
+
+@pytest.mark.parametrize(
+    "damage",
+    ["mid_row", "whole_rows", "no_final_line_end", "reordered_rows", "digit_edit",
+     "npy_truncated", "npy_bit_flip", "npy_missing", "no_digests", "digest_not_an_object"],
+)
 def test_damaged_samples_rejected(tmp_path, cfg_path, damage):
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
-    path = out / "samples.csv"
+    path, twin, manifest_path = out / "samples.csv", out / "samples.npy", out / "manifest.json"
     data = path.read_bytes()
     lines = data.split(b"\r\n")[:-1]
     if damage == "mid_row":
@@ -151,9 +169,31 @@ def test_damaged_samples_rejected(tmp_path, cfg_path, damage):
         data = b"".join(line + b"\r\n" for line in lines[: len(lines) // 2])
     elif damage == "no_final_line_end":
         data = data[:-2]
-    else:
+    elif damage == "reordered_rows":
         lines[10], lines[11] = lines[11], lines[10]
         data = b"".join(line + b"\r\n" for line in lines)
+    elif damage == "digit_edit":  # same length, same row and column count, same stream ids
+        cells = lines[11].split(b",")
+        cells[2] = cells[2][:-1] + (b"2" if cells[2].endswith(b"1") else b"1")
+        lines[11] = b",".join(cells)
+        edited = b"".join(line + b"\r\n" for line in lines)
+        assert len(edited) == len(data)
+        data = edited
+    elif damage == "npy_truncated":
+        twin.write_bytes(twin.read_bytes()[:-1])
+    elif damage == "npy_bit_flip":
+        flipped = bytearray(twin.read_bytes())
+        flipped[len(flipped) // 2] ^= 1
+        twin.write_bytes(flipped)
+    elif damage == "npy_missing":
+        twin.unlink()
+    else:
+        manifest = json.loads(manifest_path.read_text())
+        if damage == "no_digests":  # a manifest written before simulate recorded them
+            del manifest["files"]
+        else:
+            manifest["files"]["samples.csv"] = manifest["files"]["samples.csv"]["bytes"]
+        manifest_path.write_text(json.dumps(manifest))
     path.write_bytes(data)
     assert main(["estimate", "--config", str(cfg_path), "--out", str(out)]) == 1
     assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 1
@@ -162,7 +202,8 @@ def test_damaged_samples_rejected(tmp_path, cfg_path, damage):
 def test_failed_simulate_leaves_no_half_file(tmp_path, cfg_path, monkeypatch):
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
-    before = (out / "samples.csv").read_bytes()
+    names = ["samples.csv", "samples.npy"]
+    before = [(out / name).read_bytes() for name in names]
     format_rows, calls = cli._format_rows, []
 
     def fail_on_second_slice(cols):
@@ -176,8 +217,8 @@ def test_failed_simulate_leaves_no_half_file(tmp_path, cfg_path, monkeypatch):
     with pytest.raises(RuntimeError, match="formatter failed"):
         main(["simulate", "--config", str(cfg_path), "--out", str(out)])
     assert calls == [1000, 1000]
-    assert [p.name for p in out.iterdir()] == ["samples.csv"]
-    assert (out / "samples.csv").read_bytes() == before
+    assert sorted(p.name for p in out.iterdir()) == names
+    assert [(out / name).read_bytes() for name in names] == before
     assert main(["estimate", "--config", str(cfg_path), "--out", str(out)]) == 1
 
 
@@ -213,14 +254,27 @@ def test_samples_csv_round_trip(rows, n, start, shift):
         psi_max=psi_max.astype(float),
         censored=censored.astype(bool),
     )
+    fields = [("stream_id", "i8"), ("tau", "i8"), ("s_tau", "f8"), ("m_tau", "f8"), ("censored", "i1")]
+    fields += [("psi_max", "f8")] * (shift != 0.0)
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         write_samples_csv_rowwise(out / "oracle.csv", batch)
-        columns = cli._write_samples_csv(out / "samples.csv", batch)
+        written = cli._write_samples_csv(out / "samples.csv", batch)
         assert (out / "samples.csv").read_bytes() == (out / "oracle.csv").read_bytes()
-        manifest = {"seed": 1, "step_cap": 10, "shift": shift, "stream_ids": {"start": start, "count": n}, "columns": columns}
-        (out / "manifest.json").write_text(json.dumps(manifest))
-        read, _ = cli._read_samples(out)
+        # the text reads back to the same bits; the package itself no longer parses it
+        text = np.loadtxt(out / "samples.csv", delimiter=",", skiprows=1, comments=None, ndmin=1, dtype=fields)
+        # the twin is what np.save writes for the whole table
+        table = np.empty(n, fields)
+        columns = [batch.stream_ids, batch.tau, batch.s_tau, batch.m_tau, batch.censored, batch.psi_max]
+        for name, col in zip(table.dtype.names, columns):
+            table[name] = col
+        saved = io.BytesIO()
+        np.save(saved, table)
+        assert (out / "samples.npy").read_bytes() == saved.getvalue()
+        assert text.tobytes() == table.tobytes()
+        manifest = {"seed": 1, "step_cap": 10, "shift": shift, "stream_ids": {"start": start, "count": n}, **written}
+        assert written["columns"] == list(table.dtype.names)
+        read = cli._read_samples(out, manifest)
     expected_psi = batch.psi_max if shift else batch.m_tau
     for field in ("stream_ids", "tau", "s_tau", "m_tau", "censored"):
         got, want = getattr(read, field), getattr(batch, field)
