@@ -66,6 +66,7 @@ _SAMPLES_FILE = "samples.csv"
 _TWIN_FILE = "samples.npy"  # the samples.csv values, read back by estimate and verify
 _MANIFEST_FILE = "manifest.json"
 _SLICE_ROWS = 1 << 16  # rows formatted and written at a time
+_HASH_BLOCK = 1 << 18  # bytes read at a time to check a digest
 # samples.csv columns and samples.npy fields with their dtypes; "f8" cells are written by repr
 _SAMPLE_FIELDS = [("stream_id", "i8"), ("tau", "i8"), ("s_tau", "f8"), ("m_tau", "f8"), ("censored", "i1")]
 _PSI_FIELD = ("psi_max", "f8")  # written only for a walk with a shift
@@ -229,16 +230,27 @@ def _write_samples_csv(path: Path, *parts: SampleBatch) -> dict:
     return {"columns": list(dtype.names), "files": files}
 
 
-def _check_digest(path: Path, record: dict) -> None:
-    """Raise a ValueError unless the file at `path` has the size and sha256 of `record`."""
+@contextmanager
+def _checked_open(path: Path, record: dict):
+    """A binary handle on `path`, at offset 0, once the file's size and sha256
+    match `record`; else a ValueError.  Reads through the handle see the bytes
+    that were hashed, since an artifact is only ever replaced, not rewritten."""
     try:
-        with path.open("rb") as fh:
-            ok = os.fstat(fh.fileno()).st_size == record["bytes"]
-            ok = ok and hashlib.file_digest(fh, "sha256").hexdigest() == record["sha256"]
+        fh = path.open("rb")
     except FileNotFoundError:
         raise ValueError(f"{path.name} is missing; re-run simulate") from None
-    if not ok:
-        raise ValueError(f"{path.name} does not match its sha256 in {_MANIFEST_FILE}; re-run simulate")
+    with fh:
+        ok = os.fstat(fh.fileno()).st_size == record["bytes"]
+        if ok:
+            sha, buf = hashlib.sha256(), bytearray(_HASH_BLOCK)
+            view = memoryview(buf)
+            while n := fh.readinto(buf):
+                sha.update(view[:n])
+            ok = sha.hexdigest() == record["sha256"]
+        if not ok:
+            raise ValueError(f"{path.name} does not match its sha256 in {_MANIFEST_FILE}; re-run simulate")
+        fh.seek(0)
+        yield fh
 
 
 def _read_samples(out_dir: Path, manifest: dict) -> SampleBatch:
@@ -251,9 +263,10 @@ def _read_samples(out_dir: Path, manifest: dict) -> SampleBatch:
         and all(isinstance(record, dict) for record in files.values())
     ):
         raise ValueError(f"{_MANIFEST_FILE} has no sha256 of {_SAMPLES_FILE} and {_TWIN_FILE}; re-run simulate")
-    for name, record in files.items():
-        _check_digest(out_dir / name, record)
-    table = np.load(out_dir / _TWIN_FILE, allow_pickle=False)
+    with _checked_open(out_dir / _SAMPLES_FILE, files[_SAMPLES_FILE]):
+        pass  # only checked: the values are read from the twin
+    with _checked_open(out_dir / _TWIN_FILE, files[_TWIN_FILE]) as fh:
+        table = np.load(fh, allow_pickle=False)
     dtype = _sample_dtype(float(manifest["shift"]))
     if table.dtype != dtype or manifest.get("columns") != list(dtype.names):
         raise ValueError(f"{_TWIN_FILE} fields {table.dtype.names} do not match the manifest columns")

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib
 import io
 import json
@@ -50,7 +51,8 @@ def cfg_path(tmp_path):
     return _write_config(tmp_path / "exp.yaml")
 
 
-def test_full_pipeline(tmp_path, cfg_path):
+def test_full_pipeline(tmp_path, cfg_path, monkeypatch):
+    monkeypatch.delattr(hashlib, "file_digest", raising=False)  # Python 3.10 has none
     out = tmp_path / "run"
     assert main(["check", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert main(["construct", "--config", str(cfg_path), "--out", str(out)]) == 0
@@ -94,8 +96,8 @@ def test_streams_do_not_change_bytes(tmp_path, cfg_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out1)]) == 0
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out2), "--streams", "7"]) == 0
-    assert (out1 / "samples.csv").read_bytes() == (out2 / "samples.csv").read_bytes()
-    assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
+    for name in ["samples.csv", "samples.npy", "manifest.json"]:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 def test_thread_env_does_not_change_bytes(tmp_path, cfg_path):
@@ -110,7 +112,8 @@ def test_thread_env_does_not_change_bytes(tmp_path, cfg_path):
             os.environ.pop("LADDERLAB_THREADS", None)
         else:
             os.environ["LADDERLAB_THREADS"] = old
-    assert (out1 / "samples.csv").read_bytes() == (out2 / "samples.csv").read_bytes()
+    for name in ["samples.csv", "samples.npy", "manifest.json"]:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 def test_seed_override_applies_before_hashing(tmp_path, cfg_path):
@@ -124,22 +127,7 @@ def test_seed_override_applies_before_hashing(tmp_path, cfg_path):
     assert main(["estimate", "--config", str(cfg_path), "--out", str(out)]) == 1
 
 
-def test_stale_samples_rejected(tmp_path, cfg_path):
-    out = tmp_path / "run"
-    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
-    stale = _write_config(tmp_path / "other.yaml", eps=0.25)
-    assert main(["estimate", "--config", str(stale), "--out", str(out)]) == 1
-
-
-def test_corrupted_samples_rejected(tmp_path, cfg_path):
-    out = tmp_path / "run"
-    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
-    (out / "samples.csv").write_text("stream_id,tau\n0,banana\n")
-    assert main(["estimate", "--config", str(cfg_path), "--out", str(out)]) == 1
-    assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 1
-
-
-def test_stale_config_refused_before_samples_are_read(tmp_path, cfg_path, monkeypatch):
+def test_stale_samples_rejected(tmp_path, cfg_path, monkeypatch):
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
     stale = _write_config(tmp_path / "other.yaml", eps=0.25)
@@ -150,6 +138,31 @@ def test_stale_config_refused_before_samples_are_read(tmp_path, cfg_path, monkey
     monkeypatch.setattr(cli, "_read_samples", must_not_read)
     assert main(["estimate", "--config", str(stale), "--out", str(out)]) == 1
     assert main(["verify", "--config", str(stale), "--out", str(out)]) == 1
+
+
+def test_twin_replaced_after_its_check_is_not_read(tmp_path, cfg_path, monkeypatch):
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert main(["estimate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    checked = (out / "estimates.json").read_bytes()
+    load = np.load
+
+    def replace_then_load(file, **kwargs):  # a new twin lands between the digest check and the load
+        np.save(tmp_path / "other.npy", np.zeros(3))
+        os.replace(tmp_path / "other.npy", out / "samples.npy")
+        return load(file, **kwargs)
+
+    monkeypatch.setattr(cli.np, "load", replace_then_load)
+    assert main(["estimate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert (out / "estimates.json").read_bytes() == checked
+
+
+def test_corrupted_samples_rejected(tmp_path, cfg_path):
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    (out / "samples.csv").write_text("stream_id,tau\n0,banana\n")
+    assert main(["estimate", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 1
 
 
 @pytest.mark.parametrize(
