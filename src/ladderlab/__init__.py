@@ -29,7 +29,6 @@ from .construct import (
 from .diagnostics import check_log_tail_increment, long_tailed_profile, sstar_ratio
 from .estimate import (
     MomentEstimate,
-    MomentSummary,
     dominance_suite,
     estimate_exp_moment,
     estimate_growth_moment,

@@ -24,12 +24,13 @@ and sha256.  `estimate` and `verify` first refuse a manifest of another
 config, then check both digests, then load the twin (no CSV text is parsed)
 and check its fields, its row count and that it holds exactly the manifest's
 stream ids `start, start + 1, ...` in order.  So a samples file that is
-truncated, ragged, reordered, swapped or edited in place, a missing twin and a
-manifest without digests (from an older `simulate`) are all refused with exit
-1.  Every artifact is written to a temp file in the output directory and moved
-into place with `os.replace`; `simulate` removes the old manifest before it
-replaces the samples, so a killed run never leaves new samples beside an old
-manifest or a half-written file under an artifact's name.
+truncated, ragged, reordered, swapped or edited in place, a missing twin, a
+manifest without digests (from an older `simulate`) and a manifest of the
+wrong shape are all refused with exit 1.  Every artifact is written to a
+temp file in the output directory and moved into place with `os.replace`;
+`simulate` removes the old manifest before it replaces the samples, so a
+killed run never leaves new samples beside an old manifest or a half-written
+file under an artifact's name.
 
 Exit codes: 0 success, 1 usage/config error, 2 verification or certification
 failure, 3 censored-dominated estimate.
@@ -270,7 +271,7 @@ def _read_samples(out_dir: Path, manifest: dict) -> SampleBatch:
     dtype = _sample_dtype(float(manifest["shift"]))
     if table.dtype != dtype or manifest.get("columns") != list(dtype.names):
         raise ValueError(f"{_TWIN_FILE} fields {table.dtype.names} do not match the manifest columns")
-    start, count = int(manifest["stream_ids"]["start"]), int(manifest["stream_ids"]["count"])
+    start, count = manifest["stream_ids"]["start"], manifest["stream_ids"]["count"]
     if table.shape != (count,):
         raise ValueError(f"{_TWIN_FILE} has shape {table.shape}, the manifest {count} rows")
     stream_ids = np.ascontiguousarray(table["stream_id"])
@@ -288,6 +289,21 @@ def _read_samples(out_dir: Path, manifest: dict) -> SampleBatch:
         psi_max=np.ascontiguousarray(table["psi_max"]) if "psi_max" in dtype.names else m_tau.copy(),
         censored=table["censored"] != 0,
     )
+
+
+def _load_samples(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, SampleBatch]:
+    """The manifest in `out_dir` and its samples.  A manifest of another config
+    is a ConfigError, refused before any sample is hashed or loaded; one of
+    the wrong shape is a ValueError."""
+    manifest = json.loads((out_dir / _MANIFEST_FILE).read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{_MANIFEST_FILE} is not a JSON object")
+    if manifest.get("config_hash") != cfg.config_hash:
+        raise ConfigError("samples were produced by a different config (hash mismatch)")
+    ids = manifest.get("stream_ids")
+    if not (isinstance(ids, dict) and all(type(ids.get(key)) is int for key in ("start", "count"))):
+        raise ValueError(f"{_MANIFEST_FILE} stream_ids is not an object with integer start and count")
+    return manifest, _read_samples(out_dir, manifest)
 
 
 def _thread_budget(cfg: ExperimentConfig) -> int:
@@ -456,11 +472,7 @@ def _configured_estimates(cfg: ExperimentConfig, batch: SampleBatch, a: float) -
 
 def cmd_estimate(cfg: ExperimentConfig, out_dir: Path, fmt: str) -> int:
     spec = _increments_from(cfg)
-    manifest = json.loads((out_dir / _MANIFEST_FILE).read_text())
-    if manifest.get("config_hash") != cfg.config_hash:
-        print("estimate: samples were produced by a different config (hash mismatch)", file=sys.stderr)
-        return EXIT_CONFIG
-    batch = _read_samples(out_dir, manifest)
+    manifest, batch = _load_samples(cfg, out_dir)
     a = -spec.mean
     estimates = _configured_estimates(cfg, batch, a)
     payload = {
@@ -495,11 +507,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
     CI-based or heuristic and are reported without failing the run.
     """
     spec = _increments_from(cfg)
-    manifest = json.loads((out_dir / _MANIFEST_FILE).read_text())
-    if manifest.get("config_hash") != cfg.config_hash:
-        print("verify: samples were produced by a different config (hash mismatch)", file=sys.stderr)
-        return EXIT_CONFIG
-    batch = _read_samples(out_dir, manifest)
+    _, batch = _load_samples(cfg, out_dir)
 
     report: dict = {"config_hash": cfg.config_hash}
     exact_ok = True

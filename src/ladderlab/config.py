@@ -14,10 +14,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_config", "jsonify"]
+__all__ = ["ConfigError", "ExperimentConfig", "Report", "load_config", "jsonify"]
 
 
 class ConfigError(ValueError):
@@ -43,6 +43,16 @@ def jsonify(obj):
     if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)  # inf / nan are not valid JSON scalars
     return obj
+
+
+class Report:
+    """Mixin for a dataclass record whose JSON keys are its field names."""
+
+    def to_dict(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+_UNHASHED = ("streams", "outputs")  # the parallelism degree and the output paths
 
 
 @dataclass
@@ -85,18 +95,7 @@ class ExperimentConfig:
 
     def semantic_dict(self) -> dict:
         """Fields that determine computed values; basis of the config hash."""
-        return {
-            "growth": self.growth,
-            "increments": self.increments,
-            "eps": self.eps,
-            "delta": self.delta,
-            "alpha": self.alpha,
-            "c": self.c,
-            "shift": self.shift,
-            "n_samples": self.n_samples,
-            "step_cap": self.step_cap,
-            "seed": self.seed,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in _UNHASHED}
 
     @property
     def config_hash(self) -> str:
@@ -104,20 +103,7 @@ class ExperimentConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-_KNOWN_KEYS = {
-    "growth",
-    "increments",
-    "eps",
-    "delta",
-    "alpha",
-    "c",
-    "shift",
-    "n_samples",
-    "step_cap",
-    "seed",
-    "streams",
-    "outputs",
-}
+_KNOWN_KEYS = {f.name for f in fields(ExperimentConfig)}
 
 
 def load_config(path, seed_override: int | None = None, streams_override: int | None = None) -> ExperimentConfig:

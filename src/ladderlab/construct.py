@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import Report
 from .growth import ConditionReport, GrowthFunction
 from .numerics import doubling_integral
 from .tails import MajorantIncrement, ShiftedTail, SplicedTail, TailSpec, TruncatedBelow
@@ -95,30 +96,20 @@ def _exp_growth_moment(base: TailSpec, g: GrowthFunction, t_hi: float) -> float 
 
 
 @dataclass
-class MajorantFit:
+class MajorantFit(Report):
     """Fitted tail-domination coefficient and its certification data.
 
-    exp_moment is None when the exp-growth moment quadrature did not converge;
-    the coefficient is then certified on the grid only (the bound itself may
-    still hold, as it does for borderline matching-exponent tails).
+    exp_growth_moment is None when the exp-growth moment quadrature did not
+    converge; the coefficient is then certified on the grid only (the bound
+    itself may still hold, as it does for borderline matching-exponent tails).
     """
 
     K: float
     product_sup: float
-    floor: float
+    floor_exp_g_x0: float
     argmax_log_s: float
-    t_hi: float
-    exp_moment: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "K": self.K,
-            "product_sup": self.product_sup,
-            "floor_exp_g_x0": self.floor,
-            "argmax_log_s": self.argmax_log_s,
-            "grid_log_s_hi": self.t_hi,
-            "exp_growth_moment": self.exp_moment,
-        }
+    grid_log_s_hi: float
+    exp_growth_moment: float | None
 
 
 def fit_majorant_coefficient(base: TailSpec, g: GrowthFunction, x0: float) -> MajorantFit:
@@ -165,9 +156,7 @@ def fit_majorant_coefficient(base: TailSpec, g: GrowthFunction, x0: float) -> Ma
     sup = math.exp(sup_log)
     floor = math.exp(float(g(x0)))
     k = max(floor, sup) * (1.0 + 1e-6)
-    return MajorantFit(
-        K=k, product_sup=sup, floor=floor, argmax_log_s=arg, t_hi=t_hi, exp_moment=exp_moment
-    )
+    return MajorantFit(k, sup, floor, arg, t_hi, exp_moment)
 
 
 # ---------------------------------------------------------------------------

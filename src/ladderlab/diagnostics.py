@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import Report
 from .numerics import quad, stabilized_running_max
 from .tails import TailSpec
 
@@ -40,7 +41,7 @@ _LOG_FLOOR = math.log(1e-290)
 
 
 @dataclass
-class TailRatioReport:
+class TailRatioReport(Report):
     """Grid of ratios with a banded finite-range verdict."""
 
     kind: str
@@ -51,37 +52,17 @@ class TailRatioReport:
     usable_hi: float
     notes: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "ok": self.ok,
-            "tol": self.tol,
-            "usable_hi": self.usable_hi,
-            "x": self.x,
-            "ratios": self.ratios,
-            "notes": self.notes,
-        }
-
 
 @dataclass
-class IncrementFitReport:
+class IncrementFitReport(Report):
     """Fitted additive slack for the hazard-scale increment bound."""
 
+    kind: str = field(default="log_tail_increment", init=False)
     ok: bool
     gamma: float
     slack: float
     usable_hi: float
     witnesses: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "log_tail_increment",
-            "ok": self.ok,
-            "gamma": self.gamma,
-            "slack": self.slack,
-            "usable_hi": self.usable_hi,
-            "witnesses": self.witnesses,
-        }
 
 
 def usable_tail_horizon(
@@ -110,8 +91,8 @@ def usable_tail_horizon(
     return lo
 
 
-def _default_x_grid(spec: TailSpec, per_decade: int = 16) -> np.ndarray:
-    hi = usable_tail_horizon(spec)
+def _default_x_grid(spec: TailSpec, per_decade: int = 16, hi: float | None = None) -> np.ndarray:
+    hi = usable_tail_horizon(spec) if hi is None else hi
     lo = max(spec.support[0], 0.0) + 1.0
     if hi <= lo * 10:
         lo = max(hi / 1e4, 1e-3)
@@ -192,12 +173,7 @@ def sstar_ratio(spec: TailSpec, x_grid=None, tol: float = 0.1) -> TailRatioRepor
     if not m > 0:
         raise ValueError("strong-subexponential diagnostic needs a positive-part mean > 0")
     if x_grid is None:
-        hi = min(usable_tail_horizon(spec, log_floor=-1e5), 1e12)
-        lo = max(spec.support[0], 0.0) + 1.0
-        if hi <= lo * 10:
-            lo = max(hi / 1e4, 1e-3)
-        n = max(int(8 * math.log10(hi / lo)), 24) + 1
-        x_grid = np.geomspace(lo, hi, n)
+        x_grid = _default_x_grid(spec, per_decade=8, hi=min(usable_tail_horizon(spec, log_floor=-1e5), 1e12))
     x_grid = np.asarray(x_grid, dtype=float)
 
     xs, ratios = [], []

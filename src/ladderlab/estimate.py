@@ -21,13 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
+from .config import Report
 from .construct import ConstructionChain
 from .growth import GrowthFunction
 from .tails import TailSpec
 from .walk import SampleBatch
 
 __all__ = [
-    "MomentSummary",
     "MomentEstimate",
     "estimate_growth_moment",
     "estimate_power_moment",
@@ -38,49 +38,11 @@ __all__ = [
     "finiteness_diagnostic",
 ]
 
-_SKETCH_MIN = 100
 _Z95 = 1.96
 
 
-def _sketch_size(n: int) -> int:
-    # twice the top-1% size that top_share reads
-    return max(_SKETCH_MIN, math.ceil(0.02 * n))
-
-
 @dataclass
-class MomentSummary:
-    """Reduction of functional values over one sample batch."""
-
-    n: int
-    total: float
-    total_sq: float
-    censored_n: int
-    censored_total: float
-    top_values: np.ndarray  # descending, at most _sketch_size(n) entries
-
-    @classmethod
-    def from_values(cls, values: np.ndarray, censored: np.ndarray) -> "MomentSummary":
-        values = np.asarray(values, dtype=float)
-        n = int(values.size)
-        top = np.sort(values)[::-1][: _sketch_size(n)]
-        return cls(
-            n=n,
-            total=float(values.sum()),
-            total_sq=float(np.square(values).sum()),
-            censored_n=int(censored.sum()),
-            censored_total=float(values[censored].sum()) if censored.any() else 0.0,
-            top_values=top,
-        )
-
-    def top_share(self, fraction: float = 0.01) -> float:
-        if self.total <= 0 or self.n == 0:
-            return 0.0
-        k = max(1, math.ceil(fraction * self.n))
-        return float(self.top_values[:k].sum() / self.total)
-
-
-@dataclass
-class MomentEstimate:
+class MomentEstimate(Report):
     """Point estimate of one moment functional with uncertainty and flags."""
 
     estimand: dict
@@ -93,61 +55,43 @@ class MomentEstimate:
     censored_share: float
     verdict: str
 
-    def to_dict(self) -> dict:
-        return {
-            "estimand": self.estimand,
-            "n": self.n,
-            "point": self.point,
-            "std_error": self.std_error,
-            "ci95": list(self.ci95),
-            "top1_share": self.top1_share,
-            "censored_n": self.censored_n,
-            "censored_share": self.censored_share,
-            "verdict": self.verdict,
-        }
 
-
-def _finalize(summary: MomentSummary, estimand: dict) -> MomentEstimate:
-    if summary.n == 0:
+def _estimate_functional(batch: SampleBatch, fn, estimand: dict) -> MomentEstimate:
+    """Mean of fn(tau) with its standard error, top-1% share and censored share."""
+    # censored epochs are recorded at the cap, so fn(tau) is their lower bound
+    with np.errstate(over="ignore"):
+        values = fn(batch.tau.astype(float))
+    n = int(values.size)
+    if n == 0:
         raise ValueError("cannot estimate from an empty batch")
-    if summary.censored_n == summary.n:
+    # the sort comes first: the order of these allocations sets the page faults they take
+    descending = np.sort(values)[::-1]
+    total = float(values.sum())
+    total_sq = float(np.square(values).sum())
+    censored = batch.censored
+    censored_n = int(censored.sum())
+    censored_total = float(values[censored].sum()) if censored.any() else 0.0
+    if censored_n == n:
         return MomentEstimate(
-            estimand, summary.n, math.nan, math.nan, (math.nan, math.nan),
-            math.nan, summary.censored_n, 1.0, "censored-dominated",
+            estimand, n, math.nan, math.nan, (math.nan, math.nan), math.nan, censored_n, 1.0, "censored-dominated"
         )
-    point = summary.total / summary.n
-    if summary.n > 1 and math.isfinite(summary.total_sq):
-        var = max(summary.total_sq - summary.n * point * point, 0.0) / (summary.n - 1)
+    point = total / n
+    if n > 1 and math.isfinite(total_sq):
+        var = max(total_sq - n * point * point, 0.0) / (n - 1)
     else:
-        var = math.nan if not math.isfinite(summary.total_sq) else 0.0
-    se = math.sqrt(var / summary.n) if var == var else math.nan
-    top1 = summary.top_share()
-    censored_share = summary.censored_total / summary.total if summary.total > 0 else 0.0
-    if summary.censored_n > 0 and censored_share > 0.01:
+        var = math.nan if not math.isfinite(total_sq) else 0.0
+    se = math.sqrt(var / n) if var == var else math.nan
+    top1 = 0.0 if total <= 0 else float(descending[: math.ceil(0.01 * n)].sum() / total)
+    censored_share = censored_total / total if total > 0 else 0.0
+    if censored_n > 0 and censored_share > 0.01:
         verdict = "censored-dominated"
     elif top1 > 0.5:
         verdict = "heavy"
     else:
         verdict = "stable"
     return MomentEstimate(
-        estimand=estimand,
-        n=summary.n,
-        point=point,
-        std_error=se,
-        ci95=(point - _Z95 * se, point + _Z95 * se),
-        top1_share=top1,
-        censored_n=summary.censored_n,
-        censored_share=censored_share,
-        verdict=verdict,
+        estimand, n, point, se, (point - _Z95 * se, point + _Z95 * se), top1, censored_n, censored_share, verdict
     )
-
-
-def _estimate_functional(batch: SampleBatch, fn, estimand: dict) -> MomentEstimate:
-    # censored epochs are recorded at the cap, so fn(tau) is their lower bound
-    with np.errstate(over="ignore"):
-        values = fn(batch.tau.astype(float))
-    summary = MomentSummary.from_values(values, batch.censored)
-    return _finalize(summary, estimand)
 
 
 def estimate_growth_moment(
@@ -195,27 +139,15 @@ def estimate_exp_moment(batch: SampleBatch, c: float) -> MomentEstimate:
 
 
 @dataclass
-class DominanceReport:
+class DominanceReport(Report):
     """Shared-uniform quantile coupling across the construction chain."""
 
+    kind: str = field(default="dominance", init=False)
+    ok: bool
     n: int
     violations: list
     seed: int
     stream_id: int
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "dominance",
-            "ok": self.ok,
-            "n": self.n,
-            "violations": self.violations,
-            "seed": self.seed,
-            "stream_id": self.stream_id,
-        }
 
 
 def dominance_suite(
@@ -247,28 +179,19 @@ def dominance_suite(
                     }
                 )
         done += count
-    return DominanceReport(n=n, violations=violations, seed=seed, stream_id=stream_id)
+    return DominanceReport(ok=not violations, n=n, violations=violations, seed=seed, stream_id=stream_id)
 
 
 @dataclass
-class WaldReport:
+class WaldReport(Report):
     """Stopping-identity consistency: mean overshoot vs drift times mean epoch."""
 
+    kind: str = field(default="wald", init=False)
     n: int
     mean_discrepancy: float
     std_error: float
     sigmas: float
     ok: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "wald",
-            "ok": self.ok,
-            "n": self.n,
-            "mean_discrepancy": self.mean_discrepancy,
-            "std_error": self.std_error,
-            "sigmas": self.sigmas,
-        }
 
 
 def wald_check(batch: SampleBatch, mean_increment: float, max_sigmas: float = 4.0) -> WaldReport:
@@ -301,9 +224,10 @@ def _wilson_interval(count: int, n: int, z: float = _Z95) -> tuple[float, float]
 
 
 @dataclass
-class RatioCheckReport:
+class RatioCheckReport(Report):
     """Empirical P{max > x} over the increment tail, against the mean epoch."""
 
+    kind: str = field(default="running_max_ratio", init=False)
     e_tau: float
     rows: list
     ok: bool
@@ -311,18 +235,6 @@ class RatioCheckReport:
     delta_tol: float
     min_exceedances: int
     notes: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "running_max_ratio",
-            "ok": self.ok,
-            "e_tau": self.e_tau,
-            "largest_x": self.largest_x,
-            "delta_tol": self.delta_tol,
-            "min_exceedances": self.min_exceedances,
-            "rows": self.rows,
-            "notes": self.notes,
-        }
 
 
 def running_max_ratio_check(
@@ -389,21 +301,16 @@ def running_max_ratio_check(
 
 
 @dataclass
-class FinitenessReport:
+class FinitenessReport(Report):
     """Heuristic verdict; empirical stability can never prove finiteness."""
 
+    kind: str = field(default="finiteness_heuristic", init=False)
     verdict: str
     reasons: list
     points: list
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "finiteness_heuristic",
-            "verdict": self.verdict,
-            "reasons": self.reasons,
-            "points": self.points,
-            "note": "heuristic diagnostic: stability under growing n is evidence, not proof",
-        }
+    note: str = field(
+        default="heuristic diagnostic: stability under growing n is evidence, not proof", init=False
+    )
 
 
 def finiteness_diagnostic(estimates: list[MomentEstimate]) -> FinitenessReport:

@@ -58,6 +58,7 @@ __all__ = [
 _FIRST_BLOCK = 8
 _DEFAULT_CHUNK = 250_000
 _ROW_SCAN_MIN = 128  # walks from which _scan loops over rows
+_COLUMNS = ("stream_ids", "tau", "s_tau", "m_tau", "psi_max", "censored")  # a SampleBatch's per-walk arrays
 
 
 class WalkError(ValueError):
@@ -87,31 +88,11 @@ class SampleBatch:
         return int(self.censored.sum())
 
     def head(self, n: int) -> "SampleBatch":
-        sl = slice(0, n)
-        return replace(
-            self,
-            stream_ids=self.stream_ids[sl],
-            tau=self.tau[sl],
-            s_tau=self.s_tau[sl],
-            m_tau=self.m_tau[sl],
-            psi_max=self.psi_max[sl],
-            censored=self.censored[sl],
-        )
+        return replace(self, **{name: getattr(self, name)[:n] for name in _COLUMNS})
 
     @staticmethod
     def concat(parts: list["SampleBatch"]) -> "SampleBatch":
-        first = parts[0]
-        return SampleBatch(
-            seed=first.seed,
-            step_cap=first.step_cap,
-            shift=first.shift,
-            stream_ids=np.concatenate([p.stream_ids for p in parts]),
-            tau=np.concatenate([p.tau for p in parts]),
-            s_tau=np.concatenate([p.s_tau for p in parts]),
-            m_tau=np.concatenate([p.m_tau for p in parts]),
-            psi_max=np.concatenate([p.psi_max for p in parts]),
-            censored=np.concatenate([p.censored for p in parts]),
-        )
+        return replace(parts[0], **{name: np.concatenate([getattr(p, name) for p in parts]) for name in _COLUMNS})
 
 
 def _block_schedule(step_cap: int):

@@ -168,9 +168,10 @@ def test_corrupted_samples_rejected(tmp_path, cfg_path):
 @pytest.mark.parametrize(
     "damage",
     ["mid_row", "whole_rows", "no_final_line_end", "reordered_rows", "digit_edit",
-     "npy_truncated", "npy_bit_flip", "npy_missing", "no_digests", "digest_not_an_object"],
+     "npy_truncated", "npy_bit_flip", "npy_missing", "no_digests", "digest_not_an_object",
+     "stream_ids_not_an_object", "manifest_not_an_object"],
 )
-def test_damaged_samples_rejected(tmp_path, cfg_path, damage):
+def test_damaged_samples_rejected(tmp_path, cfg_path, damage, capsys):
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
     path, twin, manifest_path = out / "samples.csv", out / "samples.npy", out / "manifest.json"
@@ -204,12 +205,18 @@ def test_damaged_samples_rejected(tmp_path, cfg_path, damage):
         manifest = json.loads(manifest_path.read_text())
         if damage == "no_digests":  # a manifest written before simulate recorded them
             del manifest["files"]
+        elif damage == "stream_ids_not_an_object":
+            manifest["stream_ids"] = 5
+        elif damage == "manifest_not_an_object":
+            manifest = [1]
         else:
             manifest["files"]["samples.csv"] = manifest["files"]["samples.csv"]["bytes"]
         manifest_path.write_text(json.dumps(manifest))
     path.write_bytes(data)
+    capsys.readouterr()
     assert main(["estimate", "--config", str(cfg_path), "--out", str(out)]) == 1
     assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.count("invalid input: ") == 2
 
 
 def test_failed_simulate_leaves_no_half_file(tmp_path, cfg_path, monkeypatch):

@@ -11,7 +11,9 @@ from ladderlab import (
     ConstructionError,
     Exponential,
     MajorantIncrement,
+    Pareto,
     QueuePair,
+    UndeterminedError,
     WeibullShifted,
     build_chain,
     certify,
@@ -73,7 +75,7 @@ def test_fit_matching_exponent_borderline(g2):
     # floor, so a valid finite coefficient still exists
     base = WeibullShifted(1.0, 0.5, -3.0)
     fit = fit_majorant_coefficient(base, g, x0=report.x0)
-    assert fit.exp_moment is None  # quadrature correctly refuses to converge
+    assert fit.exp_growth_moment is None  # quadrature correctly refuses to converge
     assert fit.K == pytest.approx(math.exp(float(g(report.x0))), rel=1e-5)
     # the fitted bound holds algebraically: tail((log s)^2) = e^{-sqrt(.+3)} <= 1/s
     t = np.linspace(0.0, 600.0, 20_000)
@@ -88,6 +90,12 @@ def test_fit_undetermined_for_heavier_tail(g2):
     base = WeibullShifted(1.0, 0.4, -3.0)
     with pytest.raises(ConstructionError):
         fit_majorant_coefficient(base, g, x0=report.x0)
+
+
+def test_fit_undetermined_when_tail_never_underflows():
+    # index 1e-3: the log-tail is still about -0.14 at x = 2**200, nowhere near the 1e-300 floor
+    with pytest.raises(UndeterminedError, match="tail does not decay"):
+        fit_majorant_coefficient(Pareto(1e-3, 1.0, -3.0), make_builtin("g1", 2.0), 1.0)
 
 
 # -- dominating increment ------------------------------------------------------
@@ -234,6 +242,13 @@ def test_truncate_margin_validation():
     base = QueuePair(Exponential(1.0), Exponential(2.0))
     with pytest.raises(ConstructionError):
         truncate_below(base, target_mean_margin=5.0)
+
+
+def test_truncate_reports_failure_at_cap():
+    # the removed lower-tail mass integral at L = 1 is far above the margin, and L = 1.25 passes the cap
+    base = QueuePair(Exponential(1.0), Exponential(2.0))
+    with pytest.raises(ConstructionError, match="exceeded its cap"):
+        truncate_below(base, 0.05, l_cap=1.0)
 
 
 # -- full chain --------------------------------------------------------------------
