@@ -11,22 +11,35 @@ Every table has unquoted cells and CRLF line ends (the dialect of the
 standard `csv` module, so the bytes are those of earlier versions), ints as
 `str` and floats as `repr` write them.  The small tables are joined row by
 row in `_write_csv`.  `samples.csv` and the replay path are formatted by
-`_write_table`, `_SLICE_ROWS` rows at a time, each slice into one numpy byte
+`_format_rows`, `_SLICE_ROWS` rows at a time, each slice into one numpy byte
 buffer: per-cell lengths give the row offsets, and each column is written at
 its offsets in vectorised digit passes.  Ints and integral floats below 2**53
 need no `repr`: for those doubles it is the integer's digits and ".0".  With a
 negative drift most walks descend at step 1, where m_tau is 0.0, so most m_tau
 cells take that path.  Beside it, `simulate` writes `samples.npy`, a binary
 twin with the same values: one C-order structured array whose fields are the
-columns of `samples.csv`, written slice by slice.  Both files are hashed as
-they are written, and `manifest.json`, written last, records each one's size
-and sha256.  `estimate` and `verify` first refuse a manifest of another
-config, then check both digests, then load the twin (no CSV text is parsed)
-and check its fields, its row count and that it holds exactly the manifest's
-stream ids `start, start + 1, ...` in order.  So a samples file that is
-truncated, ragged, reordered, swapped or edited in place, a missing twin, a
-manifest without digests (from an older `simulate`) and a manifest of the
-wrong shape are all refused with exit 1.  Every artifact is written to a
+columns of `samples.csv`, written slice by slice.
+
+`simulate` streams: the stream ids are split into tasks of at most
+`_TASK_WALKS` walks, and each task is simulated (one `simulate_batch` chunk)
+and encoded into its CSV text and twin rows on one of `LADDERLAB_THREADS`
+worker threads (capped by `--streams`).  The main thread takes the results
+strictly in task order, with at most workers + 1 tasks in flight, so memory
+is bounded per task, not per run, and the bytes do not depend on the worker
+count, since each row's text depends only on its own values.  Both files are
+hashed as they are written, and `manifest.json`, written last, records each
+one's size and sha256.  `estimate` and `verify` first refuse a manifest of
+another config, then read the twin once, in `_SLICE_ROWS`-row blocks through
+one handle, hashing each block and copying its fields into the columns,
+while `samples.csv` is hashed on a helper thread; no CSV text is parsed, and
+the bytes that are hashed are the bytes that are loaded.  The twin must be
+the .npy 1.0 header of a C-order array of the manifest's fields and row
+count followed by exactly those rows, holding the manifest's stream ids
+`start, start + 1, ...` in order, and both digests must match.  So a samples
+file that is truncated, ragged, reordered, swapped or edited in place, a
+missing twin or one of another layout, a manifest without digests (from an
+older `simulate`) and a manifest of the wrong shape are all refused with
+exit 1.  Every artifact is written to a
 temp file in the output directory and moved into place with `os.replace`;
 `simulate` removes the old manifest before it replaces the samples, so a
 killed run never leaves new samples beside an old manifest or a half-written
@@ -44,8 +57,9 @@ import io
 import json
 import os
 import sys
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from itertools import chain
 from pathlib import Path
 
@@ -66,7 +80,8 @@ EXIT_CENSORED = 3
 _SAMPLES_FILE = "samples.csv"
 _TWIN_FILE = "samples.npy"  # the samples.csv values, read back by estimate and verify
 _MANIFEST_FILE = "manifest.json"
-_SLICE_ROWS = 1 << 16  # rows formatted and written at a time
+_SLICE_ROWS = 1 << 16  # rows formatted and written, or read, at a time
+_TASK_WALKS = 250_000  # walks simulated and encoded per worker task
 _HASH_BLOCK = 1 << 18  # bytes read at a time to check a digest
 # samples.csv columns and samples.npy fields with their dtypes; "f8" cells are written by repr
 _SAMPLE_FIELDS = [("stream_id", "i8"), ("tau", "i8"), ("s_tau", "f8"), ("m_tau", "f8"), ("censored", "i1")]
@@ -105,30 +120,33 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         fh.write("".join(",".join(row) + "\r\n" for row in chain([header], rows)).encode())
 
 
-def _write_chunks(path: Path, chunks) -> dict:
-    """Write the byte buffers of `chunks` to `path` through `_atomic_open`,
-    hashing them on the way; returns their total size and sha256."""
-    sha, size = hashlib.sha256(), 0
+class _HashedWriter:
+    """Writes byte buffers to a binary handle and keeps their total size and sha256."""
+
+    def __init__(self, fh):
+        self.fh, self.sha, self.size = fh, hashlib.sha256(), 0
+
+    def write(self, chunk) -> None:
+        self.sha.update(chunk)
+        self.size += self.fh.write(chunk)
+
+    def record(self) -> dict:
+        return {"bytes": self.size, "sha256": self.sha.hexdigest()}
+
+
+def _write_table(path: Path, header: list[str], cols: list[np.ndarray]) -> None:
+    """Write `header` and the rows of the equal-length int or float columns
+    `cols` as CRLF CSV, `_SLICE_ROWS` rows at a time."""
     with _atomic_open(path) as fh:
-        for chunk in chunks:
-            sha.update(chunk)
-            size += fh.write(chunk)
-    return {"bytes": size, "sha256": sha.hexdigest()}
+        fh.write((",".join(header) + "\r\n").encode())
+        for part in _slices(cols):
+            fh.write(_format_rows(part))
 
 
-def _write_table(path: Path, header: list[str], blocks) -> dict:
-    """Write `header` and the rows of `blocks` as CRLF CSV, `_SLICE_ROWS` rows
-    at a time; each block is a list of equal-length int or float columns.
-    Returns the file's size and sha256."""
-    head = (",".join(header) + "\r\n").encode()
-    return _write_chunks(path, chain([head], map(_format_rows, _slices(blocks))))
-
-
-def _slices(blocks):
-    """The rows of `blocks`, `_SLICE_ROWS` at a time, each as a list of column slices."""
-    for cols in blocks:
-        for a in range(0, len(cols[0]), _SLICE_ROWS):
-            yield [col[a : a + _SLICE_ROWS] for col in cols]
+def _slices(cols: list[np.ndarray]):
+    """The rows of `cols`, `_SLICE_ROWS` at a time, each as a list of column slices."""
+    for a in range(0, len(cols[0]), _SLICE_ROWS):
+        yield [col[a : a + _SLICE_ROWS] for col in cols]
 
 
 def _put_digits(buf: np.ndarray, last: np.ndarray, mag: np.ndarray) -> None:
@@ -138,6 +156,15 @@ def _put_digits(buf: np.ndarray, last: np.ndarray, mag: np.ndarray) -> None:
         buf[last] = (mag - rest * 10).astype(np.uint8) + ord("0")
         live = rest != 0
         last, mag = (last - 1, rest) if live.all() else (last[live] - 1, rest[live])
+
+
+def _digit_counts(mag: np.ndarray) -> np.ndarray:
+    """The number of decimal digits of each uint64 in `mag`."""
+    digits = np.ones(mag.size, np.int64)
+    top = int(mag.max()) if mag.size else 0
+    for power in _POW10[: len(str(top)) - 1]:  # only the powers that some value reaches
+        digits += mag >= power
+    return digits
 
 
 def _cells(col: np.ndarray):
@@ -159,7 +186,7 @@ def _cells(col: np.ndarray):
         col = col.astype(np.int64, copy=False)
         neg, mag, tail = col < 0, col.astype(np.uint64), ""
         mag[neg] = -mag[neg]  # two's complement, so -2**63 becomes 2**63
-    fast_lengths = np.searchsorted(_POW10, mag, side="right") + 1 + neg + len(tail)
+    fast_lengths = _digit_counts(mag) + neg + len(tail)
     text = list(map(repr, col[slow].tolist()))
     slow_lengths = np.fromiter(map(len, text), np.int64, len(text))
     text = np.frombuffer("".join(text).encode(), np.uint8)
@@ -202,61 +229,124 @@ def _sample_dtype(shift: float) -> np.dtype:
     return np.dtype(_SAMPLE_FIELDS + ([_PSI_FIELD] if shift != 0.0 else []))
 
 
-def _npy_chunks(dtype: np.dtype, blocks):
-    """The bytes of `samples.npy`: an .npy header, then the rows of `blocks`
-    as a C-order structured array of `dtype`, `_SLICE_ROWS` rows at a time."""
-    header = io.BytesIO()
-    shape = (sum(len(cols[0]) for cols in blocks),)
-    np.lib.format.write_array_header_1_0(
-        header, {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": shape}
-    )
-    yield header.getvalue()
-    for cols in _slices(blocks):
-        rows = np.empty(len(cols[0]), dtype)
-        for name, col in zip(dtype.names, cols):
+def _encode(batch: SampleBatch, dtype: np.dtype) -> tuple[list, list]:
+    """The `samples.csv` text and the `samples.npy` rows of `batch`, as two
+    lists of buffers of `_SLICE_ROWS` rows each."""
+    cols = [batch.stream_ids, batch.tau, batch.s_tau, batch.m_tau, batch.censored, batch.psi_max][: len(dtype)]
+    text, twin = [], []
+    for part in _slices(cols):
+        text.append(_format_rows(part))
+        rows = np.empty(len(part[0]), dtype)
+        for name, col in zip(dtype.names, part):
             rows[name] = col
-        yield rows
+        twin.append(rows)
+    return text, twin
 
 
-def _write_samples_csv(path: Path, *parts: SampleBatch) -> dict:
-    """Write the rows of `parts`, in order, as `samples.csv` and as its binary
-    twin `samples.npy` beside it; returns the manifest's `columns` and `files`
-    (each file's size and sha256)."""
-    dtype = _sample_dtype(parts[0].shift)
-    blocks = [[p.stream_ids, p.tau, p.s_tau, p.m_tau, p.censored, p.psi_max][: len(dtype)] for p in parts]
-    files = {
-        path.name: _write_table(path, list(dtype.names), blocks),
-        _TWIN_FILE: _write_chunks(path.with_name(_TWIN_FILE), _npy_chunks(dtype, blocks)),
-    }
-    return {"columns": list(dtype.names), "files": files}
+def _write_samples(out_dir: Path, dtype: np.dtype, n: int, encoded) -> tuple[dict, int, int]:
+    """Write `samples.csv` and its binary twin `samples.npy` in `out_dir` from
+    `encoded`, the `_encode` output of consecutive runs of the `n` rows in
+    order.  Returns the manifest's `columns` and `files` (each file's size
+    and sha256), the number of censored walks and the sum of tau."""
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header, {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": (n,)}
+    )
+    censored_n = tau_sum = 0
+    with _atomic_open(out_dir / _SAMPLES_FILE) as text_fh, _atomic_open(out_dir / _TWIN_FILE) as twin_fh:
+        text_out, twin_out = _HashedWriter(text_fh), _HashedWriter(twin_fh)
+        text_out.write((",".join(dtype.names) + "\r\n").encode())
+        twin_out.write(header.getvalue())
+        for text, twin in encoded:
+            for chunk in text:
+                text_out.write(chunk)
+            for rows in twin:
+                twin_out.write(rows)
+                censored_n += int(np.count_nonzero(rows["censored"]))
+                tau_sum += int(rows["tau"].sum())
+    files = {_SAMPLES_FILE: text_out.record(), _TWIN_FILE: twin_out.record()}
+    return {"columns": list(dtype.names), "files": files}, censored_n, tau_sum
 
 
-@contextmanager
-def _checked_open(path: Path, record: dict):
-    """A binary handle on `path`, at offset 0, once the file's size and sha256
-    match `record`; else a ValueError.  Reads through the handle see the bytes
-    that were hashed, since an artifact is only ever replaced, not rewritten."""
+def _in_order(fn, tasks, workers: int):
+    """fn(*task) for each of `tasks`, run on `workers` threads and yielded in
+    task order, with at most `workers + 1` tasks submitted and not yet
+    yielded.  Closing the generator cancels the tasks not yet started."""
+    pending = deque()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        try:
+            for task in tasks:
+                if len(pending) > workers:
+                    yield pending.popleft().result()
+                pending.append(pool.submit(fn, *task))
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
+
+
+def _open_samples_file(path: Path):
     try:
-        fh = path.open("rb")
+        return path.open("rb")
     except FileNotFoundError:
         raise ValueError(f"{path.name} is missing; re-run simulate") from None
-    with fh:
-        ok = os.fstat(fh.fileno()).st_size == record["bytes"]
-        if ok:
-            sha, buf = hashlib.sha256(), bytearray(_HASH_BLOCK)
-            view = memoryview(buf)
-            while n := fh.readinto(buf):
-                sha.update(view[:n])
-            ok = sha.hexdigest() == record["sha256"]
-        if not ok:
-            raise ValueError(f"{path.name} does not match its sha256 in {_MANIFEST_FILE}; re-run simulate")
-        fh.seek(0)
-        yield fh
+
+
+def _mismatch(name: str) -> ValueError:
+    return ValueError(f"{name} does not match its sha256 in {_MANIFEST_FILE}; re-run simulate")
+
+
+def _sha256_rest(fh) -> str:
+    """The sha256 of the rest of `fh`, read `_HASH_BLOCK` bytes at a time."""
+    sha, buf = hashlib.sha256(), bytearray(_HASH_BLOCK)
+    view = memoryview(buf)
+    while n := fh.readinto(buf):
+        sha.update(view[:n])
+    return sha.hexdigest()
+
+
+def _read_twin(fh, dtype: np.dtype, start: int, count: int) -> tuple[dict, str]:
+    """The columns of `samples.npy`, read once through `fh` in blocks of
+    `_SLICE_ROWS` rows, and the sha256 of the bytes read.  Anything but the
+    .npy 1.0 header of a C-order array of `dtype` and shape `(count,)`
+    followed by exactly its rows, one per stream id `start, start + 1, ...`
+    in order, is a ValueError."""
+    sha = hashlib.sha256()
+    head = fh.read(10)  # magic string, version, little-endian uint16 header length
+    if len(head) < 10 or head[:8] != np.lib.format.MAGIC_PREFIX + bytes([1, 0]):
+        raise ValueError(f"{_TWIN_FILE} is not an .npy version 1.0 file")
+    head += fh.read(int.from_bytes(head[8:], "little"))
+    sha.update(head)
+    shape, fortran_order, found = np.lib.format.read_array_header_1_0(io.BytesIO(head[8:]))
+    if found != dtype or fortran_order or shape != (count,):
+        raise ValueError(
+            f"{_TWIN_FILE} holds a {'Fortran' if fortran_order else 'C'}-order array of "
+            f"{found.names} and shape {shape}, not of the manifest's columns and {count} rows"
+        )
+    if os.fstat(fh.fileno()).st_size != len(head) + count * dtype.itemsize:
+        raise ValueError(f"{_TWIN_FILE} is not {count} rows of {dtype.itemsize} bytes after its header")
+    cols = {name: np.empty(count, bool if name == "censored" else dtype[name]) for name in dtype.names}
+    buf = np.empty(_SLICE_ROWS, dtype)
+    raw = buf.view(np.uint8)
+    for a in range(0, count, _SLICE_ROWS):
+        rows = buf[: min(_SLICE_ROWS, count - a)]
+        block = raw[: rows.nbytes]
+        if fh.readinto(block) != block.size:
+            raise ValueError(f"{_TWIN_FILE} ends before its last row")
+        sha.update(block)
+        if not np.array_equal(rows["stream_id"], np.arange(start + a, start + a + rows.size)):
+            raise ValueError(f"{_TWIN_FILE} stream ids are not {start}..{start + count - 1} in order")
+        for name, col in cols.items():
+            col[a : a + rows.size] = rows[name] if name != "censored" else rows[name] != 0
+    return cols, sha.hexdigest()
 
 
 def _read_samples(out_dir: Path, manifest: dict) -> SampleBatch:
-    """The samples of `manifest`, from `samples.npy`; a samples file that
-    disagrees with the manifest is a ValueError."""
+    """The samples of `manifest`, read from `samples.npy` while `samples.csv`
+    is hashed on a helper thread; a samples file that disagrees with the
+    manifest is a ValueError.  The twin is read once, through one handle, so
+    the bytes that are hashed are the bytes that are loaded."""
     files = manifest.get("files")
     if not (
         isinstance(files, dict)
@@ -264,30 +354,30 @@ def _read_samples(out_dir: Path, manifest: dict) -> SampleBatch:
         and all(isinstance(record, dict) for record in files.values())
     ):
         raise ValueError(f"{_MANIFEST_FILE} has no sha256 of {_SAMPLES_FILE} and {_TWIN_FILE}; re-run simulate")
-    with _checked_open(out_dir / _SAMPLES_FILE, files[_SAMPLES_FILE]):
-        pass  # only checked: the values are read from the twin
-    with _checked_open(out_dir / _TWIN_FILE, files[_TWIN_FILE]) as fh:
-        table = np.load(fh, allow_pickle=False)
     dtype = _sample_dtype(float(manifest["shift"]))
-    if table.dtype != dtype or manifest.get("columns") != list(dtype.names):
-        raise ValueError(f"{_TWIN_FILE} fields {table.dtype.names} do not match the manifest columns")
+    if manifest.get("columns") != list(dtype.names):
+        raise ValueError(f"{_MANIFEST_FILE} columns are not {list(dtype.names)}")
     start, count = manifest["stream_ids"]["start"], manifest["stream_ids"]["count"]
-    if table.shape != (count,):
-        raise ValueError(f"{_TWIN_FILE} has shape {table.shape}, the manifest {count} rows")
-    stream_ids = np.ascontiguousarray(table["stream_id"])
-    if count and (stream_ids[0] != start or np.any(np.diff(stream_ids) != 1)):
-        raise ValueError(f"{_TWIN_FILE} stream ids are not {start}..{start + count - 1} in order")
-    m_tau = np.ascontiguousarray(table["m_tau"])
+    with _open_samples_file(out_dir / _SAMPLES_FILE) as text, _open_samples_file(out_dir / _TWIN_FILE) as twin:
+        for name, fh in ((_SAMPLES_FILE, text), (_TWIN_FILE, twin)):
+            if os.fstat(fh.fileno()).st_size != files[name]["bytes"]:
+                raise _mismatch(name)
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            text_sha = helper.submit(_sha256_rest, text)
+            cols, twin_sha = _read_twin(twin, dtype, start, count)
+    for name, sha in ((_SAMPLES_FILE, text_sha.result()), (_TWIN_FILE, twin_sha)):
+        if sha != files[name]["sha256"]:
+            raise _mismatch(name)
     return SampleBatch(
         seed=int(manifest["seed"]),
         step_cap=int(manifest["step_cap"]),
         shift=float(manifest["shift"]),
-        stream_ids=stream_ids,
-        tau=np.ascontiguousarray(table["tau"]),
-        s_tau=np.ascontiguousarray(table["s_tau"]),
-        m_tau=m_tau,
-        psi_max=np.ascontiguousarray(table["psi_max"]) if "psi_max" in dtype.names else m_tau.copy(),
-        censored=table["censored"] != 0,
+        stream_ids=cols["stream_id"],
+        tau=cols["tau"],
+        s_tau=cols["s_tau"],
+        m_tau=cols["m_tau"],
+        psi_max=cols.get("psi_max", cols["m_tau"]),
+        censored=cols["censored"],
     )
 
 
@@ -312,27 +402,6 @@ def _thread_budget(cfg: ExperimentConfig) -> int:
     return max(1, min(cfg.streams, cap))
 
 
-def _simulate_config(cfg: ExperimentConfig, spec: TailSpec) -> list[SampleBatch]:
-    """Simulate across `streams` contiguous stream slices, one batch each, in
-    stream order; values never depend on the split because every draw is
-    keyed by (seed, stream, step)."""
-    edges = np.linspace(0, cfg.n_samples, cfg.streams + 1, dtype=np.int64)
-    slices = [np.arange(a, b, dtype=np.int64) for a, b in zip(edges[:-1], edges[1:]) if b > a]
-
-    def run(ids):
-        return simulate_batch(
-            spec, cfg.seed, stream_ids=ids, step_cap=cfg.step_cap, shift=cfg.shift
-        )
-
-    workers = _thread_budget(cfg)
-    if workers > 1 and len(slices) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, slices))
-    else:
-        parts = [run(ids) for ids in slices]
-    return parts
-
-
 def _require(cfg_field, name: str):
     if cfg_field is None:
         raise ConfigError(f"this command needs the '{name}' config section")
@@ -349,6 +418,8 @@ def _increments_from(cfg: ExperimentConfig) -> TailSpec:
         raise ConfigError(
             f"increments must have strictly negative mean for walk use, got {spec.mean}"
         )
+    if not spec.mean + cfg.shift < 0:  # simulate refuses it before it removes the old manifest
+        raise ConfigError(f"increments plus shift must have strictly negative mean, got {spec.mean + cfg.shift}")
     return spec
 
 
@@ -423,35 +494,40 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, replay: int | None = None
         target = out_dir / f"replay_{replay}.csv"
         tau = path["tau"]
         cols = [np.arange(1, tau + 1), path["increments"][:tau], path["partial_sums"][:tau]]
-        _write_table(target, ["step", "increment", "partial_sum"], [cols])
+        _write_table(target, ["step", "increment", "partial_sum"], cols)
         print(
             f"replay: stream={replay} tau={path['tau']} s_tau={path['s_tau']!r} "
             f"censored={path['censored']} -> {target}"
         )
         return EXIT_OK
-    parts = _simulate_config(cfg, spec)
-    n = sum(p.n for p in parts)
-    censored_n = sum(p.censored_n for p in parts)
+    dtype, n = _sample_dtype(cfg.shift), cfg.n_samples
+
+    def task(lo, hi):  # one simulate_batch chunk, so no concatenation
+        ids = np.arange(lo, hi, dtype=np.int64)
+        batch = simulate_batch(
+            spec, cfg.seed, stream_ids=ids, step_cap=cfg.step_cap, shift=cfg.shift, chunk_size=hi - lo
+        )
+        return _encode(batch, dtype)
+
     # the old manifest goes first: a run killed before the new one is written
     # leaves samples without a manifest, never new samples with an old one
     (out_dir / _MANIFEST_FILE).unlink(missing_ok=True)
-    written = _write_samples_csv(out_dir / _SAMPLES_FILE, *parts)
+    tasks = ((lo, min(lo + _TASK_WALKS, n)) for lo in range(0, n, _TASK_WALKS))
+    with closing(_in_order(task, tasks, _thread_budget(cfg))) as encoded:
+        written, censored_n, tau_sum = _write_samples(out_dir, dtype, n, encoded)
     manifest = {
         "config_hash": cfg.config_hash,
         "seed": cfg.seed,
-        "n_samples": cfg.n_samples,
+        "n_samples": n,
         "step_cap": cfg.step_cap,
         "shift": cfg.shift,
-        "stream_ids": {"start": 0, "count": cfg.n_samples},
+        "stream_ids": {"start": 0, "count": n},
         "censored_n": censored_n,
         "censoring_rate": censored_n / n,
         **written,
     }
     _write_json(out_dir / _MANIFEST_FILE, manifest)
-    print(
-        f"simulate: n={n} censored={censored_n} mean_tau={sum(int(p.tau.sum()) for p in parts) / n:.6g} "
-        f"-> {out_dir / _SAMPLES_FILE}"
-    )
+    print(f"simulate: n={n} censored={censored_n} mean_tau={tau_sum / n:.6g} -> {out_dir / _SAMPLES_FILE}")
     return EXIT_OK
 
 

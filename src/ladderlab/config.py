@@ -53,6 +53,7 @@ class Report:
 
 
 _UNHASHED = ("streams", "outputs")  # the parallelism degree and the output paths
+_INTEGER_FIELDS = ("n_samples", "step_cap", "seed", "streams")
 
 
 @dataclass
@@ -81,16 +82,16 @@ class ExperimentConfig:
             raise ConfigError(f"alpha must be positive, got {self.alpha}")
         if self.c is not None and not self.c > 0.0:
             raise ConfigError(f"c must be positive, got {self.c}")
-        if int(self.n_samples) < 1:
+        for name in _INTEGER_FIELDS:  # a float or a string is refused, not truncated or parsed
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if self.n_samples < 1:
             raise ConfigError("n_samples must be at least one")
-        if int(self.step_cap) < 1:
+        if self.step_cap < 1:
             raise ConfigError("step_cap must be at least one")
-        if int(self.streams) < 1:
+        if self.streams < 1:
             raise ConfigError("streams must be at least one")
-        self.n_samples = int(self.n_samples)
-        self.step_cap = int(self.step_cap)
-        self.seed = int(self.seed)
-        self.streams = int(self.streams)
         self.shift = float(self.shift)
 
     def semantic_dict(self) -> dict:

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pkgutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -145,16 +146,50 @@ def test_twin_replaced_after_its_check_is_not_read(tmp_path, cfg_path, monkeypat
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert main(["estimate", "--config", str(cfg_path), "--out", str(out)]) == 0
     checked = (out / "estimates.json").read_bytes()
-    load = np.load
+    open_samples_file, replaced = cli._open_samples_file, []
 
-    def replace_then_load(file, **kwargs):  # a new twin lands between the digest check and the load
-        np.save(tmp_path / "other.npy", np.zeros(3))
-        os.replace(tmp_path / "other.npy", out / "samples.npy")
-        return load(file, **kwargs)
+    def open_then_replace(path):  # a new twin lands once the reader holds the old one open
+        fh = open_samples_file(path)
+        if path.name == "samples.npy":
+            np.save(tmp_path / "other.npy", np.zeros(3))
+            os.replace(tmp_path / "other.npy", path)
+            replaced.append(path)
+        return fh
 
-    monkeypatch.setattr(cli.np, "load", replace_then_load)
+    monkeypatch.setattr(cli, "_open_samples_file", open_then_replace)
     assert main(["estimate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert replaced and np.load(out / "samples.npy").shape == (3,)
     assert (out / "estimates.json").read_bytes() == checked
+
+
+@pytest.mark.parametrize("damage", ["trailing_bytes", "fortran_order", "version_2"])
+def test_twin_of_another_layout_rejected(tmp_path, cfg_path, damage, capsys):
+    """A twin whose digests are recorded but which is not exactly a C-order
+    .npy 1.0 array of the manifest's rows is refused."""
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    twin, manifest_path = out / "samples.npy", out / "manifest.json"
+    table = np.load(twin, allow_pickle=False)
+    header = {"descr": np.lib.format.dtype_to_descr(table.dtype), "fortran_order": False, "shape": table.shape}
+    data = io.BytesIO()
+    if damage == "trailing_bytes":  # np.load would ignore them
+        data.write(twin.read_bytes() + b"\0")
+    elif damage == "fortran_order":  # the same bytes as C order for one dimension
+        np.lib.format.write_array_header_1_0(data, {**header, "fortran_order": True})
+        data.write(table.tobytes())
+    else:
+        np.lib.format.write_array_header_2_0(data, header)
+        data.write(table.tobytes())
+    data = data.getvalue()
+    twin.write_bytes(data)
+    assert np.array_equal(np.load(io.BytesIO(data), allow_pickle=False), table)
+    manifest = json.loads(manifest_path.read_text())
+    manifest["files"]["samples.npy"] = {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["estimate", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.count("invalid input: ") == 2
 
 
 def test_corrupted_samples_rejected(tmp_path, cfg_path):
@@ -242,6 +277,64 @@ def test_failed_simulate_leaves_no_half_file(tmp_path, cfg_path, monkeypatch):
     assert main(["estimate", "--config", str(cfg_path), "--out", str(out)]) == 1
 
 
+def test_streamed_tasks_do_not_change_bytes(tmp_path, cfg_path, monkeypatch):
+    """3,000 walks in tasks of 700 (five tasks, the last one partial) give the
+    bytes of one whole task, on one, two or four worker threads (under a
+    short switch interval) and at 1, 3 or 7 streams."""
+    whole = tmp_path / "whole"
+    monkeypatch.setenv("LADDERLAB_THREADS", "1")
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(whole)]) == 0
+    monkeypatch.setattr(cli, "_TASK_WALKS", 700)
+    monkeypatch.setattr(cli, "_SLICE_ROWS", 300)  # several slices per task, the last one partial
+    sizes = []
+    encode = cli._encode
+
+    def encode_and_count(batch, dtype):
+        sizes.append(batch.n)
+        return encode(batch, dtype)
+
+    monkeypatch.setattr(cli, "_encode", encode_and_count)
+    names = ["samples.csv", "samples.npy", "manifest.json"]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads, streams in [("1", "1"), ("2", "1"), ("1", "7"), ("2", "7"), ("2", "3"), ("4", "7")]:
+            sizes.clear()
+            out = tmp_path / f"t{threads}s{streams}"
+            monkeypatch.setenv("LADDERLAB_THREADS", threads)
+            assert main(["simulate", "--config", str(cfg_path), "--out", str(out), "--streams", streams]) == 0
+            assert sorted(sizes) == [200, 700, 700, 700, 700]
+            for name in names:
+                assert (out / name).read_bytes() == (whole / name).read_bytes(), (threads, streams, name)
+    finally:
+        sys.setswitchinterval(interval)
+    assert main(["estimate", "--config", str(cfg_path), "--out", str(out)]) == 0
+
+
+def test_failed_task_leaves_old_samples_and_no_temp_file(tmp_path, cfg_path, monkeypatch):
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    names = ["samples.csv", "samples.npy"]
+    before = [(out / name).read_bytes() for name in names]
+    simulate_batch, starts = cli.simulate_batch, []
+
+    def fail_in_task_3(spec, seed, stream_ids, **kwargs):
+        starts.append(int(stream_ids[0]))
+        if stream_ids[0] == 1400:
+            raise RuntimeError("task 3 failed")
+        return simulate_batch(spec, seed, stream_ids=stream_ids, **kwargs)
+
+    monkeypatch.setattr(cli, "_TASK_WALKS", 700)
+    monkeypatch.setattr(cli, "simulate_batch", fail_in_task_3)
+    monkeypatch.setenv("LADDERLAB_THREADS", "2")
+    with pytest.raises(RuntimeError, match="task 3 failed"):
+        main(["simulate", "--config", str(cfg_path), "--out", str(out)])
+    assert 1400 in starts and set(starts) <= {0, 700, 1400, 2100, 2800}
+    assert sorted(p.name for p in out.iterdir()) == names
+    assert [(out / name).read_bytes() for name in names] == before
+    assert main(["estimate", "--config", str(cfg_path), "--out", str(out)]) == 1
+
+
 SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-5, 1e16, 9999999999999998.0, 1.7976931348623157e308, math.inf, -math.inf,
                   2.0**53, -(2.0**53), 2.0**53 - 1, -(2.0**53 - 1), 2.0**53 + 2, -1.0, 123.0, 1e15]
 SAMPLE_ROW = st.tuples(
@@ -279,7 +372,9 @@ def test_samples_csv_round_trip(rows, n, start, shift):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         write_samples_csv_rowwise(out / "oracle.csv", batch)
-        written = cli._write_samples_csv(out / "samples.csv", batch)
+        dtype = np.dtype(fields)
+        written, censored_n, _ = cli._write_samples(out, dtype, n, [cli._encode(batch, dtype)])
+        assert censored_n == batch.censored_n
         assert (out / "samples.csv").read_bytes() == (out / "oracle.csv").read_bytes()
         # the text reads back to the same bits; the package itself no longer parses it
         text = np.loadtxt(out / "samples.csv", delimiter=",", skiprows=1, comments=None, ndmin=1, dtype=fields)
@@ -381,6 +476,16 @@ def test_nonnegative_mean_rejected(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
 
+def test_refused_shift_keeps_the_old_run(tmp_path, cfg_path):
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    bad = _write_config(tmp_path / "bad.yaml", shift=1.5)  # the drift magnitude is 1
+    assert main(["simulate", "--config", str(bad), "--out", str(out)]) == 1
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert main(["estimate", "--config", str(cfg_path), "--out", str(out)]) == 0
+
+
 def test_missing_samples_is_config_error(tmp_path, cfg_path):
     assert main(["estimate", "--config", str(cfg_path), "--out", str(tmp_path / "empty")]) == 1
 
@@ -389,6 +494,42 @@ def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(yaml.safe_dump({"seeds": 2}))
     assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("seed", 1.9), ("n_samples", 2.7), ("n_samples", "abc"), ("step_cap", 1e6), ("streams", True)],
+)
+def test_non_integer_count_or_seed_rejected(tmp_path, key, value, capsys):
+    """A float, a string or a bool where an integer belongs is a config error;
+    it is not truncated (seed 1.9 would run as seed 1) or parsed."""
+    cfg = _write_config(tmp_path / "bad.yaml", **{key: value})
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+    assert not out.exists()
+
+
+# config_hash of every config in configs/; it covers the computed values only,
+# so no change that keeps every artifact's bytes may move it
+CONFIG_HASHES = {
+    "bernoulli_oracle": "60f6878bdfabd97632471c89373f1f4ff30869a0ce86d8eae0e20b6a8f2c02d3",
+    "g1_lognormal": "b31866d358309e4ac9a77791339c45a79375ff171fbc003033ee634ae1d35565",
+    "g2_weibull": "0445278ff5d43730ca9ae5883ba6ede8e2a9a7ea08a86e8f7dcba3088c31980a",
+    "g3_weibull": "c67a1fa35b890bc724f0130839213778918d5f7fd355a63d7f5737168aca8942",
+    "pareto_ratio": "ad46599dfb3869f1bdf043cb967da0e1d7a816db0f26b47951a8390a5aab1a0e",
+    "probe_g1_small_delta": "601e8dc5bda0588014ee40ce31b5ece47dd29691f804e18301a72ffc454d4506",
+    "probe_g2_small_eps": "8d0e7ce6f54085d1b9d1b67191959a7acff36ba39ae310bc2b7b635c971c1741",
+    "queue_busy_cycle": "7384c112a17c5b0ae17e18aaed0aa0b9c19a74600f14f2e9ba6fa3b3f6dccf4f",
+}
+
+
+def test_config_hashes_unchanged():
+    from ladderlab.config import load_config
+
+    assert {path.stem: load_config(path).config_hash for path in CONFIGS.glob("*.yaml")} == CONFIG_HASHES
 
 
 def test_bernoulli_mean_epoch_through_cli(tmp_path):
