@@ -16,7 +16,14 @@ full-size temporaries per operation.
 
 Each (seed, stream, step) block yields two independent 53-bit uniforms in the
 open interval (0, 1): slot 0 drives the primary inverse-transform draw, slot 1
-the secondary draw needed by service/interarrival pairs.
+the secondary draw needed by service/interarrival pairs.  Slot 0 is words 0
+and 1 of the block and slot 1 words 2 and 3.  `uniform_slot0` draws slot 0
+alone: its last Philox round computes only words 0 and 1, and it skips the
+second conversion.  Walks of every family except `tails.QueuePair` (which sets
+`TailSpec.uses_slot1`) take that path, and so does `uniform_sequence`.
+`uniform_pair`, `uniform_slot0` and `uniform_sequence` share one tile loop,
+and each tile converts its words to doubles through a plane that the rounds
+no longer need, so a draw allocates nothing but its planes and its outputs.
 """
 
 from __future__ import annotations
@@ -57,16 +64,21 @@ def _round_keys(seed) -> list[tuple[np.uint64, np.uint64]]:
     ]
 
 
-def _rounds(x0, x1, x2, x3, p0, p1, seed):
-    """Ten Philox rounds in place on uint64 planes holding 32-bit words."""
-    for k0, k1 in _round_keys(seed):
-        np.multiply(x0, _M0, out=p0)  # 32x32 -> 64 bit, exact in uint64
+def _rounds(x0, x1, x2, x3, p0, p1, seed, words=4):
+    """Ten Philox rounds in place on uint64 planes of 32-bit words; `words=2` skips words 2, 3 of the last."""
+    keys = _round_keys(seed)
+    for r, (k0, k1) in enumerate(keys):
+        half = words == 2 and r == len(keys) - 1
+        if not half:
+            np.multiply(x0, _M0, out=p0)  # 32x32 -> 64 bit, exact in uint64
         np.multiply(x2, _M1, out=p1)
         # (x0, x1, x2, x3) <- (hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0)
         np.right_shift(p1, 32, out=x0)
         np.bitwise_xor(x0, x1, out=x0)
         np.bitwise_xor(x0, k0, out=x0)
         np.bitwise_and(p1, _MASK32, out=x1)
+        if half:
+            break
         np.right_shift(p0, 32, out=x2)
         np.bitwise_xor(x2, x3, out=x2)
         np.bitwise_xor(x2, k1, out=x2)
@@ -83,10 +95,11 @@ def _philox_4x32_10(c0, c1, c2, c3, k0, k1):
     return _rounds(*planes, int(k0) | int(k1) << 32)
 
 
-def _block(seed, stream, step, planes=None):
+def _block(seed, stream, step, planes=None, words=4):
     """Philox words of (seed, stream, step); `stream` and `step` broadcast.
 
-    `planes` lends six uint64 arrays of the broadcast shape to run in.
+    `planes` lends six uint64 arrays of the broadcast shape to run in; with
+    `words=2` only words 0 and 1 are valid (see `_rounds`).
     """
     stream, step = _as_u64(stream), _as_u64(step)
     if planes is None:
@@ -96,14 +109,46 @@ def _block(seed, stream, step, planes=None):
     np.right_shift(step, 32, out=x1)
     np.bitwise_and(stream, _MASK32, out=x2)
     np.right_shift(stream, 32, out=x3)
-    return _rounds(x0, x1, x2, x3, p0, p1, seed)
+    return _rounds(x0, x1, x2, x3, p0, p1, seed, words)
 
 
-def _to_unit(hi, lo, out=None):
+def _to_unit(hi, lo, out=None, plane=None):
     # 53 leading bits of the 64-bit concatenation -> double in (0, 1).  All
     # ones would round up to exactly 1.0; the clamp moves only that pattern.
-    bits = ((hi << np.uint64(32)) | lo) >> np.uint64(11)
-    return np.minimum((bits + 0.5) * _INV_2_53, _MAX_UNIT, out=out)
+    # The bits go through `plane`, a lent uint64 array of the output's shape.
+    plane = np.empty(np.broadcast_shapes(np.shape(hi), np.shape(lo)), np.uint64) if plane is None else plane
+    out = np.empty(plane.shape) if out is None else out
+    np.left_shift(hi, 32, out=plane)
+    np.bitwise_or(plane, lo, out=plane)
+    np.right_shift(plane, 11, out=plane)
+    np.add(plane, 0.5, out=out)
+    np.multiply(out, _INV_2_53, out=out)
+    return np.minimum(out, _MAX_UNIT, out=out)
+
+
+def _uniforms(seed, stream, step, slots: int) -> list[np.ndarray]:
+    """Slots 0..slots-1 of every broadcast (seed, stream, step) cell, one array each."""
+    stream, step = _as_u64(stream), _as_u64(step)
+    shape = np.broadcast_shapes(stream.shape, step.shape)
+    units = [np.empty(shape) for _ in range(slots)]
+    if units[0].size == 0:
+        return units
+    # walk the broadcast shape as a (rows, cols) grid in tiles of <= _TILE cells
+    cols = shape[-1] if shape else 1
+    stream2, step2 = (np.broadcast_to(a, shape).reshape(-1, cols) for a in (stream, step))
+    views = [u.reshape(-1, cols) for u in units]
+    rows, width = max(1, _TILE // cols), min(cols, _TILE)
+    planes = np.empty((6, min(rows, views[0].shape[0]), width), dtype=np.uint64)
+    for r in range(0, views[0].shape[0], rows):
+        for c in range(0, cols, width):
+            tile = np.s_[r : r + rows, c : c + width]
+            n_rows, n_cols = views[0][tile].shape
+            lent = planes[:, :n_rows, :n_cols]
+            words = _block(seed, stream2[tile], step2[tile], lent, words=2 * slots)
+            for k, v in enumerate(views):
+                # the product plane p0 is free once the rounds are done
+                _to_unit(words[2 * k], words[2 * k + 1], out=v[tile], plane=lent[4])
+    return units
 
 
 def uniform_pair(seed, stream, step):
@@ -112,29 +157,14 @@ def uniform_pair(seed, stream, step):
     `seed` is a scalar integer.  `stream` and `step` may be integer arrays;
     they broadcast and the returned pair of arrays has the broadcast shape.
     """
-    stream, step = _as_u64(stream), _as_u64(step)
-    shape = np.broadcast_shapes(stream.shape, step.shape)
-    u0, u1 = np.empty(shape), np.empty(shape)
-    if u0.size == 0:
-        return u0, u1
-    # walk the broadcast shape as a (rows, cols) grid in tiles of <= _TILE cells
-    cols = shape[-1] if shape else 1
-    stream2, step2 = (np.broadcast_to(a, shape).reshape(-1, cols) for a in (stream, step))
-    v0, v1 = u0.reshape(-1, cols), u1.reshape(-1, cols)
-    rows, width = max(1, _TILE // cols), min(cols, _TILE)
-    planes = np.empty((6, min(rows, v0.shape[0]), width), dtype=np.uint64)
-    for r in range(0, v0.shape[0], rows):
-        for c in range(0, cols, width):
-            tile = np.s_[r : r + rows, c : c + width]
-            n_rows, n_cols = v0[tile].shape
-            w0, w1, w2, w3 = _block(seed, stream2[tile], step2[tile], planes[:, :n_rows, :n_cols])
-            _to_unit(w0, w1, out=v0[tile])
-            _to_unit(w2, w3, out=v1[tile])
-    return u0, u1
+    return tuple(_uniforms(seed, stream, step, 2))
+
+
+def uniform_slot0(seed, stream, step):
+    """The bits of `uniform_pair(seed, stream, step)[0]`, without computing slot 1."""
+    return _uniforms(seed, stream, step, 1)[0]
 
 
 def uniform_sequence(seed, stream, count: int, start: int = 0):
     """`count` slot-0 uniforms of a single stream, steps start..start+count-1."""
-    steps = np.arange(start, start + count, dtype=np.uint64)
-    u0, _ = uniform_pair(seed, stream, steps)
-    return u0
+    return uniform_slot0(seed, stream, np.arange(start, start + count, dtype=np.uint64))

@@ -90,7 +90,11 @@ class TailSpec:
     Attributes:
         support: (lo, hi) pair, extended reals.
         atoms: list of (location, mass) pairs for point masses.
+        uses_slot1: whether `increment_from_uniforms` reads slot 1; a walk
+            draws slot 0 alone when it does not.
     """
+
+    uses_slot1 = False
 
     def __init__(self):
         self._mean_cache: float | None = None
@@ -132,7 +136,7 @@ class TailSpec:
         return self.tail_quantile(1.0 - u)
 
     def increment_from_uniforms(self, u0, u1):
-        """Map the per-step uniform pair to one increment (slot 1 unused here)."""
+        """Map the per-step uniform pair to one increment (slot 1 unused here; a walk passes None)."""
         return self.quantile(u0)
 
     def spec_dict(self) -> dict:
@@ -542,6 +546,7 @@ class QueuePair(TailSpec):
     """
 
     _GL_NODES = 256
+    uses_slot1 = True
 
     def __init__(self, sigma: TailSpec, t: TailSpec):
         super().__init__()

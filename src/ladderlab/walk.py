@@ -20,6 +20,16 @@ carry at every sub-block would round differently.  Hence tau, s_tau, m_tau
 and psi_max keep every bit of whole-block drawing, whatever the sub-block
 widths and the chunking.
 
+The cells drawn are the (stream, step) cells of the live walks over each
+sub-block, slot 0 only unless the family reads slot 1 (`TailSpec.uses_slot1`,
+set by `QueuePair`).  Once the live walks times the steps left in the block
+are at most `_STRAGGLER_CELLS`, the rest of the block is one sub-block: a few
+thousand cells drawn past some walks' descent cost less than the numpy calls
+of further sub-blocks.  After each sub-block the walks that descended leave
+the seven per-walk state arrays, which are compacted with one index of the
+survivors; a width-1 sub-block stops at its only row, so it needs no search
+for the first descending step.
+
 Each chunk of walks works in one arena of `chunk x _FIRST_BLOCK` doubles,
 split into a plane for the partial sums and one for their running maximum,
 written with `out=`; a sub-block too large for it runs in row slices, so
@@ -57,6 +67,7 @@ __all__ = [
 
 _FIRST_BLOCK = 8
 _DEFAULT_CHUNK = 250_000
+_STRAGGLER_CELLS = 1 << 12  # live walks x steps left, below which the rest of a block is one sub-block
 _ROW_SCAN_MIN = 128  # walks from which _scan loops over rows
 _COLUMNS = ("stream_ids", "tau", "s_tau", "m_tau", "psi_max", "censored")  # a SampleBatch's per-walk arrays
 
@@ -138,8 +149,11 @@ def _scan(ufunc, head, body, out):
 
 
 def _draw_columns(spec: TailSpec, seed: int, streams: np.ndarray, start: int, width: int):
-    steps = np.arange(start, start + width, dtype=np.uint64)
-    u0, u1 = rng.uniform_pair(seed, streams[None, :], steps[:, None])
+    steps = np.arange(start, start + width, dtype=np.uint64)[:, None]
+    if spec.uses_slot1:
+        u0, u1 = rng.uniform_pair(seed, streams[None, :], steps)
+    else:
+        u0, u1 = rng.uniform_slot0(seed, streams[None, :], steps), None
     return spec.increment_from_uniforms(u0, u1)
 
 
@@ -177,9 +191,9 @@ class _Chunk:
             sl = slice(lo, lo + per_slice)
             stopped[sl] = self._advance_slice(spec, seed, start, width, sl, path_sink)
         if stopped.any():
-            keep = ~stopped
+            keep = np.flatnonzero(~stopped)
             for name in ("idx", "streams", "base", "comp", "part", "run_max", "run_psi"):
-                setattr(self, name, getattr(self, name)[keep])
+                setattr(self, name, getattr(self, name).take(keep))
 
     def _advance_slice(self, spec, seed, start, width, sl, path_sink):
         x = _draw_columns(spec, seed, self.streams[sl], start, width)
@@ -197,7 +211,7 @@ class _Chunk:
         stop_mask = s <= 0.0
         stopped = stop_mask.any(axis=0)
         rows = np.nonzero(stopped)[0]
-        first = stop_mask[:, rows].argmax(axis=0)
+        first = 0 if width == 1 else stop_mask[:, rows].argmax(axis=0)
         oi = self.idx[sl][rows]
         self.tau[oi] = start + first + 1
         self.s_tau[oi] = s[first, rows]
@@ -234,6 +248,10 @@ def _simulate_chunk(
     for start, length in _block_schedule(step_cap):
         for sub_start, width in _sub_blocks(start, length):
             if ch.idx.size == 0:
+                break
+            rest = start + length - sub_start
+            if ch.idx.size * rest <= _STRAGGLER_CELLS:
+                ch.advance(spec, seed, sub_start, rest, path_sink)
                 break
             ch.advance(spec, seed, sub_start, width, path_sink)
         if ch.idx.size == 0:

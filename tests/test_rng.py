@@ -1,18 +1,30 @@
 import numpy as np
+import pytest
 
 from ladderlab import rng
+
+
+def _assert_slot0_known(ctr, key, expected):
+    # the slot-0 path's words 0 and 1 on a known answer; the counter is
+    # (step lo, step hi, stream lo, stream hi) and the key is the seed
+    seed, stream, step = key[0] | key[1] << 32, ctr[2] | ctr[3] << 32, ctr[0] | ctr[1] << 32
+    assert [int(w) for w in rng._block(seed, stream, step, words=2)[:2]] == expected
+    u0 = rng._to_unit(np.uint64(expected[0]), np.uint64(expected[1]))
+    assert float(rng.uniform_slot0(seed, stream, step)) == float(u0)
 
 
 def test_known_answer_zero_block():
     # Philox-4x32-10 reference vector: zero counter, zero key.
     words = rng._philox_4x32_10(*[np.uint64(0)] * 6)
     assert [int(w) for w in words] == [0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8]
+    _assert_slot0_known([0] * 4, [0] * 2, [0x6627E8D5, 0xE169C58D])
 
 
 def test_known_answer_all_ones_block():
     # Random123 vector: every counter and key word 0xffffffff.
     words = rng._philox_4x32_10(*[np.uint64(0xFFFFFFFF)] * 6)
     assert [int(w) for w in words] == [0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD]
+    _assert_slot0_known([0xFFFFFFFF] * 4, [0xFFFFFFFF] * 2, [0x408F276D, 0x41C83B0E])
 
 
 def test_known_answer_pi_block():
@@ -21,6 +33,7 @@ def test_known_answer_pi_block():
     key = [0xA4093822, 0x299F31D0]
     words = rng._philox_4x32_10(*[np.uint64(w) for w in ctr + key])
     assert [int(w) for w in words] == [0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1]
+    _assert_slot0_known(ctr, key, [0xD16CFE09, 0x94FDCCEB])
 
 
 def test_determinism_and_shape():
@@ -57,6 +70,12 @@ def test_open_interval_at_the_bit_extremes():
     assert top < 1.0 and top == 1.0 - 2.0**-53
     assert float(rng._to_unit(ones, np.uint64(0xFFFFF7FF))) == 1.0 - 2.0**-52
     assert float(rng._to_unit(np.uint64(0), np.uint64(0))) == 2.0**-54
+    # the same through a lent bits plane, as the tile loop converts
+    hi = np.array([0xFFFFFFFF, 0xFFFFFFFF, 0], dtype=np.uint64)
+    lo = np.array([0xFFFFFFFF, 0xFFFFF7FF, 0], dtype=np.uint64)
+    out, plane = np.empty(3), np.empty(3, dtype=np.uint64)
+    assert rng._to_unit(hi, lo, out=out, plane=plane) is out
+    assert out.tolist() == [1.0 - 2.0**-53, 1.0 - 2.0**-52, 2.0**-54]
 
 
 def test_sequence_matches_pairs():
@@ -89,3 +108,47 @@ def test_indices_reduce_mod_2_64():
     assert [int(w) for w in wrapped] == [int(w) for w in rng._block(3, 5, 1)]
     assert [int(w) for w in wrapped] == [0x55E6C104, 0xCCE538FB, 0x316B4A9D, 0x805685D3]
     assert float(rng.uniform_pair(np.uint64(2**64 - 1), 0, 0)[0]) == float(rng.uniform_pair(-1, 0, 0)[0])
+
+
+# -- the slot-0 path ----------------------------------------------------------
+
+def _bits(a):
+    return np.asarray(a).tobytes()
+
+
+def test_slot0_matches_pair_on_random_cells():
+    g = np.random.default_rng(20261018)
+    high = np.array([2**32, 2**32 + 1, 2**63, 2**64 - 1], dtype=np.uint64)  # non-zero high words
+    for _ in range(25):
+        seed = int(g.integers(0, 2**64, dtype=np.uint64))
+        streams = np.concatenate([g.integers(0, 2**64, size=30, dtype=np.uint64), high, np.arange(3, dtype=np.uint64)])
+        steps = np.concatenate([g.integers(0, 2**64, size=4, dtype=np.uint64), high[:2]])[:, None]
+        assert _bits(rng.uniform_slot0(seed, streams, steps)) == _bits(rng.uniform_pair(seed, streams, steps)[0])
+
+
+@pytest.mark.parametrize(
+    "stream, step",
+    [
+        (5, 7),
+        (2**40 + 3, 2**33),
+        (np.array(5), np.array(2**35, dtype=np.uint64)),
+        (np.arange(4)[:, None], np.arange(9)[None, :]),
+        (np.arange(6, dtype=np.uint64) + 2**32, 11),
+        (3, np.arange(5, dtype=np.int64)),
+        (np.zeros((0, 3), dtype=np.int64), 1),
+    ],
+)
+def test_slot0_matches_pair_on_shapes(stream, step):
+    got, (want, _) = rng.uniform_slot0(9, stream, step), rng.uniform_pair(9, stream, step)
+    assert got.shape == want.shape == np.broadcast_shapes(np.shape(stream), np.shape(step))
+    assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("size", [rng._TILE - 1, rng._TILE, rng._TILE + 1])
+def test_slot0_matches_pair_across_tiles(size):
+    streams = np.arange(size, dtype=np.uint64) + np.uint64(2**32 - 5)
+    for stream, step in ((streams, 3), (streams[None, :], np.array([[0], [2**32]]))):
+        assert _bits(rng.uniform_slot0(4, stream, step)) == _bits(rng.uniform_pair(4, stream, step)[0])
+    assert _bits(rng.uniform_sequence(4, 2**33, size, start=2**32 - 7)) == _bits(
+        rng.uniform_pair(4, 2**33, np.arange(2**32 - 7, 2**32 - 7 + size, dtype=np.uint64))[0]
+    )

@@ -9,12 +9,14 @@ from ladderlab import (
     BernoulliPM1,
     Constant,
     Exponential,
+    LognormalShifted,
+    Pareto,
     QueuePair,
     WalkError,
     replay_path,
     simulate_batch,
 )
-from ladderlab import rng
+from ladderlab import rng, walk
 
 from oracles import bernoulli_descent_pmf, lindley_busy_cycles
 
@@ -129,45 +131,80 @@ def test_stream_keyed_subsets():
 
 
 def test_draws_only_cells_it_uses(monkeypatch):
-    # E tau = 1.5 here; a walk that stops must not draw the rest of its block
+    # E tau = 1.5 for the Bernoulli walk and about 1.44 for the Pareto one; a
+    # walk that stops must not draw the rest of its block.  Cells are counted
+    # at the tile loop that every draw of the walk goes through.
     cells = []
-    draw = rng.uniform_pair
+    draw = rng._uniforms
 
-    def counting(seed, stream, step):
-        u0, u1 = draw(seed, stream, step)
-        cells.append(u0.size)
-        return u0, u1
+    def counting(seed, stream, step, slots):
+        units = draw(seed, stream, step, slots)
+        cells.append(units[0].size)
+        return units
 
-    monkeypatch.setattr(rng, "uniform_pair", counting)
-    batch = simulate_batch(BernoulliPM1(0.25), 7, n_samples=100_000)
-    assert sum(cells) / batch.tau.sum() <= 1.5
+    monkeypatch.setattr(rng, "_uniforms", counting)
+    for spec in (BernoulliPM1(0.25), Pareto(2.0, 1.0, shift=-3.0)):
+        cells.clear()
+        batch = simulate_batch(spec, 7, n_samples=100_000)
+        assert sum(cells) > 0
+        assert sum(cells) / batch.tau.sum() <= 1.5
 
 
 def test_concurrent_batches_match_serial():
     # each call owns its work arena, so batches on several threads at once
-    # (the CLI runs two) keep the serial bits
-    spec = QueuePair(Exponential(1.0), Exponential(1.25))
-    ids = [np.arange(k * 5_000, (k + 1) * 5_000) for k in range(4)]
-    serial = [simulate_batch(spec, 3, stream_ids=i, chunk_size=2_000) for i in ids]
-    results = [None] * len(ids)
+    # (the CLI runs two) keep the serial bits; the Pareto walk draws slot 0
+    # alone, the queue walk both slots
+    for spec in (QueuePair(Exponential(1.0), Exponential(1.25)), Pareto(2.0, 1.0, shift=-3.0)):
+        ids = [np.arange(k * 5_000, (k + 1) * 5_000) for k in range(4)]
+        serial = [simulate_batch(spec, 3, stream_ids=i, chunk_size=2_000) for i in ids]
+        results = [None] * len(ids)
 
-    def run(k):
-        results[k] = simulate_batch(spec, 3, stream_ids=ids[k], chunk_size=2_000)
+        def run(k):
+            results[k] = simulate_batch(spec, 3, stream_ids=ids[k], chunk_size=2_000)
 
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(ids))]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=120)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(th.is_alive() for th in threads)
-    for a, b in zip(serial, results):
-        assert np.array_equal(a.tau, b.tau)
-        assert np.array_equal(a.s_tau, b.s_tau) and np.array_equal(a.m_tau, b.m_tau)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(len(ids))]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        for a, b in zip(serial, results):
+            assert np.array_equal(a.tau, b.tau)
+            assert np.array_equal(a.s_tau, b.s_tau) and np.array_equal(a.m_tau, b.m_tau)
+
+
+# near-zero drift, so that walks run through several blocks and some hit a cap of 12
+SCHEDULE_SPECS = {
+    "pareto": lambda: Pareto(2.0, 1.0, shift=-2.3),
+    "lognormal": lambda: LognormalShifted(0.0, 1.0, shift=-1.8),
+    "bernoulli": lambda: BernoulliPM1(0.45),
+    "queue": lambda: QueuePair(Exponential(1.0), Exponential(1.25)),
+}
+
+
+def _columns_bytes(batch):
+    return [getattr(batch, name).tobytes() for name in walk._COLUMNS]
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULE_SPECS))
+def test_sub_block_schedule_keeps_bits(monkeypatch, name):
+    # lazy sub-blocks and the straggler rule against drawing every block whole
+    spec = SCHEDULE_SPECS[name]()
+    n = 600
+    cases = [(shift, cap) for shift in (0.0, -spec.mean / 2) for cap in (1_000, 12)]
+    with monkeypatch.context() as m:
+        m.setattr(walk, "_sub_blocks", lambda start, length: iter([(start, length)]))
+        whole = {case: simulate_batch(spec, SEED, n_samples=n, shift=case[0], step_cap=case[1]) for case in cases}
+    assert whole[(0.0, 12)].censored_n > 0
+    for case, ref in whole.items():
+        for chunk_size in (1, 7, 250_000):
+            got = simulate_batch(spec, SEED, n_samples=n, shift=case[0], step_cap=case[1], chunk_size=chunk_size)
+            assert _columns_bytes(got) == _columns_bytes(ref), (case, chunk_size)
 
 
 def test_chunking_invisible():
