@@ -67,7 +67,7 @@ __all__ = [
 
 _FIRST_BLOCK = 8
 _DEFAULT_CHUNK = 250_000
-_STRAGGLER_CELLS = 1 << 12  # live walks x steps left, below which the rest of a block is one sub-block
+_STRAGGLER_CELLS = 1 << 12  # once live walks x steps left in the block are at most this, the rest is one sub-block
 _ROW_SCAN_MIN = 128  # walks from which _scan loops over rows
 _COLUMNS = ("stream_ids", "tau", "s_tau", "m_tau", "psi_max", "censored")  # a SampleBatch's per-walk arrays
 
