@@ -112,6 +112,7 @@ def test_indices_reduce_mod_2_64():
 
 # -- the slot-0 path ----------------------------------------------------------
 
+
 def _bits(a):
     return np.asarray(a).tobytes()
 
