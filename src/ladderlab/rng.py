@@ -23,7 +23,10 @@ second conversion.  Walks of every family except `tails.QueuePair` (which sets
 `TailSpec.uses_slot1`) take that path, and so does `uniform_sequence`.
 `uniform_pair`, `uniform_slot0` and `uniform_sequence` share one tile loop,
 and each tile converts its words to doubles through a plane that the rounds
-no longer need, so a draw allocates nothing but its planes and its outputs.
+no longer need.  A draw allocates its outputs and one set of planes, unless
+the caller lends them (`out=`, `planes=`); then it allocates nothing that
+grows with its cells.  The walk kernel lends one set to every draw of a
+`simulate_batch` call.
 """
 
 from __future__ import annotations
@@ -126,19 +129,44 @@ def _to_unit(hi, lo, out=None, plane=None):
     return np.minimum(out, _MAX_UNIT, out=out)
 
 
-def _uniforms(seed, stream, step, slots: int) -> list[np.ndarray]:
-    """Slots 0..slots-1 of every broadcast (seed, stream, step) cell, one array each."""
+def _lent(a, shape, dtype, what):
+    # a lent buffer is written through views, so it must be exactly what a fresh one would be
+    if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.flags.c_contiguous and a.flags.writeable):
+        raise ValueError(f"{what} must be a writeable C-contiguous {np.dtype(dtype)} array")
+    if shape is not None and a.shape != shape:
+        raise ValueError(f"{what} has shape {a.shape}, the draw needs {shape}")
+    return a
+
+
+def _uniforms(seed, stream, step, slots: int, out=None, planes=None) -> list[np.ndarray]:
+    """Slots 0..slots-1 of every broadcast (seed, stream, step) cell, one array each.
+
+    `out` lends the `slots` float64 result arrays (of the broadcast shape) and
+    `planes` a uint64 array with room for the six planes of one tile (6 x
+    `_TILE` cells always do); the bits are those of a call that allocates its
+    own.
+    """
     stream, step = _as_u64(stream), _as_u64(step)
     shape = np.broadcast_shapes(stream.shape, step.shape)
-    units = [np.empty(shape) for _ in range(slots)]
+    if out is None:
+        units = [np.empty(shape) for _ in range(slots)]
+    elif len(out) != slots:
+        raise ValueError(f"out must hold {slots} arrays, got {len(out)}")
+    else:
+        units = [_lent(u, shape, np.float64, "out") for u in out]
     if units[0].size == 0:
         return units
     # walk the broadcast shape as a (rows, cols) grid in tiles of <= _TILE cells
     cols = shape[-1] if shape else 1
     stream2, step2 = (np.broadcast_to(a, shape).reshape(-1, cols) for a in (stream, step))
     views = [u.reshape(-1, cols) for u in units]
-    rows, width = max(1, _TILE // cols), min(cols, _TILE)
-    planes = np.empty((6, min(rows, views[0].shape[0]), width), dtype=np.uint64)
+    rows, width = min(max(1, _TILE // cols), views[0].shape[0]), min(cols, _TILE)
+    if planes is None:
+        planes = np.empty((6, rows, width), dtype=np.uint64)
+    elif _lent(planes, None, np.uint64, "planes").size < 6 * rows * width:
+        raise ValueError(f"planes holds {planes.size} cells, the draw needs {6 * rows * width}")
+    else:
+        planes = planes.reshape(-1)[: 6 * rows * width].reshape(6, rows, width)
     for r in range(0, views[0].shape[0], rows):
         for c in range(0, cols, width):
             tile = np.s_[r : r + rows, c : c + width]
@@ -151,18 +179,20 @@ def _uniforms(seed, stream, step, slots: int) -> list[np.ndarray]:
     return units
 
 
-def uniform_pair(seed, stream, step):
+def uniform_pair(seed, stream, step, out=None, planes=None):
     """Two uniforms in (0,1) for one (seed, stream, step) cell.
 
     `seed` is a scalar integer.  `stream` and `step` may be integer arrays;
     they broadcast and the returned pair of arrays has the broadcast shape.
+    `out` (a pair of float64 arrays of that shape) and `planes` (uint64,
+    6 x `_TILE` cells always suffice) lend the buffers the draw writes in.
     """
-    return tuple(_uniforms(seed, stream, step, 2))
+    return tuple(_uniforms(seed, stream, step, 2, out, planes))
 
 
-def uniform_slot0(seed, stream, step):
-    """The bits of `uniform_pair(seed, stream, step)[0]`, without computing slot 1."""
-    return _uniforms(seed, stream, step, 1)[0]
+def uniform_slot0(seed, stream, step, out=None, planes=None):
+    """The bits of `uniform_pair(seed, stream, step)[0]`, without computing slot 1; `out` is one array."""
+    return _uniforms(seed, stream, step, 1, None if out is None else [out], planes)[0]
 
 
 def uniform_sequence(seed, stream, count: int, start: int = 0):

@@ -25,23 +25,37 @@ sub-block, slot 0 only unless the family reads slot 1 (`TailSpec.uses_slot1`,
 set by `QueuePair`).  Once the live walks times the steps left in the block
 are at most `_STRAGGLER_CELLS`, the rest of the block is one sub-block: a few
 thousand cells drawn past some walks' descent cost less than the numpy calls
-of further sub-blocks.  After each sub-block the walks that descended leave
-the seven per-walk state arrays, which are compacted with one index of the
-survivors; a width-1 sub-block stops at its only row, so it needs no search
-for the first descending step.
+of further sub-blocks.  Each sub-block runs in slices of at most
+`_SLICE_CELLS` cells (walks x steps; a sub-block wider than that many steps
+runs as narrower sub-blocks), so no draw, increment or stopping mask grows
+with the chunk.  After each sub-block the walks that descended leave the
+per-walk state arrays, which are compacted with one index of the survivors; a
+width-1 sub-block stops at its only row, so it needs no search for the first
+descending step.
 
-Each chunk of walks works in one arena of `chunk x _FIRST_BLOCK` doubles,
-split into a plane for the partial sums and one for their running maximum,
-written with `out=`; a sub-block too large for it runs in row slices, so
-memory per chunk stays bounded.  The arena belongs to the call, because the
-CLI simulates on two threads at once.  Its size matters beyond the walk:
-freeing a buffer that large raises glibc's dynamic mmap threshold, so later
-arrays of a similar size (the estimators' per-walk arrays) come from the heap
-instead of fresh zeroed mappings.  Without it, `estimate_growth_moment` on
-2e5 walks took twice as long, with about 1,500 minor page faults per call.
-For the same reason `simulate_batch` concatenates per-chunk columns: writing
-the chunks into preallocated full-length columns cost the estimators of 2e6
-Pareto walks 1,100 to 4,400 minor page faults per call.
+Each `simulate_batch` call owns one work area, sized to its largest chunk: the
+per-walk state arrays, an arena of `chunk x _FIRST_BLOCK` doubles (a plane for
+the partial sums and one for their running maximum, written with `out=`), the
+lent uniforms and the Philox planes.  Every chunk resets it in place and
+compacts into the front of its arrays, so the walk's own buffers are allocated
+once per call.  The call, not the module, owns it, because the CLI simulates
+on two threads at once.
+
+How the work area is sized and freed decides where glibc serves later arrays
+from, and so how many minor page faults they take: freeing a block served by
+mmap raises the dynamic mmap threshold to its size.  Freeing each chunk's
+fresh `np.arange` walk index lifts the threshold above one column of a chunk,
+so the later chunks' columns and the slices' temporaries come from the heap.
+Freeing the arena at the end of the call lifts it above the full columns, so
+the concatenation and then the estimators' per-walk arrays come from the heap,
+where the freed chunk columns leave room.  So the arena keeps its full size
+although the slices touch only its front.  A kept index array put the
+estimators of 2e6 Pareto walks, and an arena of two slices those of 2e5 g1
+walks, on fresh zeroed mappings again: about 1,100 faults per call, and up to
+twice the time.  The work area goes before the concatenation, so the call's
+peak memory stays that of the parts plus the full columns.  Writing the chunks
+straight into preallocated full-length columns instead cost the estimators
+1,100 to 4,400 faults per call.
 
 A busy cycle of a FIFO single-server queue is the descent epoch of the walk
 with service-minus-interarrival increments (``tails.QueuePair``): during the
@@ -68,6 +82,7 @@ __all__ = [
 _FIRST_BLOCK = 8
 _DEFAULT_CHUNK = 250_000
 _STRAGGLER_CELLS = 1 << 12  # once live walks x steps left in the block are at most this, the rest is one sub-block
+_SLICE_CELLS = 1 << 16  # cells (walks x steps) of one draw: a sub-block runs in slices of at most this many
 _ROW_SCAN_MIN = 128  # walks from which _scan loops over rows
 _COLUMNS = ("stream_ids", "tau", "s_tau", "m_tau", "psi_max", "censored")  # a SampleBatch's per-walk arrays
 
@@ -124,13 +139,6 @@ def _sub_blocks(start: int, length: int):
         done += width
 
 
-def _kahan_add(total, comp, inc):
-    y = inc - comp
-    t = total + y
-    comp = (t - total) - y
-    return t, comp
-
-
 def _scan(ufunc, head, body, out):
     """out[0] = head, out[j + 1] = ufunc(out[j], body[j]): an accumulate with a leading row.
 
@@ -148,55 +156,90 @@ def _scan(ufunc, head, body, out):
         ufunc.accumulate(out, axis=0, out=out)
 
 
-def _draw_columns(spec: TailSpec, seed: int, streams: np.ndarray, start: int, width: int):
+def _draw_columns(spec: TailSpec, seed: int, streams: np.ndarray, start: int, width: int, units, planes):
+    """Increments of `streams` over steps start..start+width-1, drawn into the lent `units` and `planes`."""
     steps = np.arange(start, start + width, dtype=np.uint64)[:, None]
+    out = [u[: width * streams.size].reshape(width, streams.size) for u in units]
     if spec.uses_slot1:
-        u0, u1 = rng.uniform_pair(seed, streams[None, :], steps)
+        u0, u1 = rng.uniform_pair(seed, streams[None, :], steps, out=out, planes=planes)
     else:
-        u0, u1 = rng.uniform_slot0(seed, streams[None, :], steps), None
+        u0, u1 = rng.uniform_slot0(seed, streams[None, :], steps, out=out[0], planes=planes), None
     return spec.increment_from_uniforms(u0, u1)
 
 
-class _Chunk:
-    """State of the walks of one chunk that have not descended yet.
+class _WorkArea:
+    """The work area of one `simulate_batch` call, and the live walks of its current chunk.
 
-    Arrays are indexed by live walk; `part` is the partial sum of the
-    increments drawn so far in the current block, `base`/`comp` the
-    compensated sum of the blocks before it.
+    The state arrays are the fronts of the work area's arrays, indexed by
+    live walk: `idx` the walk's row in the chunk, `part` the partial sum of
+    the increments drawn so far in the current block, `base`/`comp` the
+    compensated sum of the blocks before it.  `reset` starts a chunk in
+    place, and the walks that descend leave by compaction, so every chunk
+    reuses the same memory.
     """
 
-    def __init__(self, streams: np.ndarray, shift: float, out):
-        m = streams.size
+    def __init__(self, capacity: int, spec: TailSpec, shift: float):
         self.shift = shift
-        self.tau, self.s_tau, self.m_tau, self.psi_max, _ = out
-        self.idx = np.arange(m)
-        self.streams = streams.astype(np.uint64)
-        self.base = np.zeros(m)
-        self.comp = np.zeros(m)
-        self.part = np.zeros(m)
-        self.run_max = np.zeros(m)  # covers the empty partial sum S_0 = 0
-        self.run_psi = np.zeros(m)
+        # without a shift run_psi is never read, so it is neither reset nor compacted
+        self._sums = ("base", "comp", "part", "run_max") + (("run_psi",) if shift != 0.0 else ())
+        self._full = {"idx": np.empty(capacity, dtype=np.int64), "streams": np.empty(capacity, dtype=np.uint64)}
+        self._full.update((name, np.empty(capacity)) for name in self._sums)
+        self._stopped = np.empty(capacity, dtype=bool)
         # two planes, for the partial sums and their running max
-        self.arena = np.empty((2, m * _FIRST_BLOCK // 2))
+        self.arena = np.empty((2, capacity * _FIRST_BLOCK // 2))
+        self.units = np.empty((2 if spec.uses_slot1 else 1, _SLICE_CELLS))
+        self.planes = np.empty(6 * rng._TILE, dtype=np.uint64)
+
+    def reset(self, streams: np.ndarray, out):
+        """Start the walks of `streams`, writing their results into `out`."""
+        m = streams.size
+        self.tau, self.s_tau, self.m_tau, self.psi_max, _ = out
+        for name, full in self._full.items():
+            setattr(self, name, full[:m])
+        self.idx[:] = np.arange(m)  # a fresh index, not a kept one: see the module docstring on faults
+        self.streams[:] = streams  # the wrapping int64 -> uint64 cast
+        for name in self._sums:
+            getattr(self, name).fill(0.0)  # run_max covers the empty partial sum S_0 = 0
+
+    def carry(self):
+        """Add the block's partial sums to the compensated base (Kahan), in place, and zero them."""
+        y = np.subtract(self.part, self.comp, out=self.part)
+        t = np.add(self.base, y, out=self.comp)
+        c = np.subtract(t, self.base, out=self.base)
+        self.base, self.comp = t, np.subtract(c, y, out=c)
+        self.part.fill(0.0)
 
     def advance(self, spec, seed, start, width, path_sink):
-        """Draw steps start..start+width-1 for every live walk; drop the ones that descend."""
+        """Draw steps start..start+width-1 for every live walk; drop the ones that descend.
+
+        A sub-block wider than a slice runs as narrower ones, which keeps the
+        bits (see the module docstring).
+        """
+        for lo in range(start, start + width, _SLICE_CELLS):
+            if self.idx.size == 0:
+                break
+            self._advance(spec, seed, lo, min(_SLICE_CELLS, start + width - lo), path_sink)
+
+    def _advance(self, spec, seed, start, width, path_sink):
         cells = self.arena.shape[1]
         if width + 1 > cells:
             self.arena = np.empty((2, width + 1))
             cells = width + 1
-        per_slice = cells // (width + 1)
-        stopped = np.zeros(self.idx.size, dtype=bool)
-        for lo in range(0, self.idx.size, per_slice):
+        per_slice = min(_SLICE_CELLS // width, cells // (width + 1))  # >= 1, as width <= _SLICE_CELLS and width < cells
+        n = self.idx.size
+        stopped = self._stopped[:n]
+        for lo in range(0, n, per_slice):
             sl = slice(lo, lo + per_slice)
             stopped[sl] = self._advance_slice(spec, seed, start, width, sl, path_sink)
         if stopped.any():
             keep = np.flatnonzero(~stopped)
-            for name in ("idx", "streams", "base", "comp", "part", "run_max", "run_psi"):
-                setattr(self, name, getattr(self, name).take(keep))
+            for name in self._full:
+                live = getattr(self, name)
+                live[: keep.size] = live.take(keep)
+                setattr(self, name, live[: keep.size])
 
     def _advance_slice(self, spec, seed, start, width, sl, path_sink):
-        x = _draw_columns(spec, seed, self.streams[sl], start, width)
+        x = _draw_columns(spec, seed, self.streams[sl], start, width, self.units, self.planes)
         n = x.shape[1]
         # row 0 carries the in-block partial sum, so the sum adds in the same
         # order as one cumsum over the whole block
@@ -235,16 +278,16 @@ def _columns(n: int):
 
 
 def _simulate_chunk(
+    ch: _WorkArea,
     spec: TailSpec,
     seed: int,
     streams: np.ndarray,
     step_cap: int,
-    shift: float,
     out,
     path_sink: list | None = None,
 ):
-    """Run the walks of `streams`; write tau, s_tau, m_tau, psi_max, censored into `out`."""
-    ch = _Chunk(streams, shift, out)
+    """Run the walks of `streams` in the work area `ch`; write tau, s_tau, m_tau, psi_max, censored into `out`."""
+    ch.reset(streams, out)
     for start, length in _block_schedule(step_cap):
         for sub_start, width in _sub_blocks(start, length):
             if ch.idx.size == 0:
@@ -257,8 +300,7 @@ def _simulate_chunk(
         if ch.idx.size == 0:
             break
         # the compensated carry runs at block ends only, as in one cumsum per block
-        ch.base, ch.comp = _kahan_add(ch.base, ch.comp, ch.part)
-        ch.part[:] = 0.0
+        ch.carry()
 
     tau, s_tau, m_tau, psi_max, censored = out
     censored[:] = False
@@ -266,7 +308,7 @@ def _simulate_chunk(
     tau[ch.idx] = step_cap
     s_tau[ch.idx] = ch.base
     m_tau[ch.idx] = ch.run_max
-    if shift == 0.0:
+    if ch.shift == 0.0:
         psi_max[:] = m_tau
     else:
         psi_max[ch.idx] = ch.run_psi
@@ -295,17 +337,24 @@ def simulate_batch(
         raise WalkError("compensated increments must keep a strictly negative mean")
     if step_cap < 1:
         raise WalkError("step_cap must be at least one")
+    if chunk_size < 1:
+        raise WalkError("chunk_size must be at least one")
     if stream_ids is None:
         if n_samples is None:
             raise WalkError("pass either n_samples or stream_ids")
+        if n_samples < 1:
+            raise WalkError("n_samples must be at least one")
         stream_ids = np.arange(n_samples, dtype=np.int64)
     stream_ids = np.asarray(stream_ids, dtype=np.int64)
+    if stream_ids.size == 0:
+        raise WalkError("stream_ids must not be empty")
 
+    ch = _WorkArea(min(chunk_size, stream_ids.size), spec, shift)
     parts = []
     for lo in range(0, stream_ids.size, chunk_size):
         chunk = stream_ids[lo : lo + chunk_size]
         tau, s_tau, m_tau, psi_max, cens = out = _columns(chunk.size)
-        _simulate_chunk(spec, seed, chunk, step_cap, shift, out)
+        _simulate_chunk(ch, spec, seed, chunk, step_cap, out)
         parts.append(
             SampleBatch(
                 seed=seed,
@@ -319,6 +368,7 @@ def simulate_batch(
                 censored=cens,
             )
         )
+    del ch  # before the concat, so that the work area and the full columns are never alive at once
     return SampleBatch.concat(parts) if len(parts) > 1 else parts[0]
 
 
@@ -333,7 +383,7 @@ def replay_path(
     sink: list = []
     streams = np.asarray([stream_id], dtype=np.int64)
     out = _columns(1)
-    _simulate_chunk(spec, seed, streams, step_cap, shift, out, path_sink=sink)
+    _simulate_chunk(_WorkArea(1, spec, shift), spec, seed, streams, step_cap, out, path_sink=sink)
     tau, s_tau, m_tau, psi_max, cens = out
     increments = np.concatenate([x for x, _ in sink])
     partial = np.concatenate([s for _, s in sink])

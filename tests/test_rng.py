@@ -153,3 +153,41 @@ def test_slot0_matches_pair_across_tiles(size):
     assert _bits(rng.uniform_sequence(4, 2**33, size, start=2**32 - 7)) == _bits(
         rng.uniform_pair(4, 2**33, np.arange(2**32 - 7, 2**32 - 7 + size, dtype=np.uint64))[0]
     )
+
+
+# -- lent buffers ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("size", [rng._TILE - 1, rng._TILE + 1, 2 * rng._TILE + 7])
+def test_lent_buffers_keep_the_bits(size):
+    # a lent output and lent planes (holding an earlier draw's words) give the
+    # bits of the allocating call, in tiles of whole rows and of row pieces
+    streams = np.arange(size, dtype=np.uint64) + np.uint64(2**32 - 5)
+    planes = np.full(6 * rng._TILE, 0xDEADBEEF, dtype=np.uint64)
+    cases = ((streams, 3), (streams[None, :], np.array([[0], [2**32]])), (streams[:5], np.arange(9)[:, None]))
+    for stream, step in cases:
+        shape = np.broadcast_shapes(np.shape(stream), np.shape(step))
+        out = np.full(shape, np.nan)
+        assert rng.uniform_slot0(4, stream, step, out=out, planes=planes) is out
+        assert _bits(out) == _bits(rng.uniform_slot0(4, stream, step))
+        pair = (np.full(shape, np.nan), np.full(shape, -1.0))
+        got = rng.uniform_pair(4, stream, step, out=pair, planes=planes)
+        assert got[0] is pair[0] and got[1] is pair[1]
+        assert [_bits(u) for u in pair] == [_bits(u) for u in rng.uniform_pair(4, stream, step)]
+
+
+def test_lent_buffers_of_the_wrong_kind_refused():
+    streams = np.arange(10)  # one tile of one 10-cell row: the rounds need 6 x 10 plane cells
+    for out in (np.empty(10, dtype=np.float32), np.empty(11), np.empty((2, 5)), np.empty(20)[::2], [0.0] * 10):
+        with pytest.raises(ValueError):
+            rng.uniform_slot0(1, streams, 0, out=out)
+    with pytest.raises(ValueError):
+        rng.uniform_pair(1, streams, 0, out=(np.empty(10),))
+    with pytest.raises(ValueError):
+        rng.uniform_pair(1, streams, 0, out=(np.empty(10), np.empty(10, dtype=np.int64)))
+    short, strided = np.empty(59, dtype=np.uint64), np.empty(120, dtype=np.uint64)[::2]
+    for planes in (np.empty(60, dtype=np.int64), np.empty(60), short, strided):
+        with pytest.raises(ValueError):
+            rng.uniform_slot0(1, streams, 0, planes=planes)
+    exact = rng.uniform_slot0(1, streams, 0, out=np.empty(10), planes=np.empty(60, dtype=np.uint64))
+    assert _bits(exact) == _bits(rng.uniform_slot0(1, streams, 0))

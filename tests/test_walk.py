@@ -37,6 +37,24 @@ def test_config_validation():
         simulate_batch(Constant(-1.0), seed=1)  # neither n_samples nor ids
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(n_samples=0),
+        dict(n_samples=-5),
+        dict(stream_ids=[]),
+        dict(n_samples=10, chunk_size=0),
+        dict(n_samples=10, chunk_size=-3),
+    ],
+    ids=["no-samples", "negative-samples", "no-stream-ids", "chunk-0", "negative-chunk"],
+)
+def test_empty_batch_or_chunk_refused(monkeypatch, kwargs):
+    # refused before the work area is allocated
+    monkeypatch.setattr(walk, "_WorkArea", None)
+    with pytest.raises(WalkError):
+        simulate_batch(Pareto(2.0, 1.0, shift=-3.0), seed=1, **kwargs)
+
+
 def test_shift_must_keep_negative_drift():
     with pytest.raises(WalkError):
         simulate_batch(Constant(-1.0), seed=1, n_samples=4, shift=1.5)
@@ -130,24 +148,39 @@ def test_stream_keyed_subsets():
     assert np.array_equal(part.s_tau, full.s_tau[20:40])
 
 
-def test_draws_only_cells_it_uses(monkeypatch):
-    # E tau = 1.5 for the Bernoulli walk and about 1.44 for the Pareto one; a
-    # walk that stops must not draw the rest of its block.  Cells are counted
-    # at the tile loop that every draw of the walk goes through.
+def _counted_draws(monkeypatch) -> list:
+    """Record the cells of every draw at the tile loop that all of the walk's draws go through."""
     cells = []
     draw = rng._uniforms
 
-    def counting(seed, stream, step, slots):
-        units = draw(seed, stream, step, slots)
+    def counting(seed, stream, step, slots, *lent):
+        units = draw(seed, stream, step, slots, *lent)
         cells.append(units[0].size)
         return units
 
     monkeypatch.setattr(rng, "_uniforms", counting)
+    return cells
+
+
+def test_draws_only_cells_it_uses(monkeypatch):
+    # E tau = 1.5 for the Bernoulli walk and about 1.44 for the Pareto one; a
+    # walk that stops must not draw the rest of its block
+    cells = _counted_draws(monkeypatch)
     for spec in (BernoulliPM1(0.25), Pareto(2.0, 1.0, shift=-3.0)):
         cells.clear()
         batch = simulate_batch(spec, 7, n_samples=100_000)
         assert sum(cells) > 0
         assert sum(cells) / batch.tau.sum() <= 1.5
+
+
+def test_no_draw_scales_with_the_chunk(monkeypatch):
+    # every sub-block runs in slices of at most _SLICE_CELLS cells, so neither
+    # a draw nor the increments' temporaries grow with the chunk; 3e5 walks
+    # span two chunks, and most of them stop at step 1
+    cells = _counted_draws(monkeypatch)
+    batch = simulate_batch(Pareto(2.0, 1.0, shift=-3.0), 7, n_samples=300_000)
+    assert max(cells) <= walk._SLICE_CELLS
+    assert sum(cells) / batch.tau.sum() <= 1.5
 
 
 def test_concurrent_batches_match_serial():
@@ -191,9 +224,17 @@ def _columns_bytes(batch):
     return [getattr(batch, name).tobytes() for name in walk._COLUMNS]
 
 
-@pytest.mark.parametrize("name", sorted(SCHEDULE_SPECS))
-def test_sub_block_schedule_keeps_bits(monkeypatch, name):
-    # lazy sub-blocks and the straggler rule against drawing every block whole
+# each family at the default slice size, then in slices of 2 cells (every
+# step of a wide sub-block apart) and of 33 cells (a few walks per slice)
+SCHEDULE_CASES = [(name, cells) for cells in (None, 2, 33) for name in sorted(SCHEDULE_SPECS)]
+
+
+@pytest.mark.parametrize(
+    "name, slice_cells", SCHEDULE_CASES, ids=[n if c is None else f"{n}-slice{c}" for n, c in SCHEDULE_CASES]
+)
+def test_sub_block_schedule_keeps_bits(monkeypatch, name, slice_cells):
+    # lazy sub-blocks, the straggler rule and slices of a sub-block against
+    # drawing every block whole, with one work area reused across the chunks
     spec = SCHEDULE_SPECS[name]()
     n = 600
     cases = [(shift, cap) for shift in (0.0, -spec.mean / 2) for cap in (1_000, 12)]
@@ -201,6 +242,8 @@ def test_sub_block_schedule_keeps_bits(monkeypatch, name):
         m.setattr(walk, "_sub_blocks", lambda start, length: iter([(start, length)]))
         whole = {case: simulate_batch(spec, SEED, n_samples=n, shift=case[0], step_cap=case[1]) for case in cases}
     assert whole[(0.0, 12)].censored_n > 0
+    if slice_cells is not None:
+        monkeypatch.setattr(walk, "_SLICE_CELLS", slice_cells)
     for case, ref in whole.items():
         for chunk_size in (1, 7, 250_000):
             got = simulate_batch(spec, SEED, n_samples=n, shift=case[0], step_cap=case[1], chunk_size=chunk_size)
