@@ -66,7 +66,6 @@ from .tails import (
     TruncatedBelow,
     WeibullShifted,
     make_builtin_dist,
-    tail_table,
 )
 from .walk import SampleBatch, WalkError, replay_path, simulate_batch
 

@@ -9,11 +9,11 @@ the same config and seed, a re-run reproduces every output byte for byte.
 
 Every table has unquoted cells and CRLF line ends (the dialect of the
 standard `csv` module, so the bytes are those of earlier versions), ints as
-`str` and floats as `repr` write them.  The small tables are joined row by
-row in `_write_csv`.  `samples.csv` and the replay path are formatted by
-`_format_rows`, `_SLICE_ROWS` rows at a time, each slice into one numpy byte
-buffer: per-cell lengths give the row offsets, and each column is written at
-its offsets in vectorised digit passes.  Ints and integral floats below 2**53
+`str` and floats as `repr` write them, and text as given.  Every table is
+written from its columns by `_write_table`, which formats `_SLICE_ROWS` rows
+at a time with `_format_rows`, each slice into one numpy byte buffer:
+per-cell lengths give the row offsets, and each column is written at its
+offsets in vectorised digit passes.  Ints and integral floats below 2**53
 need no `repr`: for those doubles it is the integer's digits and ".0".  With a
 negative drift most walks descend at step 1, where m_tau is 0.0, so most m_tau
 cells take that path.  Beside it, `simulate` writes `samples.npy`, a binary
@@ -60,7 +60,6 @@ import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing, contextmanager
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -69,7 +68,7 @@ from . import diagnostics, estimate as est
 from .config import ConfigError, ExperimentConfig, jsonify, load_config
 from .construct import ConstructionError, build_chain
 from .growth import GrowthFunction, certify, make_growth
-from .tails import ShiftedTail, TailError, TailSpec, make_builtin_dist, tail_table
+from .tails import ShiftedTail, TailError, TailSpec, make_builtin_dist
 from .walk import SampleBatch, WalkError, replay_path, simulate_batch
 
 EXIT_OK = 0
@@ -110,16 +109,6 @@ def _write_json(path: Path, obj) -> None:
         fh.write((json.dumps(jsonify(obj), sort_keys=True, indent=2) + "\n").encode())
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Write `header` and `rows` (sequences of formatted cells) as CRLF CSV.
-
-    Cells are written as given, unquoted: none of the CLI's cells holds a
-    comma, a quote or a line end.
-    """
-    with _atomic_open(path) as fh:
-        fh.write("".join(",".join(row) + "\r\n" for row in chain([header], rows)).encode())
-
-
 class _HashedWriter:
     """Writes byte buffers to a binary handle and keeps their total size and sha256."""
 
@@ -135,8 +124,9 @@ class _HashedWriter:
 
 
 def _write_table(path: Path, header: list[str], cols: list[np.ndarray]) -> None:
-    """Write `header` and the rows of the equal-length int or float columns
-    `cols` as CRLF CSV, `_SLICE_ROWS` rows at a time."""
+    """Write `header` and the rows of the equal-length int, float or str
+    columns `cols` as CRLF CSV, `_SLICE_ROWS` rows at a time; with no rows,
+    only the header line."""
     with _atomic_open(path) as fh:
         fh.write((",".join(header) + "\r\n").encode())
         for part in _slices(cols):
@@ -168,15 +158,21 @@ def _digit_counts(mag: np.ndarray) -> np.ndarray:
 
 
 def _cells(col: np.ndarray):
-    """Cell lengths of a column, ints as `str` and floats as `repr` write them,
-    and a writer that puts the cells into a buffer at given starts.
+    """Cell lengths of a column, ints as `str` and floats as `repr` write them
+    and ASCII text as given, and a writer that puts the cells into a buffer
+    at given starts.  No cell may hold a comma, a quote or a line end; none
+    of the CLI's cells does.
 
     Ints, and floats that are integral with |x| < 2**53, are written in bulk:
     for such a double `repr` (the shortest decimal that reads back to it) is
     the integer's digits and ".0", with a "-" wherever the sign bit is set,
     -0.0 included.  `repr` runs only on the other floats.
     """
-    if col.dtype.kind == "f":
+    fmt = repr
+    if col.dtype.kind == "U":
+        fast, slow, fmt = slice(0), slice(None), str
+        neg, mag, tail = np.empty(0, bool), np.empty(0, np.uint64), ""
+    elif col.dtype.kind == "f":
         with np.errstate(invalid="ignore"):  # a signalling NaN is repr'd like any NaN
             fast = (np.abs(col) < _EXACT_INT) & (np.trunc(col) == col)
         slow = ~fast
@@ -187,9 +183,9 @@ def _cells(col: np.ndarray):
         neg, mag, tail = col < 0, col.astype(np.uint64), ""
         mag[neg] = -mag[neg]  # two's complement, so -2**63 becomes 2**63
     fast_lengths = _digit_counts(mag) + neg + len(tail)
-    text = list(map(repr, col[slow].tolist()))
+    text = list(map(fmt, col[slow].tolist()))
     slow_lengths = np.fromiter(map(len, text), np.int64, len(text))
-    text = np.frombuffer("".join(text).encode(), np.uint8)
+    text = np.frombuffer("".join(text).encode("ascii"), np.uint8)  # lengths count characters
     lengths = np.empty(col.size, np.int64)
     lengths[fast], lengths[slow] = fast_lengths, slow_lengths
 
@@ -200,7 +196,7 @@ def _cells(col: np.ndarray):
         for k, ch in enumerate(tail):
             buf[end - len(tail) + k] = ord(ch)
         buf[first[neg]] = ord("-")
-        # each repr'd cell's bytes go from its offset in `text` to its start in `buf`
+        # each repr'd or text cell's bytes go from its offset in `text` to its start in `buf`
         shift = starts[slow] - (np.cumsum(slow_lengths) - slow_lengths)
         buf[np.repeat(shift, slow_lengths) + np.arange(text.size)] = text
 
@@ -208,7 +204,7 @@ def _cells(col: np.ndarray):
 
 
 def _format_rows(cols: list[np.ndarray]) -> np.ndarray:
-    """The CSV bytes of the rows of equal-length int or float columns."""
+    """The CSV bytes of the rows of equal-length int, float or str columns."""
     cells = list(map(_cells, cols))
     widths = sum(lengths for lengths, _ in cells) + len(cols) + 1  # the commas and CRLF
     ends = np.cumsum(widths)
@@ -476,8 +472,8 @@ def cmd_construct(cfg: ExperimentConfig, out_dir: Path) -> int:
     lo = min(chain.base.support[0], 0.0)
     hi = diagnostics.usable_tail_horizon(chain.base)
     xs = np.concatenate([np.linspace(lo, max(lo + 1.0, 1.0), 64), np.geomspace(1.0, hi, 192)])
-    rows = tail_table({"base": chain.base, "spliced": chain.tilde, "majorant": chain.hat}, xs)
-    _write_csv(out_dir / "tail_tables.csv", rows[0], ([repr(v) for v in row] for row in rows[1:]))
+    cols = [xs] + [spec.tail(xs) for spec in (chain.base, chain.tilde, chain.hat)]
+    _write_table(out_dir / "tail_tables.csv", ["x", "base", "spliced", "majorant"], cols)
 
     print(
         f"construct: K={chain.K:.6g} V={chain.V:.6g} V'={chain.V_prime:.6g} "
@@ -558,11 +554,12 @@ def cmd_estimate(cfg: ExperimentConfig, out_dir: Path, fmt: str) -> int:
     }
     _write_json(out_dir / "estimates.json", payload)
     if fmt == "csv":
-        _write_csv(
+        cells = [(e.estimand["kind"], e.n, e.point, e.std_error, *e.ci95, e.top1_share, e.censored_n, e.verdict)
+                 for e in estimates]
+        _write_table(
             out_dir / "estimates.csv",
             ["kind", "n", "point", "std_error", "ci_lo", "ci_hi", "top1_share", "censored_n", "verdict"],
-            ([e.estimand["kind"], str(e.n), repr(e.point), repr(e.std_error), repr(e.ci95[0]),
-              repr(e.ci95[1]), repr(e.top1_share), str(e.censored_n), e.verdict] for e in estimates),
+            [np.array(col) for col in zip(*cells)],
         )
     for e in estimates:
         print(
@@ -611,12 +608,9 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
         report["psi_sstar"] = {"skipped": str(exc)}
     ratio = est.running_max_ratio_check(batch, psi_spec)
     report["running_max_ratio"] = ratio.to_dict()
-    _write_csv(
-        out_dir / "ratio_curve.csv",
-        ["x", "exceedances", "ratio", "ratio_lo", "ratio_hi", "e_tau"],
-        ([repr(row["x"]), str(row["exceedances"]), repr(row["ratio"]), repr(row["ratio_lo"]),
-          repr(row["ratio_hi"]), repr(ratio.e_tau)] for row in ratio.rows),
-    )
+    header = ["x", "exceedances", "ratio", "ratio_lo", "ratio_hi"]
+    cols = [np.array([row[key] for row in ratio.rows]) for key in header]
+    _write_table(out_dir / "ratio_curve.csv", header + ["e_tau"], cols + [np.full(len(ratio.rows), ratio.e_tau)])
 
     sizes = sorted({cfg.n_samples // 64, cfg.n_samples // 16, cfg.n_samples // 4, cfg.n_samples})
     sizes = [s for s in sizes if s >= 2]
@@ -626,12 +620,9 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
             series = [_configured_estimates(cfg, batch.head(s), a)[0] for s in sizes]
             stability = est.finiteness_diagnostic(series)
             report["finiteness"] = stability.to_dict()
-            _write_csv(
-                out_dir / "stability_curve.csv",
-                ["n", "point", "std_error", "top1_share"],
-                ([str(p["n"]), repr(p["point"]), repr(p["std_error"]), repr(p["top1_share"])]
-                 for p in stability.points),
-            )
+            header = ["n", "point", "std_error", "top1_share"]
+            cols = [np.array([p[key] for p in stability.points]) for key in header]
+            _write_table(out_dir / "stability_curve.csv", header, cols)
         except ConfigError:
             report["finiteness"] = {"skipped": "no estimand configured"}
     else:
@@ -667,7 +658,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory (default from config or ./out)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--streams", type=int, default=None, help="override the parallel stream count")
-        p.add_argument("--format", choices=["csv", "json"], default="json", help="extra table format for estimate")
+        if name == "estimate":
+            p.add_argument("--format", choices=["csv", "json"], default="json", help="csv adds estimates.csv")
         if name == "simulate":
             p.add_argument(
                 "--replay",

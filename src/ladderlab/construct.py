@@ -315,13 +315,12 @@ def build_chain(
     g: GrowthFunction,
     report: ConditionReport,
     delta: float | None = None,
-    truncation_margin: float | None = None,
 ) -> ConstructionChain:
     """Run the whole construction and cross-check the fitted means.
 
-    delta defaults to half the drift magnitude; the truncation margin defaults
-    to half the headroom between the spliced drift and the compensation shift,
-    so the compensated increments keep strictly negative mean.
+    delta defaults to half the drift magnitude; the truncation margin is half
+    the headroom between the spliced drift and the compensation shift, so the
+    compensated increments keep strictly negative mean.
     """
     if not report.all_ok:
         raise ConstructionError("growth function failed certification; cannot build the chain")
@@ -344,13 +343,7 @@ def build_chain(
         )
 
     shift = a - delta
-    headroom = a_tilde - shift
-    if truncation_margin is None:
-        truncation_margin = headroom / 2.0
-    if not 0 < truncation_margin < headroom:
-        raise ConstructionError(
-            f"truncation margin must lie in (0, {headroom}) to keep the compensated drift negative"
-        )
+    truncation_margin = (a_tilde - shift) / 2.0  # in (0, headroom), since a_tilde > shift
     level, trunc = truncate_below(tilde, truncation_margin)
     a_trunc = -trunc.mean
     if not a_trunc > shift:

@@ -65,10 +65,9 @@ class IncrementFitReport(Report):
     witnesses: list = field(default_factory=list)
 
 
-def usable_tail_horizon(
-    spec: TailSpec, log_floor: float = _LOG_FLOOR, cap: float = 1e13
-) -> float:
-    """Largest x where the log-tail still clears the given floor (or the cap)."""
+def usable_tail_horizon(spec: TailSpec, log_floor: float = _LOG_FLOOR) -> float:
+    """Largest x where the log-tail still clears the given floor, capped at 1e13."""
+    cap = 1e13
     hi = spec.support[1]
     if math.isfinite(hi):
         return hi
@@ -100,10 +99,9 @@ def _default_x_grid(spec: TailSpec, per_decade: int = 16, hi: float | None = Non
     return np.geomspace(lo, hi, n)
 
 
-def long_tailed_profile(
-    spec: TailSpec, y: float = 1.0, x_grid=None, tol: float = 1e-2
-) -> TailRatioReport:
-    """Ratios tail(x-y)/tail(x); consistent when the last decade sits in [1, 1+tol]."""
+def long_tailed_profile(spec: TailSpec, y: float = 1.0, x_grid=None) -> TailRatioReport:
+    """Ratios tail(x-y)/tail(x); consistent when the last decade sits in [1, 1.01] (`tol` 1e-2)."""
+    tol = 1e-2
     if y <= 0:
         raise ValueError("the shift y must be positive")
     if x_grid is None:
@@ -160,16 +158,17 @@ def _convolution_ratio(spec: TailSpec, x: float, m: float, lt_x: float) -> float
     return 2.0 * total / (2.0 * m)
 
 
-def sstar_ratio(spec: TailSpec, x_grid=None, tol: float = 0.1) -> TailRatioReport:
+def sstar_ratio(spec: TailSpec, x_grid=None) -> TailRatioReport:
     """Self-convolution over 2 m tail(x); consistent when it settles just above one.
 
     The verdict requires the last-decade ratios to be non-increasing (small
-    numerical slack) and the final ratio to land in [1, 1+tol].  The default
-    grid runs to a log-tail depth of -1e5 (capped at x = 1e12): the ratio is
-    computed relative to tail(x), so it stays meaningful far past the point
-    where the tail value itself leaves double precision.
+    numerical slack) and the final ratio to land in the band [1, 1.1] (`tol`
+    0.1).  The default grid runs to a log-tail depth of -1e5 (capped at
+    x = 1e12): the ratio is computed relative to tail(x), so it stays
+    meaningful far past the point where the tail value itself leaves double
+    precision.
     """
-    m = spec.pos_mean
+    m, tol = spec.pos_mean, 0.1
     if not m > 0:
         raise ValueError("strong-subexponential diagnostic needs a positive-part mean > 0")
     if x_grid is None:
@@ -200,24 +199,21 @@ def sstar_ratio(spec: TailSpec, x_grid=None, tol: float = 0.1) -> TailRatioRepor
     )
 
 
-def check_log_tail_increment(
-    spec: TailSpec, gamma: float, x_grid=None, y_fracs=None
-) -> IncrementFitReport:
+def check_log_tail_increment(spec: TailSpec, gamma: float, x_grid=None) -> IncrementFitReport:
     """Fit A' in R(x) - R(x-y) <= gamma R(y) + A' over y in (0, x/2].
 
-    Mirrors the growth-function increment fit on the hazard scale
-    R = -log tail: the per-decade running maximum of the residual must gain
-    less than 1e-6 over the last usable decade, otherwise the worst residuals
-    are reported as witnesses.
+    y runs over 64 log-spaced fractions of x from 1e-4 to 0.5.  Mirrors the
+    growth-function increment fit on the hazard scale R = -log tail: the
+    per-decade running maximum of the residual must gain less than 1e-6 over
+    the last usable decade, otherwise the worst residuals are reported as
+    witnesses.
     """
     if not gamma < 1:
         raise ValueError("gamma must be < 1")
     if x_grid is None:
         x_grid = _default_x_grid(spec, per_decade=24)
     x_grid = np.asarray(x_grid, dtype=float)
-    if y_fracs is None:
-        y_fracs = np.geomspace(1e-4, 0.5, 64)
-    y_fracs = np.asarray(y_fracs, dtype=float)
+    y_fracs = np.geomspace(1e-4, 0.5, 64)
 
     ys = x_grid[:, None] * y_fracs[None, :]
     r_x = -spec.log_tail(x_grid)[:, None]

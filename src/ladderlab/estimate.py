@@ -150,15 +150,15 @@ class DominanceReport(Report):
     stream_id: int
 
 
-def dominance_suite(
-    chain: ConstructionChain, n: int, seed: int, stream_id: int = 0, chunk: int = 1_000_000
-) -> DominanceReport:
+def dominance_suite(chain: ConstructionChain, n: int, seed: int) -> DominanceReport:
     """Draw n shared uniforms; require base <= spliced <= majorant quantiles on each.
 
-    Zero violations are required: with pointwise-ordered tails the generalized
-    inverses are ordered exactly, so any violation indicates a mis-fitted
-    majorant coefficient or a broken splice.
+    The uniforms are slot 0 of stream 0, steps 0..n-1, drawn 1,000,000 at a
+    time.  Zero violations are required: with pointwise-ordered tails the
+    generalized inverses are ordered exactly, so any violation indicates a
+    mis-fitted majorant coefficient or a broken splice.
     """
+    stream_id, chunk = 0, 1_000_000
     violations = []
     done = 0
     while done < n and len(violations) < 10:
@@ -194,7 +194,7 @@ class WaldReport(Report):
     ok: bool
 
 
-def wald_check(batch: SampleBatch, mean_increment: float, max_sigmas: float = 4.0) -> WaldReport:
+def wald_check(batch: SampleBatch, mean_increment: float) -> WaldReport:
     """Check E S_tau = E xi * E tau on uncensored samples, within 4 combined SEs."""
     keep = ~batch.censored
     n = int(keep.sum())
@@ -207,7 +207,7 @@ def wald_check(batch: SampleBatch, mean_increment: float, max_sigmas: float = 4.
         sigmas = 0.0 if mean_d == 0.0 else math.inf
     else:
         sigmas = abs(mean_d) / se
-    return WaldReport(n=n, mean_discrepancy=mean_d, std_error=se, sigmas=sigmas, ok=sigmas <= max_sigmas)
+    return WaldReport(n=n, mean_discrepancy=mean_d, std_error=se, sigmas=sigmas, ok=sigmas <= 4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -237,21 +237,16 @@ class RatioCheckReport(Report):
     notes: list = field(default_factory=list)
 
 
-def running_max_ratio_check(
-    batch: SampleBatch,
-    f_psi: TailSpec,
-    x_grid=None,
-    delta_tol: float = 0.0,
-    min_exceedances: int = 30,
-) -> RatioCheckReport:
+def running_max_ratio_check(batch: SampleBatch, f_psi: TailSpec, x_grid=None) -> RatioCheckReport:
     """Compare P{M_tau > x}/tail_psi(x) with the estimated mean epoch.
 
     The asymptotic prediction is ratio -> E tau; at finite n the acceptance
     band at each x is the Wilson 95% interval for the exceedance probability
-    divided by the increment tail, optionally widened by delta_tol.  The
-    verdict is taken at the largest x still resolving `min_exceedances`
-    exceedances; grid points beyond that are dropped and reported.
+    divided by the increment tail, not widened (`delta_tol` 0.0).  The
+    verdict is taken at the largest x still resolving 30 exceedances
+    (`min_exceedances`); grid points beyond that are dropped and reported.
     """
+    delta_tol, min_exceedances = 0.0, 30
     keep = ~batch.censored
     n = int(keep.sum())
     notes = []
@@ -291,7 +286,7 @@ def running_max_ratio_check(
         notes.append("no grid point resolves enough exceedances; enlarge n or lower the grid")
         return RatioCheckReport(e_tau, rows, False, None, delta_tol, min_exceedances, notes)
     top = max(resolvable, key=lambda r: r["x"])
-    ok = (top["ratio_lo"] - delta_tol) <= e_tau <= (top["ratio_hi"] + delta_tol)
+    ok = top["ratio_lo"] <= e_tau <= top["ratio_hi"]
     return RatioCheckReport(e_tau, rows, ok, top["x"], delta_tol, min_exceedances, notes)
 
 

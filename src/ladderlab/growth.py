@@ -29,6 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .config import Report
 from .numerics import doubling_integral, scalar_power, stabilized_running_max
 
 __all__ = [
@@ -283,9 +284,9 @@ def from_callables(
     return GrowthFunction(family, {}, ev_arr, deriv, inverse)
 
 
-def default_condition_grid(n: int = 1200, lo: float = 1e-3, hi: float = 1e6):
-    """Log-spaced verification grid used by the shape and slope checks."""
-    return np.geomspace(lo, hi, n)
+def default_condition_grid():
+    """Log-spaced verification grid used by the shape and slope checks: 1200 points from 1e-3 to 1e6."""
+    return np.geomspace(1e-3, 1e6, 1200)
 
 
 # ---------------------------------------------------------------------------
@@ -461,19 +462,18 @@ def check_tail_integral(g: GrowthFunction, gamma: float) -> tuple[str, float]:
     return ("finite" if converged else "divergent"), total
 
 
-def check_increment_slack(
-    g: GrowthFunction, gamma: float, x0: float, per_decade: int = 48, n_y: int = 64
-) -> tuple[CheckResult, float]:
+def check_increment_slack(g: GrowthFunction, gamma: float, x0: float) -> tuple[CheckResult, float]:
     """Fit the additive slack A of the increment bound g(x)-g(x-y) <= gamma g(y) + A.
 
-    Maximizes the residual over a log-log grid with x in [2 x0, 1e8] and y in
-    [x0, x/2], polishing the grid maximum by local refinement.  The fit is
-    accepted when the running per-decade maximum gains less than 1e-6 over the
-    last decade of x; otherwise the worst residuals of that decade are
-    returned as witnesses.
+    Maximizes the residual over a log-log grid with x in [2 x0, 1e8] (48
+    points per decade) and y in [x0, x/2] (64 points), polishing the grid
+    maximum by local refinement.  The fit is accepted when the running
+    per-decade maximum gains less than 1e-6 over the last decade of x;
+    otherwise the worst residuals of that decade are returned as witnesses.
     """
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must be in (0,1), got {gamma}")
+    per_decade, n_y = 48, 64
     x_lo = max(2.0 * x0, 2e-9)
     if x_lo >= INCREMENT_X_MAX / 4:
         raise ValueError("x0 too large for the increment grid")
@@ -525,8 +525,12 @@ def check_increment_slack(
 
 
 @dataclass
-class ConditionReport:
-    """Outcome of the admissibility checks with the fitted constants."""
+class ConditionReport(Report):
+    """Outcome of the admissibility checks with the fitted constants.
+
+    Its JSON keys are its field names, except that `grid_lo`, `grid_hi` and
+    `x_max` are nested as `lo`, `hi` and `x_max` under `certified_grid`.
+    """
 
     family: str
     params: dict
@@ -549,34 +553,21 @@ class ConditionReport:
         return self.shape_ok and self.slope_decay_ok and self.tail_integral_ok and self.increment_ok
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "params": self.params,
-            "shape_ok": self.shape_ok,
-            "slope_decay_ok": self.slope_decay_ok,
-            "tail_integral_ok": self.tail_integral_ok,
-            "increment_ok": self.increment_ok,
-            "x0": self.x0,
-            "B": self.B,
-            "gamma": self.gamma,
-            "A": self.A,
-            "integral_value": self.integral_value,
-            "certified_grid": {"lo": self.grid_lo, "hi": self.grid_hi, "x_max": self.x_max},
-            "witnesses": self.witnesses,
-        }
+        out = super().to_dict()
+        out["certified_grid"] = {"lo": out.pop("grid_lo"), "hi": out.pop("grid_hi"), "x_max": out.pop("x_max")}
+        return out
 
 
-def certify(g: GrowthFunction, grid=None, gammas: Sequence[float] = GAMMA_CANDIDATES) -> ConditionReport:
+def certify(g: GrowthFunction, gammas: Sequence[float] = GAMMA_CANDIDATES) -> ConditionReport:
     """Run all admissibility checks and fit (gamma, A, x0, B).
 
-    gamma is the smallest candidate for which both the tail integral converges
-    and the increment slack stabilizes; smaller gamma certifies the stronger
+    The shape and slope checks run on `default_condition_grid()`.  gamma is
+    the smallest candidate for which both the tail integral converges and the
+    increment slack stabilizes; smaller gamma certifies the stronger
     inequality.  Returns a report with violation witnesses when any check
     fails.
     """
-    if grid is None:
-        grid = default_condition_grid()
-    grid = np.asarray(grid, dtype=float)
+    grid = default_condition_grid()
     witnesses: dict = {}
 
     shape = check_shape(g, grid)

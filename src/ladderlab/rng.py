@@ -89,15 +89,6 @@ def _rounds(x0, x1, x2, x3, p0, p1, seed, words=4):
     return x0, x1, x2, x3
 
 
-def _philox_4x32_10(c0, c1, c2, c3, k0, k1):
-    """Run ten Philox rounds on counter words c0..c3 under the key (k0, k1)."""
-    shape = np.broadcast_shapes(*(np.shape(c) for c in (c0, c1, c2, c3)))
-    planes = [np.empty(shape, dtype=np.uint64) for _ in range(6)]
-    for plane, c in zip(planes, (c0, c1, c2, c3)):
-        plane[...] = c
-    return _rounds(*planes, int(k0) | int(k1) << 32)
-
-
 def _block(seed, stream, step, planes=None, words=4):
     """Philox words of (seed, stream, step); `stream` and `step` broadcast.
 

@@ -60,7 +60,6 @@ __all__ = [
     "TruncatedBelow",
     "ShiftedTail",
     "make_builtin_dist",
-    "tail_table",
 ]
 
 _TINY_TAIL = 1e-300
@@ -819,13 +818,3 @@ def make_builtin_dist(spec: dict) -> TailSpec:
         raise TailError(f"unknown distribution family {family!r}") from None
     return builder(spec)
 
-
-def tail_table(specs: dict[str, TailSpec], xs) -> list[list]:
-    """Rows (x, tail_1(x), tail_2(x), ...) for CSV export and plotting."""
-    xs = np.asarray(xs, dtype=float)
-    columns = [spec.tail(xs) for spec in specs.values()]
-    header = ["x"] + list(specs.keys())
-    rows: list[list] = [header]
-    for i, x in enumerate(xs):
-        rows.append([float(x)] + [float(col[i]) for col in columns])
-    return rows

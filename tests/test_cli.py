@@ -420,17 +420,28 @@ def _dense_ints(rng) -> np.ndarray:
 
 
 def test_format_rows_matches_repr_and_str_dense():
-    """Every cell the columnar formatter writes is `repr(float(v))` or `str(int(v))`."""
+    """Every cell the columnar formatter writes is `repr(float(v))`, `str(int(v))` or the text as given."""
     rng = np.random.default_rng(SEED)
     floats, ints = _dense_floats(rng), _dense_ints(rng)
     n = max(floats.size, ints.size)
     floats, ints = np.resize(floats, n), np.resize(ints, n)
+    words = np.array(["stable", "", "censored-dominated", "x", "exp_growth", "1.5", "-0.0", "nan"])[rng.integers(0, 8, n)]
     assert n > 100_000
-    rows = cli._format_rows([ints, floats, ints.astype(bool)]).tobytes().split(b"\r\n")
+    rows = cli._format_rows([ints, words, floats, ints.astype(bool)]).tobytes().split(b"\r\n")
     assert rows.pop() == b""
-    want = [f"{int(i)},{float(x)!r},{int(bool(i))}".encode() for i, x in zip(ints.tolist(), floats.tolist())]
+    want = [
+        f"{int(i)},{w},{float(x)!r},{int(bool(i))}".encode()
+        for i, w, x in zip(ints.tolist(), words.tolist(), floats.tolist())
+    ]
     bad = [(got, exp) for got, exp in zip(rows, want) if got != exp]
     assert len(rows) == n and not bad, bad[:5]
+
+
+def test_zero_row_table_is_its_header(tmp_path):
+    # e.g. ratio_curve.csv when no grid point has an exceedance
+    path = tmp_path / "ratio_curve.csv"
+    cli._write_table(path, ["x", "exceedances", "kind"], [np.array([]), np.array([], np.int64), np.array([], str)])
+    assert path.read_bytes() == b"x,exceedances,kind\r\n"
 
 
 def test_no_module_binds_the_csv_module():
@@ -551,6 +562,13 @@ def test_bernoulli_mean_epoch_through_cli(tmp_path):
     est = payload["estimates"][0]
     assert abs(est["point"] - 1.5) <= 4 * est["std_error"]
     assert (out / "estimates.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["check", "construct", "simulate", "verify"])
+def test_format_is_an_estimate_flag(cfg_path, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg_path), "--format", "csv"])
+    assert exc.value.code == 2  # argparse's usage error
 
 
 def test_censored_dominated_exit_code(tmp_path):

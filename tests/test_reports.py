@@ -29,6 +29,7 @@ def reports(chains):
     batch = simulate_batch(spec, seed=5, n_samples=20_000)
     series = [estimate_power_moment(batch.head(n), 1.0) for n in (2_000, 5_000, 10_000, 20_000)]
     return {
+        "conditions": chain.report,
         "majorant_fit": chain.fit,
         "long_tailed": long_tailed_profile(chain.hat),
         "sstar": sstar_ratio(chain.hat, x_grid=[10.0, 100.0]),
@@ -42,6 +43,13 @@ def reports(chains):
 
 
 EXPECTED = {
+    "conditions": (
+        None,
+        {
+            "family", "params", "shape_ok", "slope_decay_ok", "tail_integral_ok", "increment_ok",
+            "x0", "B", "gamma", "A", "integral_value", "certified_grid", "witnesses",
+        },
+    ),
     "majorant_fit": (
         None,
         {"K", "product_sup", "floor_exp_g_x0", "argmax_log_s", "grid_log_s_hi", "exp_growth_moment"},
@@ -72,6 +80,7 @@ def test_report_keys(reports, name):
 
 
 def test_report_constants(reports):
+    assert reports["conditions"].to_dict()["certified_grid"] == {"lo": 1e-3, "hi": 1e6, "x_max": 1e8}
     assert reports["dominance"].to_dict()["ok"] is True
     assert reports["finiteness"].to_dict()["note"] == (
         "heuristic diagnostic: stability under growing n is evidence, not proof"

@@ -4,36 +4,32 @@ import pytest
 from ladderlab import rng
 
 
-def _assert_slot0_known(ctr, key, expected):
-    # the slot-0 path's words 0 and 1 on a known answer; the counter is
-    # (step lo, step hi, stream lo, stream hi) and the key is the seed
+def _assert_known(ctr, key, expected):
+    # Philox words of a counter (c0, c1, c2, c3) = (step lo, step hi, stream
+    # lo, stream hi) under the key (k0, k1) = the seed, then the slot-0 path's
+    # words 0 and 1 on the same cell
     seed, stream, step = key[0] | key[1] << 32, ctr[2] | ctr[3] << 32, ctr[0] | ctr[1] << 32
-    assert [int(w) for w in rng._block(seed, stream, step, words=2)[:2]] == expected
+    assert [int(w) for w in rng._block(seed, stream, step)] == expected
+    assert [int(w) for w in rng._block(seed, stream, step, words=2)[:2]] == expected[:2]
     u0 = rng._to_unit(np.uint64(expected[0]), np.uint64(expected[1]))
     assert float(rng.uniform_slot0(seed, stream, step)) == float(u0)
 
 
 def test_known_answer_zero_block():
     # Philox-4x32-10 reference vector: zero counter, zero key.
-    words = rng._philox_4x32_10(*[np.uint64(0)] * 6)
-    assert [int(w) for w in words] == [0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8]
-    _assert_slot0_known([0] * 4, [0] * 2, [0x6627E8D5, 0xE169C58D])
+    _assert_known([0] * 4, [0] * 2, [0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8])
 
 
 def test_known_answer_all_ones_block():
     # Random123 vector: every counter and key word 0xffffffff.
-    words = rng._philox_4x32_10(*[np.uint64(0xFFFFFFFF)] * 6)
-    assert [int(w) for w in words] == [0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD]
-    _assert_slot0_known([0xFFFFFFFF] * 4, [0xFFFFFFFF] * 2, [0x408F276D, 0x41C83B0E])
+    _assert_known([0xFFFFFFFF] * 4, [0xFFFFFFFF] * 2, [0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD])
 
 
 def test_known_answer_pi_block():
     # Random123 vector: counter and key from the hex digits of pi.
     ctr = [0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344]
     key = [0xA4093822, 0x299F31D0]
-    words = rng._philox_4x32_10(*[np.uint64(w) for w in ctr + key])
-    assert [int(w) for w in words] == [0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1]
-    _assert_slot0_known(ctr, key, [0xD16CFE09, 0x94FDCCEB])
+    _assert_known(ctr, key, [0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1])
 
 
 def test_determinism_and_shape():
