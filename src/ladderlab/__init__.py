@@ -56,7 +56,6 @@ from .tails import (
     Exponential,
     LognormalShifted,
     MajorantIncrement,
-    MajorantZeta,
     Pareto,
     QueuePair,
     ShiftedTail,

@@ -498,11 +498,9 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, replay: int | None = None
         return EXIT_OK
     dtype, n = _sample_dtype(cfg.shift), cfg.n_samples
 
-    def task(lo, hi):  # one simulate_batch chunk, so no concatenation
+    def task(lo, hi):  # at most one simulate_batch chunk, so no concatenation
         ids = np.arange(lo, hi, dtype=np.int64)
-        batch = simulate_batch(
-            spec, cfg.seed, stream_ids=ids, step_cap=cfg.step_cap, shift=cfg.shift, chunk_size=hi - lo
-        )
+        batch = simulate_batch(spec, cfg.seed, stream_ids=ids, step_cap=cfg.step_cap, shift=cfg.shift)
         return _encode(batch, dtype)
 
     # the old manifest goes first: a run killed before the new one is written

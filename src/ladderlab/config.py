@@ -53,7 +53,12 @@ class Report:
 
 
 _UNHASHED = ("streams", "outputs")  # the parallelism degree and the output paths
-_INTEGER_FIELDS = ("n_samples", "step_cap", "seed", "streams")
+_FIELD_TYPES = (  # a value of another type is refused, not truncated, parsed or crashed on later
+    (("growth", "increments", "outputs"), dict, "a mapping"),
+    (("eps", "delta", "alpha", "c", "shift"), (int, float), "a number"),
+    (("n_samples", "step_cap", "seed", "streams"), int, "an integer"),
+)
+_UNSET = ("growth", "increments", "eps", "delta", "alpha", "c")  # None when the config leaves them out
 
 
 @dataclass
@@ -74,6 +79,13 @@ class ExperimentConfig:
     outputs: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for names, types, what in _FIELD_TYPES:
+            for name in names:
+                value = getattr(self, name)
+                if value is None and name in _UNSET:
+                    continue
+                if not isinstance(value, types) or isinstance(value, bool):
+                    raise ConfigError(f"{name} must be {what}, got {value!r}")
         if self.eps is not None and not 0.0 < self.eps < 1.0:
             raise ConfigError(f"eps must lie in (0, 1), got {self.eps}")
         if self.delta is not None and not self.delta > 0.0:
@@ -82,10 +94,6 @@ class ExperimentConfig:
             raise ConfigError(f"alpha must be positive, got {self.alpha}")
         if self.c is not None and not self.c > 0.0:
             raise ConfigError(f"c must be positive, got {self.c}")
-        for name in _INTEGER_FIELDS:  # a float or a string is refused, not truncated or parsed
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.n_samples < 1:
             raise ConfigError("n_samples must be at least one")
         if self.step_cap < 1:

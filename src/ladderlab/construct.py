@@ -28,7 +28,7 @@ import numpy as np
 from .config import Report
 from .growth import ConditionReport, GrowthFunction
 from .numerics import doubling_integral
-from .tails import MajorantIncrement, ShiftedTail, SplicedTail, TailSpec, TruncatedBelow
+from .tails import MajorantIncrement, SplicedTail, TailSpec, TruncatedBelow
 
 __all__ = [
     "ConstructionError",
@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 _LOG_TAIL_FLOOR = math.log(1e-300)
+_LEVEL_CAP = 1e10  # largest splice level V and truncation level L tried
 
 
 class ConstructionError(ValueError):
@@ -187,15 +188,14 @@ def splice_at(base: TailSpec, hat: MajorantIncrement, v: float) -> tuple[float, 
     return v_prime, SplicedTail(base, hat, v, v_prime), mean
 
 
-def splice(
-    base: TailSpec, hat: MajorantIncrement, delta: float, v_cap: float = 1e10
-) -> tuple[float, float, SplicedTail]:
+def splice(base: TailSpec, hat: MajorantIncrement, delta: float) -> tuple[float, float, SplicedTail]:
     """Find the smallest grid V whose splice keeps the mean below mean+delta.
 
     The candidate levels grow geometrically (ratio 1.25) from the base median;
     the spliced mean is monotone in V, so the first level passing the target
-    is returned.  Raises ConstructionError when no level up to v_cap works,
-    which signals an infinite exp-growth moment or a mis-fitted coefficient.
+    is returned.  Raises ConstructionError when no level up to ``_LEVEL_CAP``
+    (1e10) works, which signals an infinite exp-growth moment or a mis-fitted
+    coefficient.
     """
     a = -base.mean
     if not a > 0:
@@ -205,7 +205,7 @@ def splice(
     target = -a + delta
 
     v = max(float(base.tail_quantile(0.5)), 1e-6)
-    while v <= v_cap:
+    while v <= _LEVEL_CAP:
         v_prime, spliced, mean = splice_at(base, hat, v)
         if mean < target:
             return v, v_prime, spliced
@@ -221,14 +221,14 @@ def splice(
 # ---------------------------------------------------------------------------
 
 
-def truncate_below(
-    base: TailSpec, target_mean_margin: float, l_cap: float = 1e10
-) -> tuple[float, TruncatedBelow]:
+def truncate_below(base: TailSpec, target_mean_margin: float) -> tuple[float, TruncatedBelow]:
     """Pick the smallest grid L so that max(X, -L) moves the mean by <= margin.
 
     A base bounded below is returned unchanged with L at its lower support
-    edge.  Otherwise L grows geometrically until the removed lower-tail mass
-    integral drops under the margin; it always does, by dominated convergence.
+    edge.  Otherwise L grows geometrically from 1 until the removed lower-tail
+    mass integral drops under the margin; it always does, by dominated
+    convergence, but a level past ``_LEVEL_CAP`` (1e10) raises
+    ConstructionError.
     """
     a_tilde = -base.mean
     if not a_tilde > 0:
@@ -242,7 +242,7 @@ def truncate_below(
             f"target mean margin must lie in (0, {a_tilde}) for an unbounded lower tail"
         )
     level = 1.0
-    while level <= l_cap:
+    while level <= _LEVEL_CAP:
         gain = base.mass_integral_below(-level)
         if gain <= target_mean_margin:
             return level, TruncatedBelow(base, level)
@@ -284,11 +284,6 @@ class ConstructionChain:
     def shift(self) -> float:
         """Drift compensation a - delta applied to the truncated increments."""
         return self.a - self.delta
-
-    @property
-    def psi(self) -> ShiftedTail:
-        """Compensated increment: truncated variable plus (a - delta)."""
-        return ShiftedTail(self.trunc, self.shift)
 
     def to_dict(self) -> dict:
         return {

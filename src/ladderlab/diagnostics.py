@@ -99,11 +99,9 @@ def _default_x_grid(spec: TailSpec, per_decade: int = 16, hi: float | None = Non
     return np.geomspace(lo, hi, n)
 
 
-def long_tailed_profile(spec: TailSpec, y: float = 1.0, x_grid=None) -> TailRatioReport:
-    """Ratios tail(x-y)/tail(x); consistent when the last decade sits in [1, 1.01] (`tol` 1e-2)."""
-    tol = 1e-2
-    if y <= 0:
-        raise ValueError("the shift y must be positive")
+def long_tailed_profile(spec: TailSpec, x_grid=None) -> TailRatioReport:
+    """Ratios tail(x-y)/tail(x) at shift y = 1; consistent when the last decade sits in [1, 1.01] (`tol` 1e-2)."""
+    y, tol = 1.0, 1e-2
     if x_grid is None:
         x_grid = _default_x_grid(spec)
     x_grid = np.asarray(x_grid, dtype=float)

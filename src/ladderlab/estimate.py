@@ -163,7 +163,7 @@ def dominance_suite(chain: ConstructionChain, n: int, seed: int) -> DominanceRep
     done = 0
     while done < n and len(violations) < 10:
         count = min(chunk, n - done)
-        u = rng.uniform_sequence(seed, stream_id, count, start=done)
+        u = rng.uniform_slot0(seed, stream_id, np.arange(done, done + count, dtype=np.uint64))
         q_base = chain.base.quantile(u)
         q_tilde = chain.tilde.quantile(u)
         q_hat = chain.hat.quantile(u)

@@ -558,14 +558,14 @@ class ConditionReport(Report):
         return out
 
 
-def certify(g: GrowthFunction, gammas: Sequence[float] = GAMMA_CANDIDATES) -> ConditionReport:
+def certify(g: GrowthFunction) -> ConditionReport:
     """Run all admissibility checks and fit (gamma, A, x0, B).
 
     The shape and slope checks run on `default_condition_grid()`.  gamma is
-    the smallest candidate for which both the tail integral converges and the
-    increment slack stabilizes; smaller gamma certifies the stronger
-    inequality.  Returns a report with violation witnesses when any check
-    fails.
+    the first of `GAMMA_CANDIDATES` (in increasing order) for which both the
+    tail integral converges and the increment slack stabilizes; smaller gamma
+    certifies the stronger inequality.  Returns a report with violation
+    witnesses when any check fails.
     """
     grid = default_condition_grid()
     witnesses: dict = {}
@@ -595,7 +595,7 @@ def certify(g: GrowthFunction, gammas: Sequence[float] = GAMMA_CANDIDATES) -> Co
     report.B = slope.detail["B"]
 
     last_increment_witnesses = None
-    for gamma in gammas:
+    for gamma in GAMMA_CANDIDATES:
         verdict, value = check_tail_integral(g, gamma)
         if verdict != "finite":
             continue

@@ -20,13 +20,12 @@ the secondary draw needed by service/interarrival pairs.  Slot 0 is words 0
 and 1 of the block and slot 1 words 2 and 3.  `uniform_slot0` draws slot 0
 alone: its last Philox round computes only words 0 and 1, and it skips the
 second conversion.  Walks of every family except `tails.QueuePair` (which sets
-`TailSpec.uses_slot1`) take that path, and so does `uniform_sequence`.
-`uniform_pair`, `uniform_slot0` and `uniform_sequence` share one tile loop,
-and each tile converts its words to doubles through a plane that the rounds
-no longer need.  A draw allocates its outputs and one set of planes, unless
-the caller lends them (`out=`, `planes=`); then it allocates nothing that
-grows with its cells.  The walk kernel lends one set to every draw of a
-`simulate_batch` call.
+`TailSpec.uses_slot1`) take that path.  `uniform_pair` and `uniform_slot0`
+share one tile loop, and each tile converts its words to doubles through a
+plane that the rounds no longer need.  A draw allocates its outputs and one
+set of planes, unless the caller lends them (`out=`, `planes=`); then it
+allocates nothing that grows with its cells.  The walk kernel lends one set
+to every draw of a `simulate_batch` call.
 """
 
 from __future__ import annotations
@@ -184,8 +183,3 @@ def uniform_pair(seed, stream, step, out=None, planes=None):
 def uniform_slot0(seed, stream, step, out=None, planes=None):
     """The bits of `uniform_pair(seed, stream, step)[0]`, without computing slot 1; `out` is one array."""
     return _uniforms(seed, stream, step, 1, None if out is None else [out], planes)[0]
-
-
-def uniform_sequence(seed, stream, count: int, start: int = 0):
-    """`count` slot-0 uniforms of a single stream, steps start..start+count-1."""
-    return uniform_slot0(seed, stream, np.arange(start, start + count, dtype=np.uint64))

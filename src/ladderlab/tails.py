@@ -3,10 +3,11 @@
 Everything downstream (construction, simulation, diagnostics) works through
 ``TailSpec``: a distribution is its tail ``x -> P{X > x}`` plus a generalized
 inverse for sampling, an explicit atom list for mixed distributions, and
-means computed by tail quadrature.  Builtin families cover the test bench:
-shifted Weibull and lognormal (the intermediate heavy-tailed regime), Pareto
-(regularly varying reference), two-point and constant increments, exponential
-service times and service-minus-interarrival pairs.
+means computed by tail quadrature on first read and cached.  Builtin
+families cover the test bench: shifted Weibull and lognormal (the
+intermediate heavy-tailed regime), Pareto (regularly varying reference),
+two-point and constant increments, exponential service times and
+service-minus-interarrival pairs.
 
 Quantiles use the convention ``tail_quantile(q) = inf{x : tail(x) <= q}``;
 ``quantile(u) = tail_quantile(1 - u)`` so that one shared uniform applied to
@@ -37,6 +38,7 @@ checks bit for bit:
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -54,7 +56,6 @@ __all__ = [
     "Constant",
     "Exponential",
     "QueuePair",
-    "MajorantZeta",
     "MajorantIncrement",
     "SplicedTail",
     "TruncatedBelow",
@@ -94,10 +95,6 @@ class TailSpec:
     """
 
     uses_slot1 = False
-
-    def __init__(self):
-        self._mean_cache: float | None = None
-        self._pos_mean_cache: float | None = None
 
     # -- interface ---------------------------------------------------------
 
@@ -191,38 +188,33 @@ class TailSpec:
         body = self._integrate_cdf(start, level) if level > start else 0.0
         return body + _half_line_integral(self._scalar_cdf(), start, direction=-1)
 
-    @property
+    @cached_property
     def pos_mean(self) -> float:
         """Mean of the positive part, integral of the tail over (0, inf)."""
-        if self._pos_mean_cache is None:
-            lo, hi = self.support
-            if hi <= 0:
-                self._pos_mean_cache = 0.0
-            else:
-                edge = max([p for p in self._breakpoints() if p > 0], default=1.0)
-                body = self._integrate_tail(0.0, max(edge, 1.0))
-                if math.isfinite(hi):
-                    tail_part = self._integrate_tail(max(edge, 1.0), hi) if hi > max(edge, 1.0) else 0.0
-                else:
-                    tail_part = _half_line_integral(self.scalar_tail(), max(edge, 1.0))
-                self._pos_mean_cache = body + tail_part
-        return self._pos_mean_cache
+        lo, hi = self.support
+        if hi <= 0:
+            return 0.0
+        edge = max([p for p in self._breakpoints() if p > 0], default=1.0)
+        body = self._integrate_tail(0.0, max(edge, 1.0))
+        if math.isfinite(hi):
+            tail_part = self._integrate_tail(max(edge, 1.0), hi) if hi > max(edge, 1.0) else 0.0
+        else:
+            tail_part = _half_line_integral(self.scalar_tail(), max(edge, 1.0))
+        return body + tail_part
 
-    @property
+    @cached_property
     def mean(self) -> float:
-        if self._mean_cache is None:
-            lo, _ = self.support
-            if lo >= 0:
-                neg = 0.0
-            elif math.isfinite(lo):
-                neg = self._integrate_cdf(lo, 0.0)
-            else:
-                edge = min([p for p in self._breakpoints() if p < 0], default=-1.0)
-                neg = self._integrate_cdf(min(edge, -1.0), 0.0) + _half_line_integral(
-                    self._scalar_cdf(), min(edge, -1.0), direction=-1
-                )
-            self._mean_cache = self.pos_mean - neg
-        return self._mean_cache
+        lo, _ = self.support
+        if lo >= 0:
+            neg = 0.0
+        elif math.isfinite(lo):
+            neg = self._integrate_cdf(lo, 0.0)
+        else:
+            edge = min([p for p in self._breakpoints() if p < 0], default=-1.0)
+            neg = self._integrate_cdf(min(edge, -1.0), 0.0) + _half_line_integral(
+                self._scalar_cdf(), min(edge, -1.0), direction=-1
+            )
+        return self.pos_mean - neg
 
     # -- generic quantile ----------------------------------------------------
 
@@ -265,7 +257,6 @@ class WeibullShifted(TailSpec):
     """Tail min(1, c * exp(-((x - shift)^+)^beta)), an atom of 1-c at the shift for c < 1."""
 
     def __init__(self, c: float, beta: float, shift: float = 0.0):
-        super().__init__()
         if c <= 0:
             raise TailError("weibull_shifted needs c > 0")
         if not 0 < beta < 1:
@@ -332,7 +323,6 @@ class LognormalShifted(TailSpec):
     """shift + LogNormal(mu, sigma2)."""
 
     def __init__(self, mu: float, sigma2: float, shift: float = 0.0):
-        super().__init__()
         if sigma2 <= 0:
             raise TailError("lognormal_shifted needs sigma2 > 0")
         self.mu, self.sigma2, self.shift = float(mu), float(sigma2), float(shift)
@@ -384,7 +374,6 @@ class Pareto(TailSpec):
     """shift + Pareto(index, scale): tail ((x - shift)/scale)^(-index) beyond scale."""
 
     def __init__(self, index: float, scale: float, shift: float = 0.0):
-        super().__init__()
         if index <= 0 or scale <= 0:
             raise TailError("pareto needs index > 0 and scale > 0")
         self.index, self.scale, self.shift = float(index), float(scale), float(shift)
@@ -432,7 +421,6 @@ class _AtomicTail(TailSpec):
     """Distribution carried entirely by finitely many atoms."""
 
     def __init__(self, atom_list: Sequence[tuple[float, float]]):
-        super().__init__()
         atom_list = sorted((float(x), float(m)) for x, m in atom_list if m > 0)
         total = sum(m for _, m in atom_list)
         if abs(total - 1.0) > 1e-12:
@@ -501,7 +489,6 @@ class Exponential(TailSpec):
     """Exponential with the given mean, supported on [0, inf)."""
 
     def __init__(self, mean: float):
-        super().__init__()
         if mean <= 0:
             raise TailError("exponential needs mean > 0")
         self.mean_param = float(mean)
@@ -548,7 +535,6 @@ class QueuePair(TailSpec):
     uses_slot1 = True
 
     def __init__(self, sigma: TailSpec, t: TailSpec):
-        super().__init__()
         if sigma.support[0] < 0 or t.support[0] < 0:
             raise TailError("queue_pair components must be non-negative")
         self.sigma, self.t = sigma, t
@@ -591,37 +577,10 @@ class QueuePair(TailSpec):
 # ---------------------------------------------------------------------------
 
 
-class MajorantZeta(TailSpec):
-    """Non-negative majorant with tail min(1, K/x); infinite mean by design."""
-
-    def __init__(self, K: float):
-        super().__init__()
-        if K <= 0:
-            raise TailError("majorant coefficient must be positive")
-        self.K = float(K)
-
-    @property
-    def support(self):
-        return (self.K, math.inf)
-
-    def tail(self, x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
-            return np.where(x <= 0, 1.0, np.minimum(1.0, self.K / x))
-
-    def tail_quantile(self, q):
-        q = np.asarray(q, dtype=float)
-        return self.K / q
-
-    def spec_dict(self):
-        return {"family": "majorant_zeta", "K": self.K}
-
-
 class MajorantIncrement(TailSpec):
     """Dominating increment with tail min(1, K exp(-g(x)))."""
 
     def __init__(self, g, K: float):
-        super().__init__()
         if K < 1.0:
             raise TailError("majorant coefficient must be >= 1 for a proper tail")
         self.g, self.K = g, float(K)
@@ -664,7 +623,6 @@ class SplicedTail(TailSpec):
     """Base tail below V, flat on [V, V'), majorant tail from V' on."""
 
     def __init__(self, base: TailSpec, hat: MajorantIncrement, v: float, v_prime: float):
-        super().__init__()
         self.base, self.hat = base, hat
         self.v, self.v_prime = float(v), float(v_prime)
         self._q_v = float(base.tail(self.v))
@@ -718,7 +676,6 @@ class TruncatedBelow(TailSpec):
     """max(X, -L): the lower tail collapses into an atom at -L."""
 
     def __init__(self, base: TailSpec, level: float):
-        super().__init__()
         self.base, self.level = base, float(level)
         self._floor = -self.level
         self._atom_mass = float(1.0 - base.tail(self._floor)) + float(
@@ -755,7 +712,6 @@ class ShiftedTail(TailSpec):
     """X + offset; used for drift-compensated increments."""
 
     def __init__(self, base: TailSpec, offset: float):
-        super().__init__()
         self.base, self.offset = base, float(offset)
 
     @property
@@ -803,7 +759,6 @@ _DIST_BUILDERS = {
     "bernoulli_pm1": lambda s: BernoulliPM1(s["p"]),
     "constant": lambda s: Constant(s["value"]),
     "exponential": lambda s: Exponential(s["mean"]),
-    "majorant_zeta": lambda s: MajorantZeta(s["K"]),
 }
 
 

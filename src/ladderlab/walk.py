@@ -80,7 +80,7 @@ __all__ = [
 ]
 
 _FIRST_BLOCK = 8
-_DEFAULT_CHUNK = 250_000
+_CHUNK = 250_000  # walks simulated at a time by one simulate_batch call
 _STRAGGLER_CELLS = 1 << 12  # once live walks x steps left in the block are at most this, the rest is one sub-block
 _SLICE_CELLS = 1 << 16  # cells (walks x steps) of one draw: a sub-block runs in slices of at most this many
 _ROW_SCAN_MIN = 128  # walks from which _scan loops over rows
@@ -321,14 +321,14 @@ def simulate_batch(
     stream_ids=None,
     step_cap: int = 1_000_000,
     shift: float = 0.0,
-    chunk_size: int = _DEFAULT_CHUNK,
 ) -> SampleBatch:
     """Simulate one walk per stream id until first descent or the step cap.
 
-    Results depend only on (seed, stream id, step index); chunking is a memory
-    knob with no effect on values.  `shift` additionally tracks the running
-    maximum of the drift-compensated partial sums S_n + n*shift, which is the
-    quantity the stopping-time tail comparison needs.
+    Walks run in chunks of `_CHUNK` (2.5e5) stream ids, which bounds the work
+    area; results depend only on (seed, stream id, step index), not on the
+    chunking.  `shift` additionally tracks the running maximum of the
+    drift-compensated partial sums S_n + n*shift, which is the quantity the
+    stopping-time tail comparison needs.
     """
     mean = spec.mean
     if not mean < 0:
@@ -337,8 +337,6 @@ def simulate_batch(
         raise WalkError("compensated increments must keep a strictly negative mean")
     if step_cap < 1:
         raise WalkError("step_cap must be at least one")
-    if chunk_size < 1:
-        raise WalkError("chunk_size must be at least one")
     if stream_ids is None:
         if n_samples is None:
             raise WalkError("pass either n_samples or stream_ids")
@@ -349,10 +347,10 @@ def simulate_batch(
     if stream_ids.size == 0:
         raise WalkError("stream_ids must not be empty")
 
-    ch = _WorkArea(min(chunk_size, stream_ids.size), spec, shift)
+    ch = _WorkArea(min(_CHUNK, stream_ids.size), spec, shift)
     parts = []
-    for lo in range(0, stream_ids.size, chunk_size):
-        chunk = stream_ids[lo : lo + chunk_size]
+    for lo in range(0, stream_ids.size, _CHUNK):
+        chunk = stream_ids[lo : lo + _CHUNK]
         tau, s_tau, m_tau, psi_max, cens = out = _columns(chunk.size)
         _simulate_chunk(ch, spec, seed, chunk, step_cap, out)
         parts.append(

@@ -509,11 +509,29 @@ def test_unknown_config_key_rejected(tmp_path):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("seed", 1.9), ("n_samples", 2.7), ("n_samples", "abc"), ("step_cap", 1e6), ("streams", True)],
+    [
+        ("seed", 1.9),
+        ("n_samples", 2.7),
+        ("n_samples", "abc"),
+        ("step_cap", 1e6),
+        ("streams", True),
+        ("shift", "abc"),
+        ("shift", "0.5"),
+        ("alpha", True),
+        ("delta", True),
+        ("c", True),
+        ("shift", True),
+        ("eps", "0.5"),
+        ("growth", "g1"),
+        ("increments", [1, 2]),
+        ("outputs", "abc"),
+    ],
 )
 def test_non_integer_count_or_seed_rejected(tmp_path, key, value, capsys):
     """A float, a string or a bool where an integer belongs is a config error;
-    it is not truncated (seed 1.9 would run as seed 1) or parsed."""
+    it is not truncated (seed 1.9 would run as seed 1) or parsed.  So is a
+    string or a bool where a number belongs (shift "0.5" would run as 0.5,
+    alpha true as 1) and a scalar or a list where a mapping belongs."""
     cfg = _write_config(tmp_path / "bad.yaml", **{key: value})
     out = tmp_path / "run"
     capsys.readouterr()
@@ -713,7 +731,7 @@ GOLDEN_DIGESTS = {
     "queue_busy_cycle": {"samples.csv": "d358dbd4c81c011d7a7734dcc2270333eb84913937f0bced8d9e57d0950c3778"},
 }
 # sha256 over the tau, s_tau, m_tau, psi_max and censored bytes of
-# simulate_batch(Pareto(2, 1, -3), seed=11, n_samples=100_000, chunk_size=30_000)
+# simulate_batch(Pareto(2, 1, -3), seed=11, n_samples=100_000) in chunks of 30,000 walks
 GOLDEN_BATCH = "e3df3df41eadbb68718936d82e996620af76859d8e944dc384cb8c3f5f19c7ec"
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -750,13 +768,14 @@ def test_golden_digests(tmp_path, name):
     assert digests == GOLDEN_DIGESTS[name]
 
 
-def test_golden_batch_digest():
+def test_golden_batch_digest(monkeypatch):
     import hashlib
 
-    from ladderlab import Pareto, simulate_batch
+    from ladderlab import Pareto, simulate_batch, walk
 
     _require_golden_versions()
-    batch = simulate_batch(Pareto(2.0, 1.0, -3.0), seed=11, n_samples=100_000, chunk_size=30_000)
+    monkeypatch.setattr(walk, "_CHUNK", 30_000)
+    batch = simulate_batch(Pareto(2.0, 1.0, -3.0), seed=11, n_samples=100_000)
     h = hashlib.sha256()
     for field in ("tau", "s_tau", "m_tau", "psi_max", "censored"):
         h.update(getattr(batch, field).tobytes())

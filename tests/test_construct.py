@@ -13,6 +13,7 @@ from ladderlab import (
     MajorantIncrement,
     Pareto,
     QueuePair,
+    ShiftedTail,
     UndeterminedError,
     WeibullShifted,
     build_chain,
@@ -23,6 +24,7 @@ from ladderlab import (
     splice_at,
     truncate_below,
 )
+from ladderlab import construct, growth
 from ladderlab.config import jsonify
 
 
@@ -244,11 +246,12 @@ def test_truncate_margin_validation():
         truncate_below(base, target_mean_margin=5.0)
 
 
-def test_truncate_reports_failure_at_cap():
+def test_truncate_reports_failure_at_cap(monkeypatch):
     # the removed lower-tail mass integral at L = 1 is far above the margin, and L = 1.25 passes the cap
     base = QueuePair(Exponential(1.0), Exponential(2.0))
+    monkeypatch.setattr(construct, "_LEVEL_CAP", 1.0)
     with pytest.raises(ConstructionError, match="exceeded its cap"):
-        truncate_below(base, 0.05, l_cap=1.0)
+        truncate_below(base, 0.05)
 
 
 # -- full chain --------------------------------------------------------------------
@@ -264,7 +267,7 @@ def test_chain_constants_consistent(chains):
         assert chain.trunc.mean < 0
         # compensated drift stays negative with the recorded margin
         assert chain.a_trunc > chain.shift
-        assert chain.psi.mean == pytest.approx(-(chain.a_trunc - chain.shift), rel=1e-9)
+        assert ShiftedTail(chain.trunc, chain.shift).mean == pytest.approx(-(chain.a_trunc - chain.shift), rel=1e-9)
 
 
 def test_chain_mean_quadrature_cross_check(chains):
@@ -284,8 +287,9 @@ def test_chain_serializes_to_json(chains):
         assert key in decoded
 
 
-def test_chain_requires_certification(chains):
-    bad_report = certify(make_builtin("g2", 0.5), gammas=[])  # no candidate passes
+def test_chain_requires_certification(chains, monkeypatch):
+    monkeypatch.setattr(growth, "GAMMA_CANDIDATES", ())
+    bad_report = certify(make_builtin("g2", 0.5))  # no candidate passes
     assert not bad_report.all_ok
     with pytest.raises(ConstructionError):
         build_chain(chains["g2"].base, chains["g2"].g, bad_report)
@@ -309,7 +313,8 @@ def test_quantile_round_trip_constructed(chains):
             assert np.all(left >= (1.0 - u) * (1 - 1e-9)), key
 
 
-def test_splice_reports_failure_at_cap(chains):
+def test_splice_reports_failure_at_cap(chains, monkeypatch):
     chain = chains["g2"]
+    monkeypatch.setattr(construct, "_LEVEL_CAP", 2.0)
     with pytest.raises(ConstructionError):
-        splice(chain.base, chain.hat, delta=1e-6, v_cap=2.0)
+        splice(chain.base, chain.hat, delta=1e-6)

@@ -26,7 +26,7 @@ from oracles import (
 
 def test_long_tailed_majorant_g2(chains):
     hat = chains["g2"].hat
-    rep = long_tailed_profile(hat, y=1.0)
+    rep = long_tailed_profile(hat)
     assert rep.ok
     # closed form: ratio = exp(g(x) - g(x-y)) deep in the tail
     x = rep.x[-1]
@@ -36,22 +36,17 @@ def test_long_tailed_majorant_g2(chains):
 
 
 def test_long_tailed_exponential_fails():
-    rep = long_tailed_profile(Exponential(1.0), y=1.0)
+    rep = long_tailed_profile(Exponential(1.0))
     assert not rep.ok
     assert rep.ratios[-1] == pytest.approx(math.e, rel=1e-9)
 
 
 def test_long_tailed_pareto():
     p = Pareto(2.0, 1.0)
-    rep = long_tailed_profile(p, y=1.0, x_grid=np.geomspace(10.0, 1e6, 60))
+    rep = long_tailed_profile(p, x_grid=np.geomspace(10.0, 1e6, 60))
     assert rep.ok
     x = rep.x[5]
     assert rep.ratios[5] == pytest.approx((x / (x - 1.0)) ** 2, rel=1e-9)
-
-
-def test_long_tailed_rejects_bad_shift():
-    with pytest.raises(ValueError):
-        long_tailed_profile(Exponential(1.0), y=0.0)
 
 
 # -- strong-subexponential ratio --------------------------------------------------
@@ -170,6 +165,6 @@ def test_usable_horizon_scales():
 def test_long_tailed_grid_truncated_at_underflow(chains):
     # a caller-supplied grid deeper than the usable horizon gets clipped
     base = chains["g2"].base
-    rep = long_tailed_profile(base, y=1.0, x_grid=np.geomspace(1.0, 1e9, 50))
+    rep = long_tailed_profile(base, x_grid=np.geomspace(1.0, 1e9, 50))
     assert rep.notes
     assert rep.usable_hi < 1e9

@@ -9,7 +9,7 @@ import pytest
 from scipy import integrate
 
 import ladderlab
-from ladderlab import build_chain, certify, make_builtin, numerics, sstar_ratio
+from ladderlab import ShiftedTail, build_chain, certify, make_builtin, numerics, sstar_ratio
 
 from conftest import CHAIN_SPECS
 
@@ -57,5 +57,5 @@ def test_quad_integrands_return_python_floats(monkeypatch, key):
     g = make_builtin(family, param)
     chain = build_chain(base_factory(), g, certify(g))
     sstar_ratio(chain.hat)
-    sstar_ratio(chain.psi)
+    sstar_ratio(ShiftedTail(chain.trunc, chain.shift))
     assert spy.types == {float}

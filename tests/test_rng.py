@@ -75,7 +75,7 @@ def test_open_interval_at_the_bit_extremes():
 
 
 def test_sequence_matches_pairs():
-    seq = rng.uniform_sequence(7, 3, 10, start=4)
+    seq = rng.uniform_slot0(7, 3, np.arange(4, 14, dtype=np.uint64))
     for i, step in enumerate(range(4, 14)):
         assert float(seq[i]) == float(rng.uniform_pair(7, 3, step)[0])
 
@@ -146,9 +146,8 @@ def test_slot0_matches_pair_across_tiles(size):
     streams = np.arange(size, dtype=np.uint64) + np.uint64(2**32 - 5)
     for stream, step in ((streams, 3), (streams[None, :], np.array([[0], [2**32]]))):
         assert _bits(rng.uniform_slot0(4, stream, step)) == _bits(rng.uniform_pair(4, stream, step)[0])
-    assert _bits(rng.uniform_sequence(4, 2**33, size, start=2**32 - 7)) == _bits(
-        rng.uniform_pair(4, 2**33, np.arange(2**32 - 7, 2**32 - 7 + size, dtype=np.uint64))[0]
-    )
+    steps = np.arange(2**32 - 7, 2**32 - 7 + size, dtype=np.uint64)
+    assert _bits(rng.uniform_slot0(4, 2**33, steps)) == _bits(rng.uniform_pair(4, 2**33, steps)[0])
 
 
 # -- lent buffers ---------------------------------------------------------------

@@ -13,7 +13,6 @@ from ladderlab import (
     Exponential,
     LognormalShifted,
     MajorantIncrement,
-    MajorantZeta,
     Pareto,
     QueuePair,
     ShiftedTail,
@@ -24,6 +23,7 @@ from ladderlab import (
     make_builtin,
     make_builtin_dist,
 )
+from ladderlab import numerics, tails
 
 from oracles import lognormal_pos_mean
 
@@ -113,11 +113,33 @@ def test_weibull_subprobability_atom():
     assert float(w.quantile(1 - 0.7)) == 1.0  # inside the atom
 
 
-def test_majorant_zeta_quantile():
-    z = MajorantZeta(10.0)
-    assert float(z.quantile(0.5)) == pytest.approx(20.0, rel=1e-12)
-    assert float(z.tail(5.0)) == 1.0
-    assert float(z.tail(40.0)) == pytest.approx(0.25)
+def test_means_are_cached(monkeypatch):
+    """The first .mean integrates; later .mean and .pos_mean reads reuse its floats."""
+    calls = []
+    quad = numerics.quad
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(numerics, "quad", counted)  # the doubling segments of a half-line integral
+    monkeypatch.setattr(tails, "quad", counted)  # the pieces between breakpoints
+    p = Pareto(2.0, 1.0, -3.0)
+    mean = p.mean
+    assert calls
+    made = len(calls)
+    pos_mean = p.pos_mean
+    assert p.mean is mean and p.pos_mean is pos_mean
+    assert len(calls) == made
+    assert mean == pytest.approx(-1.0, rel=1e-9)  # shift + index * scale / (index - 1)
+    assert pos_mean == pytest.approx(1.0 / 3.0, rel=1e-9)  # integral of (x + 3)^-2 over (0, inf)
+    # the overrides keep their values: a shifted tail adds its offset to the
+    # base's cached mean, and atoms sum without quadrature
+    assert ShiftedTail(p, 0.5).mean == mean + 0.5
+    assert len(calls) == made
+    b = BernoulliPM1(0.25)
+    assert (b.mean, b.pos_mean) == (-0.5, 0.25)
+    assert len(calls) == made
 
 
 def test_shifted_tail():
@@ -241,7 +263,6 @@ FAMILIES = {
     "constant": Constant(-1.0),
     "queue_atomic": QueuePair(Exponential(1.0), Constant(2.0)),
     "queue_continuous": QueuePair(Exponential(1.0), Exponential(2.0)),
-    "zeta": MajorantZeta(3.0),
 }
 GROWTH = {"g1": make_builtin("g1", 2.0), "g1_frac": make_builtin("g1", 1.7), "g2": make_builtin("g2", 0.5),
           "g2_frac": make_builtin("g2", 0.6), "g3": make_builtin("g3", 0.5)}
@@ -269,7 +290,7 @@ def _constructed(chains):
         out[f"{key}_hat"] = chain.hat
         out[f"{key}_tilde"] = chain.tilde
         out[f"{key}_trunc"] = chain.trunc
-        out[f"{key}_psi"] = chain.psi
+        out[f"{key}_psi"] = ShiftedTail(chain.trunc, chain.shift)
     lognormal, weibull = FAMILIES["lognormal"], FAMILIES["weibull"]
     hat = MajorantIncrement(make_builtin("g2", 0.5), 1.5)
     out["spliced_flat_to_inf"] = SplicedTail(weibull, hat, 4.0, math.inf)

@@ -43,10 +43,8 @@ def test_config_validation():
         dict(n_samples=0),
         dict(n_samples=-5),
         dict(stream_ids=[]),
-        dict(n_samples=10, chunk_size=0),
-        dict(n_samples=10, chunk_size=-3),
     ],
-    ids=["no-samples", "negative-samples", "no-stream-ids", "chunk-0", "negative-chunk"],
+    ids=["no-samples", "negative-samples", "no-stream-ids"],
 )
 def test_empty_batch_or_chunk_refused(monkeypatch, kwargs):
     # refused before the work area is allocated
@@ -183,17 +181,18 @@ def test_no_draw_scales_with_the_chunk(monkeypatch):
     assert sum(cells) / batch.tau.sum() <= 1.5
 
 
-def test_concurrent_batches_match_serial():
+def test_concurrent_batches_match_serial(monkeypatch):
     # each call owns its work arena, so batches on several threads at once
     # (the CLI runs two) keep the serial bits; the Pareto walk draws slot 0
     # alone, the queue walk both slots
+    monkeypatch.setattr(walk, "_CHUNK", 2_000)
     for spec in (QueuePair(Exponential(1.0), Exponential(1.25)), Pareto(2.0, 1.0, shift=-3.0)):
         ids = [np.arange(k * 5_000, (k + 1) * 5_000) for k in range(4)]
-        serial = [simulate_batch(spec, 3, stream_ids=i, chunk_size=2_000) for i in ids]
+        serial = [simulate_batch(spec, 3, stream_ids=i) for i in ids]
         results = [None] * len(ids)
 
         def run(k):
-            results[k] = simulate_batch(spec, 3, stream_ids=ids[k], chunk_size=2_000)
+            results[k] = simulate_batch(spec, 3, stream_ids=ids[k])
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -246,14 +245,17 @@ def test_sub_block_schedule_keeps_bits(monkeypatch, name, slice_cells):
         monkeypatch.setattr(walk, "_SLICE_CELLS", slice_cells)
     for case, ref in whole.items():
         for chunk_size in (1, 7, 250_000):
-            got = simulate_batch(spec, SEED, n_samples=n, shift=case[0], step_cap=case[1], chunk_size=chunk_size)
+            monkeypatch.setattr(walk, "_CHUNK", chunk_size)
+            got = simulate_batch(spec, SEED, n_samples=n, shift=case[0], step_cap=case[1])
             assert _columns_bytes(got) == _columns_bytes(ref), (case, chunk_size)
 
 
-def test_chunking_invisible():
+def test_chunking_invisible(monkeypatch):
     spec = QueuePair(Exponential(1.0), Constant(2.0))
-    a = simulate_batch(spec, seed=11, n_samples=500, chunk_size=64)
-    b = simulate_batch(spec, seed=11, n_samples=500, chunk_size=10_000)
+    monkeypatch.setattr(walk, "_CHUNK", 64)
+    a = simulate_batch(spec, seed=11, n_samples=500)
+    monkeypatch.setattr(walk, "_CHUNK", 10_000)
+    b = simulate_batch(spec, seed=11, n_samples=500)
     assert np.array_equal(a.tau, b.tau) and np.array_equal(a.s_tau, b.s_tau)
 
 
