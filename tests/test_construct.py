@@ -267,7 +267,8 @@ def test_chain_constants_consistent(chains):
         assert chain.trunc.mean < 0
         # compensated drift stays negative with the recorded margin
         assert chain.a_trunc > chain.shift
-        assert ShiftedTail(chain.trunc, chain.shift).mean == pytest.approx(-(chain.a_trunc - chain.shift), rel=1e-9)
+        psi = ShiftedTail(chain.trunc, chain.shift)  # the compensated increment
+        assert psi.mean == pytest.approx(-(chain.a_trunc - chain.shift), rel=1e-9)
 
 
 def test_chain_mean_quadrature_cross_check(chains):
