@@ -525,26 +525,25 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, replay: int | None = None
     return EXIT_OK
 
 
-def _configured_estimates(cfg: ExperimentConfig, batch: SampleBatch, a: float) -> list:
-    estimates = []
+def _configured_estimates(cfg: ExperimentConfig, a: float) -> list:
+    """One function per configured estimand, each mapping a batch to its MomentEstimate."""
+    estimators = []
     if cfg.growth is not None and cfg.eps is not None:
-        g = _growth_from(cfg)
-        delta = _effective_delta(cfg, a)
-        estimates.append(est.estimate_growth_moment(batch, g, cfg.eps, delta, a))
+        g, delta = _growth_from(cfg), _effective_delta(cfg, a)
+        estimators.append(lambda batch: est.estimate_growth_moment(batch, g, cfg.eps, delta, a))
     if cfg.alpha is not None:
-        estimates.append(est.estimate_power_moment(batch, cfg.alpha))
+        estimators.append(lambda batch: est.estimate_power_moment(batch, cfg.alpha))
     if cfg.c is not None:
-        estimates.append(est.estimate_exp_moment(batch, cfg.c))
-    if not estimates:
+        estimators.append(lambda batch: est.estimate_exp_moment(batch, cfg.c))
+    if not estimators:
         raise ConfigError("no estimand configured: set eps (+growth), alpha, or c")
-    return estimates
+    return estimators
 
 
 def cmd_estimate(cfg: ExperimentConfig, out_dir: Path, fmt: str) -> int:
     spec = _increments_from(cfg)
     manifest, batch = _load_samples(cfg, out_dir)
-    a = -spec.mean
-    estimates = _configured_estimates(cfg, batch, a)
+    estimates = [estimator(batch) for estimator in _configured_estimates(cfg, -spec.mean)]
     payload = {
         "config_hash": cfg.config_hash,
         "seed_manifest": {"seed": cfg.seed, "stream_ids": manifest["stream_ids"]},
@@ -582,6 +581,7 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
 
     report: dict = {"config_hash": cfg.config_hash}
     exact_ok = True
+    a = -spec.mean
 
     if cfg.growth is not None:
         g = _growth_from(cfg)
@@ -589,7 +589,6 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
         if not cert.all_ok:
             print("verify: growth certification failed", file=sys.stderr)
             return EXIT_VERIFY
-        a = -spec.mean
         chain = build_chain(spec, g, cert, delta=_effective_delta(cfg, a))
         dom = est.dominance_suite(chain, n=min(cfg.n_samples, 1_000_000), seed=cfg.seed)
         report["dominance"] = dom.to_dict()
@@ -614,15 +613,15 @@ def cmd_verify(cfg: ExperimentConfig, out_dir: Path) -> int:
     sizes = [s for s in sizes if s >= 2]
     if len(sizes) >= 4:
         try:
-            a = -spec.mean
-            series = [_configured_estimates(cfg, batch.head(s), a)[0] for s in sizes]
-            stability = est.finiteness_diagnostic(series)
+            first = _configured_estimates(cfg, a)[0]
+        except ConfigError:
+            report["finiteness"] = {"skipped": "no estimand configured"}
+        else:
+            stability = est.finiteness_diagnostic([first(batch.head(s)) for s in sizes])
             report["finiteness"] = stability.to_dict()
             header = ["n", "point", "std_error", "top1_share"]
             cols = [np.array([p[key] for p in stability.points]) for key in header]
             _write_table(out_dir / "stability_curve.csv", header, cols)
-        except ConfigError:
-            report["finiteness"] = {"skipped": "no estimand configured"}
     else:
         report["finiteness"] = {"skipped": "n_samples too small for a stability series"}
 

@@ -53,9 +53,10 @@ class Report:
 
 
 _UNHASHED = ("streams", "outputs")  # the parallelism degree and the output paths
+_NUMBERS = ("eps", "delta", "alpha", "c", "shift")
 _FIELD_TYPES = (  # a value of another type is refused, not truncated, parsed or crashed on later
     (("growth", "increments", "outputs"), dict, "a mapping"),
-    (("eps", "delta", "alpha", "c", "shift"), (int, float), "a number"),
+    (_NUMBERS, (int, float), "a number"),
     (("n_samples", "step_cap", "seed", "streams"), int, "an integer"),
 )
 _UNSET = ("growth", "increments", "eps", "delta", "alpha", "c")  # None when the config leaves them out
@@ -86,6 +87,10 @@ class ExperimentConfig:
                     continue
                 if not isinstance(value, types) or isinstance(value, bool):
                     raise ConfigError(f"{name} must be {what}, got {value!r}")
+        for name in _NUMBERS:  # an int is finite; an inf or nan float would run or fail later
+            value = getattr(self, name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.eps is not None and not 0.0 < self.eps < 1.0:
             raise ConfigError(f"eps must lie in (0, 1), got {self.eps}")
         if self.delta is not None and not self.delta > 0.0:

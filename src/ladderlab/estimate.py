@@ -85,7 +85,7 @@ def _estimate_functional(batch: SampleBatch, fn, estimand: dict) -> MomentEstima
     censored_share = censored_total / total if total > 0 else 0.0
     if censored_n > 0 and censored_share > 0.01:
         verdict = "censored-dominated"
-    elif top1 > 0.5:
+    elif top1 > 0.5 or not math.isfinite(point):  # an overflowed sum is no stable estimate
         verdict = "heavy"
     else:
         verdict = "stable"
@@ -97,7 +97,11 @@ def _estimate_functional(batch: SampleBatch, fn, estimand: dict) -> MomentEstima
 def estimate_growth_moment(
     batch: SampleBatch, g: GrowthFunction, eps: float, delta: float, a: float
 ) -> MomentEstimate:
-    """Mean of exp((1-eps) g((a-delta) tau)) with uncertainty and flags."""
+    """Mean of exp((1-eps) g((a-delta) tau)) with uncertainty and flags.
+
+    delta is absolute, in (0, a): the paper's (1 - delta) a tau with delta in
+    (0, 1) is this one with delta times a, the same at a = 1.
+    """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
     if not 0 < delta < a:
@@ -117,8 +121,8 @@ def estimate_growth_moment(
 
 def estimate_power_moment(batch: SampleBatch, alpha: float) -> MomentEstimate:
     """Mean of tau**alpha (alpha = 1 reduces to the plain mean epoch)."""
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     return _estimate_functional(
         batch, lambda t: t**alpha, {"kind": "power", "alpha": alpha}
     )
@@ -126,8 +130,8 @@ def estimate_power_moment(batch: SampleBatch, alpha: float) -> MomentEstimate:
 
 def estimate_exp_moment(batch: SampleBatch, c: float) -> MomentEstimate:
     """Mean of exp(c tau); expect a heavy verdict outside the light-tailed regime."""
-    if not c > 0:
-        raise ValueError("c must be positive")
+    if not 0 < c < math.inf:
+        raise ValueError("c must be positive and finite")
     return _estimate_functional(
         batch, lambda t: np.exp(c * t), {"kind": "exp_linear", "c": c}
     )

@@ -3,7 +3,9 @@
 Everything downstream (construction, simulation, diagnostics) works through
 ``TailSpec``: a distribution is its tail ``x -> P{X > x}`` plus a generalized
 inverse for sampling, an explicit atom list for mixed distributions, and
-means computed by tail quadrature on first read and cached.  Builtin
+means by their definitions, integrated on first read and cached:
+``pos_mean = tail_integral_above(0)`` and
+``mean = pos_mean - mass_integral_below(0)``.  Builtin
 families cover the test bench: shifted Weibull and lognormal (the
 intermediate heavy-tailed regime), Pareto (regularly varying reference),
 two-point and constant increments, exponential service times and
@@ -16,9 +18,11 @@ two tail-ordered distributions yields ordered samples.
 QUADPACK calls its integrand one abscissa at a time, so every quadrature
 integrand is built from ``scalar_tail()``/``scalar_log_tail()``: float -> float
 closures that return the same bits as ``float(self.tail(x))`` on the 0-d array
-and skip numpy's per-call array overhead.  The families and constructed tails
-that quadrature reaches override them under one rule, which the test suite
-checks bit for bit:
+and skip numpy's per-call array overhead.  The default pair is the log of the
+tail: ``log_tail`` is ``np.log(self.tail(x))`` and ``scalar_log_tail`` is the
+log of ``scalar_tail``, so a class that overrides ``log_tail`` also overrides
+``scalar_log_tail``.  The families and constructed tails that quadrature
+reaches override them under one rule, which the test suite checks bit for bit:
 
 * every transcendental is the numpy/scipy ufunc of the array code, called on
   a Python float (``np.log``, ``np.exp``, ``special.ndtr``,
@@ -87,6 +91,10 @@ def _half_line_integral(f, start: float, direction: int = +1) -> float:
 class TailSpec:
     """Base distribution-by-tail. Subclasses fill in the family specifics.
 
+    ``pos_mean`` and ``mean`` are integrals of the tail unless a subclass gives
+    a closed form.  A subclass that overrides ``log_tail`` also overrides
+    ``scalar_log_tail``, whose default is the log of ``scalar_tail``.
+
     Attributes:
         support: (lo, hi) pair, extended reals.
         atoms: list of (location, mass) pairs for point masses.
@@ -118,8 +126,14 @@ class TailSpec:
         return lambda x: float(self.tail(x))
 
     def scalar_log_tail(self):
-        """float -> float log-tail with the bits of float(self.log_tail(x))."""
-        return lambda x: float(self.log_tail(x))
+        """float -> float log of scalar_tail(), the scalar twin of the default log_tail."""
+        tail = self.scalar_tail()
+
+        def log_tail(x):
+            v = tail(x)
+            return -math.inf if v == 0.0 else float(np.log(v))
+
+        return log_tail
 
     def tail_quantile(self, q):
         """inf{x : tail(x) <= q}; default is bracketed bisection on the tail."""
@@ -162,59 +176,33 @@ class TailSpec:
             total += quad(f, left, right)
         return total
 
-    def _integrate_tail(self, a: float, b: float) -> float:
-        return self._integrate(self.scalar_tail(), a, b)
-
-    def _integrate_cdf(self, a: float, b: float) -> float:
-        return self._integrate(self._scalar_cdf(), a, b)
-
     def tail_integral_above(self, level: float) -> float:
         """Integral of the tail over [level, inf)."""
-        hi = self.support[1]
+        tail, hi = self.scalar_tail(), self.support[1]
         if math.isfinite(hi):
-            return self._integrate_tail(level, hi) if hi > level else 0.0
-        knots = [p for p in self._breakpoints() if p > level]
-        start = max(knots, default=level)
-        body = self._integrate_tail(level, start) if start > level else 0.0
-        return body + _half_line_integral(self.scalar_tail(), start)
+            return self._integrate(tail, level, hi) if hi > level else 0.0
+        start = max([p for p in self._breakpoints() if p > level] + [max(level, 1.0)])
+        body = self._integrate(tail, level, start) if start > level else 0.0
+        return body + _half_line_integral(tail, start)
 
     def mass_integral_below(self, level: float) -> float:
         """Integral of the CDF over (-inf, level] = E(X + |level|; X <= level) magnitude."""
-        lo = self.support[0]
+        cdf, lo = self._scalar_cdf(), self.support[0]
         if math.isfinite(lo):
-            return self._integrate_cdf(lo, level) if level > lo else 0.0
-        knots = [p for p in self._breakpoints() if p < level]
-        start = min(knots, default=level)
-        body = self._integrate_cdf(start, level) if level > start else 0.0
-        return body + _half_line_integral(self._scalar_cdf(), start, direction=-1)
+            return self._integrate(cdf, lo, level) if level > lo else 0.0
+        start = min([p for p in self._breakpoints() if p < level] + [min(level, -1.0)])
+        body = self._integrate(cdf, start, level) if level > start else 0.0
+        return body + _half_line_integral(cdf, start, direction=-1)
 
     @cached_property
     def pos_mean(self) -> float:
-        """Mean of the positive part, integral of the tail over (0, inf)."""
-        lo, hi = self.support
-        if hi <= 0:
-            return 0.0
-        edge = max([p for p in self._breakpoints() if p > 0], default=1.0)
-        body = self._integrate_tail(0.0, max(edge, 1.0))
-        if math.isfinite(hi):
-            tail_part = self._integrate_tail(max(edge, 1.0), hi) if hi > max(edge, 1.0) else 0.0
-        else:
-            tail_part = _half_line_integral(self.scalar_tail(), max(edge, 1.0))
-        return body + tail_part
+        """E X^+, the integral of the tail over (0, inf)."""
+        return self.tail_integral_above(0.0)
 
     @cached_property
     def mean(self) -> float:
-        lo, _ = self.support
-        if lo >= 0:
-            neg = 0.0
-        elif math.isfinite(lo):
-            neg = self._integrate_cdf(lo, 0.0)
-        else:
-            edge = min([p for p in self._breakpoints() if p < 0], default=-1.0)
-            neg = self._integrate_cdf(min(edge, -1.0), 0.0) + _half_line_integral(
-                self._scalar_cdf(), min(edge, -1.0), direction=-1
-            )
-        return self.pos_mean - neg
+        """E X = E X^+ - E X^-, where E X^- is the integral of the CDF over (-inf, 0)."""
+        return self.pos_mean - self.mass_integral_below(0.0)
 
     # -- generic quantile ----------------------------------------------------
 
@@ -615,9 +603,6 @@ class MajorantIncrement(TailSpec):
         q = np.asarray(q, dtype=float)
         return self.g.inverse(self._ln_k - np.log(q))
 
-    def spec_dict(self):
-        return {"family": "majorant_increment", "growth": self.g.spec_dict(), "K": self.K}
-
 
 class SplicedTail(TailSpec):
     """Base tail below V, flat on [V, V'), majorant tail from V' on."""
@@ -662,15 +647,6 @@ class SplicedTail(TailSpec):
         q = np.asarray(q, dtype=float)
         return np.where(q > self._q_v, self.base.tail_quantile(q), self.hat.tail_quantile(q))
 
-    def spec_dict(self):
-        return {
-            "family": "spliced",
-            "base": self.base.spec_dict(),
-            "hat": self.hat.spec_dict(),
-            "V": self.v,
-            "V_prime": self.v_prime,
-        }
-
 
 class TruncatedBelow(TailSpec):
     """max(X, -L): the lower tail collapses into an atom at -L."""
@@ -703,9 +679,6 @@ class TruncatedBelow(TailSpec):
 
     def tail_quantile(self, q):
         return np.maximum(self.base.tail_quantile(q), self._floor)
-
-    def spec_dict(self):
-        return {"family": "truncated_below", "base": self.base.spec_dict(), "L": self.level}
 
 
 class ShiftedTail(TailSpec):
@@ -743,9 +716,6 @@ class ShiftedTail(TailSpec):
     @property
     def mean(self):
         return self.base.mean + self.offset
-
-    def spec_dict(self):
-        return {"family": "shifted", "base": self.base.spec_dict(), "offset": self.offset}
 
 
 # ---------------------------------------------------------------------------

@@ -474,6 +474,50 @@ def test_check_failure_exit_code(tmp_path):
     assert report["witnesses"]["slope_decay"]
 
 
+def _linear_table_config(path: Path) -> Path:
+    """A growth table that fails certification, over walkable increments."""
+    growth = {"family": "table", "points": [[1e-3, 1e-4], [1.0, 0.1], [1e3, 100.0], [1e6, 1e5]]}
+    path.write_text(yaml.safe_dump({"growth": growth, "increments": {"family": "bernoulli_pm1", "p": 0.25},
+                                    "eps": 0.5, "n_samples": 300, "seed": 1}))
+    return path
+
+
+def test_construct_certification_failure_exit_code(tmp_path):
+    cfg, out = _linear_table_config(tmp_path / "linear.yaml"), tmp_path / "run"
+    assert main(["construct", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not json.loads((out / "condition_report.json").read_text())["slope_decay_ok"]
+    assert not (out / "chain.json").exists()
+
+
+def test_verify_certification_failure_exit_code(tmp_path):
+    cfg, out = _linear_table_config(tmp_path / "linear.yaml"), tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not (out / "verify_report.json").exists()
+
+
+def test_construction_failure_exit_code(tmp_path, capsys):
+    """g1 grows faster than log x, so a Pareto tail never decays through it."""
+    cfg = _write_config(tmp_path / "pareto.yaml", growth={"family": "g1", "param": 2.0},
+                        increments={"family": "pareto", "index": 2.0, "scale": 1.0, "shift": -3.0})
+    capsys.readouterr()
+    assert main(["construct", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert "construction failed: tail does not decay" in capsys.readouterr().err
+
+
+def test_no_estimand_configured(tmp_path):
+    cfg = tmp_path / "none.yaml"
+    cfg.write_text(yaml.safe_dump({"increments": {"family": "bernoulli_pm1", "p": 0.25}, "n_samples": 1000,
+                                   "seed": 3}))
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "verify_report.json").read_text())
+    assert report["finiteness"] == {"skipped": "no estimand configured"}
+    assert not (out / "stability_curve.csv").exists()
+
+
 def test_delta_out_of_range_rejected(tmp_path):
     cfg = _write_config(tmp_path / "bad.yaml", delta=2.0)  # drift magnitude is 1
     assert main(["construct", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
@@ -521,6 +565,10 @@ def test_unknown_config_key_rejected(tmp_path):
         ("delta", True),
         ("c", True),
         ("shift", True),
+        ("alpha", math.inf),
+        ("c", math.inf),
+        ("delta", math.inf),
+        ("shift", -math.inf),
         ("eps", "0.5"),
         ("growth", "g1"),
         ("increments", [1, 2]),
@@ -530,8 +578,9 @@ def test_unknown_config_key_rejected(tmp_path):
 def test_non_integer_count_or_seed_rejected(tmp_path, key, value, capsys):
     """A float, a string or a bool where an integer belongs is a config error;
     it is not truncated (seed 1.9 would run as seed 1) or parsed.  So is a
-    string or a bool where a number belongs (shift "0.5" would run as 0.5,
-    alpha true as 1) and a scalar or a list where a mapping belongs."""
+    string, a bool or an infinity where a number belongs (shift "0.5" would
+    run as 0.5, alpha true as 1, alpha .inf as a "stable" infinite estimate)
+    and a scalar or a list where a mapping belongs."""
     cfg = _write_config(tmp_path / "bad.yaml", **{key: value})
     out = tmp_path / "run"
     capsys.readouterr()
@@ -673,10 +722,11 @@ def test_construct_writes_tail_tables(tmp_path, cfg_path):
 # sha256 of stage artifacts at --seed 7 --streams 1: check and construct on
 # the three growth-family configs, simulate on every config (and on one with a
 # walk shift, so the psi_max column is pinned) with n_samples cut to
-# GOLDEN_SAMPLES, and on four of them estimate --format csv, verify and
+# GOLDEN_SAMPLES, and on five of them estimate --format csv, verify and
 # simulate --replay 5 as well, so every field read back from samples.csv, every
 # CLI table writer and verify's S* profile of the increments (psi_sstar) are
-# pinned; the splice and truncation tails reach the digests through chain.json.
+# pinned, with the queue pair's generic log-tail, quantile bisection and
+# slot 1; the splice and truncation tails reach the digests through chain.json.
 # QUADPACK's and the quantiles' last bits depend on the numpy and scipy builds,
 # so the digests hold for the versions they were recorded with.
 GOLDEN_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
@@ -728,7 +778,15 @@ GOLDEN_DIGESTS = {
     },
     "probe_g1_small_delta": {"samples.csv": "dedd44a01621dd585373c7af0f58438c78f940cca01c07388f6625d3800709fd"},
     "probe_g2_small_eps": {"samples.csv": "66ca06aad179d7fe02e12e622a04581978f5e7b661f1acb776a5c01f59b5dd8a"},
-    "queue_busy_cycle": {"samples.csv": "d358dbd4c81c011d7a7734dcc2270333eb84913937f0bced8d9e57d0950c3778"},
+    "queue_busy_cycle": {
+        "samples.csv": "d358dbd4c81c011d7a7734dcc2270333eb84913937f0bced8d9e57d0950c3778",
+        "estimates.json": "19257d658e5ee3ea995e97d9cb3c93b32d1e40c42f4a53bfd4074b4bef59e682",
+        "estimates.csv": "4d71705fc47dd27fed40e0536170900016fb4d3b3e8f039c21b63764fce4a26b",
+        "verify_report.json": "b1d362fffdd108f0611fa2f1e6ac61d6586346cd8ef1cbdfb79e642a0065391e",
+        "ratio_curve.csv": "1f237d449b2fe9f1497ce3598093b16f9127606c7a5fa04f9a9445d7f088d453",
+        "stability_curve.csv": "76214ea17829d07a56ca1b1329fadf2291e9c1250a5ed0eccf324e955069cb7d",
+        "replay_5.csv": "a94e915346a6685642c0f5cde1206933581d3141389a8ab52eab135796a9028a",
+    },
 }
 # sha256 over the tau, s_tau, m_tau, psi_max and censored bytes of
 # simulate_batch(Pareto(2, 1, -3), seed=11, n_samples=100_000) in chunks of 30,000 walks

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -70,6 +71,22 @@ def test_parameter_validation(g2, bern_batch):
         estimate_power_moment(bern_batch, 0.0)
     with pytest.raises(ValueError):
         estimate_exp_moment(bern_batch, -1.0)
+    with pytest.raises(ValueError):
+        estimate_power_moment(bern_batch, math.inf)
+    with pytest.raises(ValueError):
+        estimate_exp_moment(bern_batch, math.inf)
+
+
+def test_overflowed_estimate_is_not_stable():
+    """exp(c tau) overflows to inf for one long epoch; the point is then no
+    stable estimate, whatever the NaN top-1% share says."""
+    batch = _const_batch(1000)
+    tau = batch.tau.copy()
+    tau[0] = 20_000
+    with np.errstate(invalid="ignore"):  # the top-1% share is inf / inf
+        est = estimate_exp_moment(replace(batch, tau=tau), 0.05)
+    assert est.point == math.inf
+    assert est.verdict == "heavy"
 
 
 # -- enumeration oracles -----------------------------------------------------------

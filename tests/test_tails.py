@@ -331,6 +331,39 @@ def test_scalar_tail_bit_identical(chains, x):
         _assert_scalar_paths_match(spec, [x])
 
 
+def test_means_are_the_half_line_integrals(chains):
+    """pos_mean is the tail's integral over (0, inf) and mean subtracts the
+    CDF's over (-inf, 0), bit for bit, wherever no closed form replaces them."""
+    checked = 0
+    for name, spec in {**FAMILIES, **_constructed(chains)}.items():  # pareto_one's integral raises
+        if type(spec).pos_mean is tails.TailSpec.pos_mean:
+            pos_mean = _outcome(lambda level: spec.pos_mean, 0.0)
+            assert pos_mean == _outcome(spec.tail_integral_above, 0.0), name
+            checked += 1
+        if type(spec).mean is tails.TailSpec.mean:
+            definition = _outcome(lambda level: spec.pos_mean - spec.mass_integral_below(level), 0.0)
+            assert _outcome(lambda level: spec.mean, 0.0) == definition, name
+    assert checked == 25
+
+
+def test_default_scalar_log_tail_needs_no_array_path(chains, monkeypatch):
+    """The default scalar log-tail is the log of scalar_tail, so the spliced and
+    truncated tails evaluate it without their array tail or log_tail."""
+    specs = [spec for spec in _constructed(chains).values() if isinstance(spec, (SplicedTail, TruncatedBelow))]
+    xs = [-20.0, -1.0, 0.0, 0.5, 3.0, 40.0, 1e3, 1e8]
+    expected = [[_outcome(lambda v: spec.log_tail(np.float64(v)), x) for x in xs] for spec in specs]
+
+    def refuse(self, x):
+        raise AssertionError("array path called")
+
+    for cls in (SplicedTail, TruncatedBelow):
+        monkeypatch.setattr(cls, "tail", refuse)
+        monkeypatch.setattr(cls, "log_tail", refuse)
+    for spec, want in zip(specs, expected):
+        log_tail = spec.scalar_log_tail()
+        assert [_outcome(log_tail, x) for x in xs] == want
+
+
 def test_scalar_tail_bit_identical_at_edges(chains):
     for spec in {**FAMILIES, **_constructed(chains)}.values():
         _assert_scalar_paths_match(spec, SPECIAL_X + _edges(spec))
