@@ -541,9 +541,9 @@ def _configured_estimates(cfg: ExperimentConfig, a: float) -> list:
 
 
 def cmd_estimate(cfg: ExperimentConfig, out_dir: Path, fmt: str) -> int:
-    spec = _increments_from(cfg)
+    estimators = _configured_estimates(cfg, -_increments_from(cfg).mean)  # refused before any sample is read
     manifest, batch = _load_samples(cfg, out_dir)
-    estimates = [estimator(batch) for estimator in _configured_estimates(cfg, -spec.mean)]
+    estimates = [estimator(batch) for estimator in estimators]
     payload = {
         "config_hash": cfg.config_hash,
         "seed_manifest": {"seed": cfg.seed, "stream_ids": manifest["stream_ids"]},

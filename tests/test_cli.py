@@ -565,14 +565,14 @@ def test_unknown_config_key_rejected(tmp_path):
         ("delta", True),
         ("c", True),
         ("shift", True),
-        ("alpha", math.inf),
-        ("c", math.inf),
-        ("delta", math.inf),
-        ("shift", -math.inf),
         ("eps", "0.5"),
         ("growth", "g1"),
         ("increments", [1, 2]),
         ("outputs", "abc"),
+        ("alpha", math.inf),
+        ("c", math.inf),
+        ("delta", math.inf),
+        ("shift", -math.inf),
     ],
 )
 def test_non_integer_count_or_seed_rejected(tmp_path, key, value, capsys):
