@@ -11,6 +11,17 @@ The check suites cover what is exactly assertable (shared-uniform dominance
 coupling, the stopping-identity consistency of means) and what is only
 observable (the running-maximum tail ratio against its predicted limit, and
 an explicitly heuristic stability verdict for moment finiteness).
+
+The estimators walk a batch in blocks, so no temporary grows with its size,
+and every sum keeps the bits of one `np.sum` over the whole column.  numpy
+sums float64 pairwise (Higham, "The accuracy of floating point summation",
+SIAM J. Sci. Comput. 1993): a run of more than 128 values splits at
+n//2 - (n//2) % 8, so the tree depends on the run's length alone.  The blocks
+are the nodes of that tree holding at most `_LEAF` values; `np.sum` over each
+gives its node's bits, and `_TreeSum` adds the node sums along the tree.  A
+mean is that sum over n, a sample variance numpy's two passes (the mean, then
+the sum of squared deviations from it), and the top-1% sum adds the same
+largest values in the same descending order as a sort of the whole column.
 """
 
 from __future__ import annotations
@@ -56,32 +67,136 @@ class MomentEstimate(Report):
     verdict: str
 
 
+_LEAF = 1 << 14  # most values in one block: blocks are the nodes of numpy's pairwise-sum tree
+
+
+def _half(n: int) -> int:
+    """Where numpy's pairwise sum splits a run of n > 128 values."""
+    return n // 2 - (n // 2) % 8
+
+
+def _tree_leaves(n: int) -> list:
+    """(start, stop) of the largest nodes of at most `_LEAF` values in numpy's pairwise-sum tree over n values."""
+    leaves, todo = [], [(0, n)] if n else []
+    while todo:
+        lo, size = todo.pop()
+        if size <= _LEAF:
+            leaves.append((lo, lo + size))
+        else:
+            half = _half(size)
+            todo += [(lo + half, size - half), (lo, half)]
+    return leaves
+
+
+def _tree_join(n: int, sums):
+    """The leaves' sums, from the iterator `sums`, added along numpy's tree over n values."""
+    if n <= _LEAF:
+        return next(sums)
+    half = _half(n)
+    left = _tree_join(half, sums)
+    return left + _tree_join(n - half, sums)
+
+
+class _TreeSum:
+    """`np.sum`'s bits for n float64 values that arrive in consecutive pieces of any length.
+
+    A leaf of the tree that one piece holds whole is summed in place; one
+    split across pieces (a masked subset's, say) is gathered in a buffer.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self._sizes = [hi - lo for lo, hi in _tree_leaves(n)]
+        self._sums = []
+        self._buf = None
+        self._fill = 0
+
+    def add(self, x: np.ndarray):
+        pos = 0
+        while pos < x.size:
+            size = self._sizes[len(self._sums)]
+            if self._fill == 0 and x.size - pos >= size:
+                self._sums.append(np.sum(x[pos : pos + size]))
+                pos += size
+                continue
+            if self._buf is None:
+                self._buf = np.empty(_LEAF)
+            take = min(size - self._fill, x.size - pos)
+            self._buf[self._fill : self._fill + take] = x[pos : pos + take]
+            self._fill += take
+            pos += take
+            if self._fill == size:
+                self._sums.append(np.sum(self._buf[:size]))
+                self._fill = 0
+
+    def total(self) -> float:
+        if len(self._sums) != len(self._sizes):
+            raise ValueError(f"{self.n} values announced, fewer added")
+        return float(_tree_join(self.n, iter(self._sums))) if self.n else 0.0
+
+
+class _Largest:
+    """The k largest of float64 values fed in blocks.
+
+    Once k candidates are held, a block keeps only its values above the
+    k-th largest so far: one equal to it cannot change which values the k
+    largest are.  The candidates are cut back to the k largest when they
+    reach twice k, or one block, whichever is more, by a sort: numpy's is
+    many times faster than its partition on the tied values of light tails.
+    A nan may be dropped: it makes the total, and so the share, nan whatever
+    the top sum.
+    """
+
+    def __init__(self, k: int):
+        self.k = k
+        self._parts = []
+        self._size = 0
+        self._floor = None
+
+    def add(self, x: np.ndarray):
+        x = x.copy() if self._floor is None else x[x > self._floor]
+        self._parts.append(x)
+        self._size += x.size
+        if self._size >= max(2 * self.k, _LEAF):
+            kept = np.concatenate(self._parts)
+            kept = np.sort(kept)[kept.size - self.k :]
+            self._parts, self._size, self._floor = [kept], kept.size, kept[0]
+
+    def sum(self):
+        """Sum of the k largest, added in descending order."""
+        return np.sort(np.concatenate(self._parts))[::-1][: self.k].sum()
+
+
 def _estimate_functional(batch: SampleBatch, fn, estimand: dict) -> MomentEstimate:
     """Mean of fn(tau) with its standard error, top-1% share and censored share."""
-    # censored epochs are recorded at the cap, so fn(tau) is their lower bound
-    with np.errstate(over="ignore"):
-        values = fn(batch.tau.astype(float))
-    n = int(values.size)
+    n = batch.n
     if n == 0:
         raise ValueError("cannot estimate from an empty batch")
-    # the sort comes first: the order of these allocations sets the page faults they take
-    descending = np.sort(values)[::-1]
-    total = float(values.sum())
-    total_sq = float(np.square(values).sum())
-    censored = batch.censored
-    censored_n = int(censored.sum())
-    censored_total = float(values[censored].sum()) if censored.any() else 0.0
+    censored_n = batch.censored_n
     if censored_n == n:
         return MomentEstimate(
             estimand, n, math.nan, math.nan, (math.nan, math.nan), math.nan, censored_n, 1.0, "censored-dominated"
         )
+    sums, squares, censored_sums = _TreeSum(n), _TreeSum(n), _TreeSum(censored_n)
+    largest = _Largest(math.ceil(0.01 * n))
+    # censored epochs are recorded at the cap, so fn(tau) is their lower bound
+    with np.errstate(over="ignore"):
+        for lo, hi in _tree_leaves(n):
+            values = fn(batch.tau[lo:hi].astype(float))
+            sums.add(values)
+            largest.add(values)
+            if censored_n:
+                censored_sums.add(values[batch.censored[lo:hi]])
+            squares.add(np.square(values, out=values))
+    total, total_sq, censored_total = sums.total(), squares.total(), censored_sums.total()
     point = total / n
     if n > 1 and math.isfinite(total_sq):
         var = max(total_sq - n * point * point, 0.0) / (n - 1)
     else:
         var = math.nan if not math.isfinite(total_sq) else 0.0
     se = math.sqrt(var / n) if var == var else math.nan
-    top1 = 0.0 if total <= 0 else float(descending[: math.ceil(0.01 * n)].sum() / total)
+    # Python floats: an overflowed total gives inf / inf = nan without numpy's warning
+    top1 = 0.0 if total <= 0 else float(largest.sum()) / total
     censored_share = censored_total / total if total > 0 else 0.0
     if censored_n > 0 and censored_share > 0.01:
         verdict = "censored-dominated"
@@ -199,14 +314,29 @@ class WaldReport(Report):
 
 
 def wald_check(batch: SampleBatch, mean_increment: float) -> WaldReport:
-    """Check E S_tau = E xi * E tau on uncensored samples, within 4 combined SEs."""
-    keep = ~batch.censored
-    n = int(keep.sum())
+    """Check E S_tau = E xi * E tau on uncensored samples, within 4 combined SEs.
+
+    The standard error is numpy's `std(ddof=1)` of the discrepancies over
+    root n, from its two passes: their mean, then the sum of their squared
+    deviations from it.
+    """
+    n = batch.n - batch.censored_n
     if n < 2:
         raise ValueError("need at least two uncensored samples")
-    d = batch.s_tau[keep] - mean_increment * batch.tau[keep].astype(float)
-    mean_d = float(d.mean())
-    se = float(d.std(ddof=1) / math.sqrt(n))
+
+    def discrepancies():
+        for lo, hi in _tree_leaves(batch.n):
+            d = batch.s_tau[lo:hi] - mean_increment * batch.tau[lo:hi].astype(float)
+            yield d if n == batch.n else d[~batch.censored[lo:hi]]
+
+    sums, squares = _TreeSum(n), _TreeSum(n)
+    for d in discrepancies():
+        sums.add(d)
+    mean_d = sums.total() / n
+    for d in discrepancies():
+        d -= mean_d
+        squares.add(np.square(d, out=d))
+    se = math.sqrt(squares.total() / (n - 1)) / math.sqrt(n)
     if se == 0.0:
         sigmas = 0.0 if mean_d == 0.0 else math.inf
     else:
@@ -251,15 +381,20 @@ def running_max_ratio_check(batch: SampleBatch, f_psi: TailSpec, x_grid=None) ->
     (`min_exceedances`); grid points beyond that are dropped and reported.
     """
     delta_tol, min_exceedances = 0.0, 30
-    keep = ~batch.censored
-    n = int(keep.sum())
+    censored_n = batch.censored_n
+    n = batch.n - censored_n
     notes = []
-    if batch.censored_n:
-        notes.append(f"{batch.censored_n} censored excursions excluded")
+    if censored_n:
+        notes.append(f"{censored_n} censored excursions excluded")
     if n == 0:
         return RatioCheckReport(math.nan, [], False, None, delta_tol, min_exceedances, ["no uncensored samples"])
-    m_vals = batch.psi_max[keep]
-    e_tau = float(batch.tau[keep].mean())
+
+    def uncensored(column):
+        for lo, hi in _tree_leaves(batch.n):
+            yield column[lo:hi] if not censored_n else column[lo:hi][~batch.censored[lo:hi]]
+
+    # numpy's float64 mean of the int64 epochs: their sum is exact below 2^53, in any order
+    e_tau = sum(int(t.sum()) for t in uncensored(batch.tau)) / n
 
     if x_grid is None:
         lo_level = min(0.25, 0.05 / max(e_tau, 1.0))
@@ -269,9 +404,13 @@ def running_max_ratio_check(batch: SampleBatch, f_psi: TailSpec, x_grid=None) ->
         else:
             levels = np.geomspace(lo_level, hi_level, 12)
             x_grid = [float(f_psi.tail_quantile(q)) for q in levels]
+    xs = np.asarray(x_grid, dtype=float)
+    counts = [0] * xs.size
+    for m_vals in uncensored(batch.psi_max):
+        for j, x in enumerate(xs):
+            counts[j] += int(np.count_nonzero(m_vals > x))
     rows = []
-    for x in np.asarray(x_grid, dtype=float):
-        count = int((m_vals > x).sum())
+    for x, count in zip(xs, counts):
         tail = float(f_psi.tail(x))
         if tail <= 0 or count == 0:
             continue

@@ -35,27 +35,22 @@ descending step.
 
 Each `simulate_batch` call owns one work area, sized to its largest chunk: the
 per-walk state arrays, an arena of `chunk x _FIRST_BLOCK` doubles (a plane for
-the partial sums and one for their running maximum, written with `out=`), the
-lent uniforms and the Philox planes.  Every chunk resets it in place and
-compacts into the front of its arrays, so the walk's own buffers are allocated
-once per call.  The call, not the module, owns it, because the CLI simulates
-on two threads at once.
+the partial sums and one for their running maximum, written with `out=`; the
+slices touch only its front), the lent uniforms and the Philox planes.  Every
+chunk resets it in place and compacts into the front of its arrays, so the
+walk's own buffers are allocated once per call.  The call, not the module,
+owns it, because the CLI simulates on two threads at once.
 
-How the work area is sized and freed decides where glibc serves later arrays
-from, and so how many minor page faults they take: freeing a block served by
-mmap raises the dynamic mmap threshold to its size.  Freeing each chunk's
-fresh `np.arange` walk index lifts the threshold above one column of a chunk,
-so the later chunks' columns and the slices' temporaries come from the heap.
-Freeing the arena at the end of the call lifts it above the full columns, so
-the concatenation and then the estimators' per-walk arrays come from the heap,
-where the freed chunk columns leave room.  So the arena keeps its full size
-although the slices touch only its front.  A kept index array put the
-estimators of 2e6 Pareto walks, and an arena of two slices those of 2e5 g1
-walks, on fresh zeroed mappings again: about 1,100 faults per call, and up to
-twice the time.  The work area goes before the concatenation, so the call's
-peak memory stays that of the parts plus the full columns.  Writing the chunks
-straight into preallocated full-length columns instead cost the estimators
-1,100 to 4,400 faults per call.
+Each chunk writes its results straight into the call's full-length columns,
+so the call's peak memory is the columns plus one work area, with no
+per-chunk parts and no concatenation after them.  The index that `reset`
+gives a chunk's walks is a fresh `np.arange`, freed at once: freeing a block
+that glibc served by mmap raises its dynamic mmap threshold to that block's
+size, so the slices' temporaries then come from the heap.  An index copied
+from a kept array instead took 2e6 Pareto walks from about 7,800 minor page
+faults to 21,300.  The estimators do not depend on what the walk freed
+before them: they work in blocks of at most `estimate._LEAF` values, which
+the heap serves again on every call.
 
 A busy cycle of a FIFO single-server queue is the descent epoch of the walk
 with service-minus-interarrival increments (``tails.QueuePair``): during the
@@ -115,10 +110,6 @@ class SampleBatch:
 
     def head(self, n: int) -> "SampleBatch":
         return replace(self, **{name: getattr(self, name)[:n] for name in _COLUMNS})
-
-    @staticmethod
-    def concat(parts: list["SampleBatch"]) -> "SampleBatch":
-        return replace(parts[0], **{name: np.concatenate([getattr(p, name) for p in parts]) for name in _COLUMNS})
 
 
 def _block_schedule(step_cap: int):
@@ -342,32 +333,25 @@ def simulate_batch(
             raise WalkError("pass either n_samples or stream_ids")
         if n_samples < 1:
             raise WalkError("n_samples must be at least one")
-        stream_ids = np.arange(n_samples, dtype=np.int64)
-    stream_ids = np.asarray(stream_ids, dtype=np.int64)
-    if stream_ids.size == 0:
+        ids = np.arange(n_samples, dtype=np.int64)
+    else:
+        ids = np.asarray(stream_ids, dtype=np.int64)
+    n = ids.size
+    if n == 0:
         raise WalkError("stream_ids must not be empty")
 
-    ch = _WorkArea(min(_CHUNK, stream_ids.size), spec, shift)
-    parts = []
-    for lo in range(0, stream_ids.size, _CHUNK):
-        chunk = stream_ids[lo : lo + _CHUNK]
-        tau, s_tau, m_tau, psi_max, cens = out = _columns(chunk.size)
-        _simulate_chunk(ch, spec, seed, chunk, step_cap, out)
-        parts.append(
-            SampleBatch(
-                seed=seed,
-                step_cap=step_cap,
-                shift=shift,
-                stream_ids=chunk.copy(),
-                tau=tau,
-                s_tau=s_tau,
-                m_tau=m_tau,
-                psi_max=psi_max,
-                censored=cens,
-            )
-        )
-    del ch  # before the concat, so that the work area and the full columns are never alive at once
-    return SampleBatch.concat(parts) if len(parts) > 1 else parts[0]
+    ch = _WorkArea(min(_CHUNK, n), spec, shift)
+    columns = _columns(n)
+    for lo in range(0, n, _CHUNK):
+        hi = lo + _CHUNK
+        _simulate_chunk(ch, spec, seed, ids[lo:hi], step_cap, [c[lo:hi] for c in columns])
+    if stream_ids is not None:
+        # the batch's own copy, so later edits to the caller's array leave it alone.  Taken here,
+        # with the work area still held: taken before the walks, or after the work area was
+        # freed, it raised the peak RSS of the CLI simulate stage by 2-5 MB (glibc placement)
+        ids = ids.copy()
+    tau, s_tau, m_tau, psi_max, censored = columns
+    return SampleBatch(seed, step_cap, shift, ids, tau, s_tau, m_tau, psi_max, censored)
 
 
 def replay_path(

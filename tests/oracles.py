@@ -4,8 +4,10 @@ These are deliberately separate from the library code paths they check:
 an exhaustive level-occupation recursion for the two-point walk, a scalar
 waiting-time recursion for single-server queues, and closed forms for the
 integrals the quadrature routines must reproduce and for the D/M/1 busy
-cycle, the row-by-row `csv.writer` form of `samples.csv`, and 30-digit
-`mpmath.quad` integrals of the family tails, written from their formulas.
+cycle, the row-by-row `csv.writer` form of `samples.csv`, 30-digit
+`mpmath.quad` integrals of the family tails, written from their formulas,
+and the moment estimators and check suites over whole columns, with one
+numpy reduction per quantity.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import mpmath
 import numpy as np
 
 from ladderlab import rng
+from ladderlab.estimate import MomentEstimate, RatioCheckReport, WaldReport, _wilson_interval
 
 
 def bernoulli_descent_pmf(p: float, depth: int) -> np.ndarray:
@@ -193,3 +196,83 @@ def self_convolution_ratio(log_tail, x: float, m: float, knots=()) -> float:
         mirrored = [*knots, *(x - k for k in knots)]
         folded = _split_quad(lambda y: mpmath.exp(log_tail(x - y) + log_tail(y) - lt_x), 0, half, mirrored)
         return float(2 * folded / (2 * mpmath.mpf(m)))
+
+
+def whole_column_estimate(batch, fn, estimand: dict) -> MomentEstimate:
+    """`estimate._estimate_functional` with full-length temporaries: a sort, a square, masks."""
+    with np.errstate(over="ignore"):
+        values = fn(batch.tau.astype(float))
+        squares = np.square(values)
+    n = int(values.size)
+    descending = np.sort(values)[::-1]
+    total = float(values.sum())
+    total_sq = float(squares.sum())
+    censored = batch.censored
+    censored_n = int(censored.sum())
+    censored_total = float(values[censored].sum()) if censored.any() else 0.0
+    if censored_n == n:
+        return MomentEstimate(
+            estimand, n, math.nan, math.nan, (math.nan, math.nan), math.nan, censored_n, 1.0, "censored-dominated"
+        )
+    point = total / n
+    if n > 1 and math.isfinite(total_sq):
+        var = max(total_sq - n * point * point, 0.0) / (n - 1)
+    else:
+        var = math.nan if not math.isfinite(total_sq) else 0.0
+    se = math.sqrt(var / n) if var == var else math.nan
+    top1 = 0.0 if total <= 0 else float(descending[: math.ceil(0.01 * n)].sum()) / total
+    censored_share = censored_total / total if total > 0 else 0.0
+    if censored_n > 0 and censored_share > 0.01:
+        verdict = "censored-dominated"
+    elif top1 > 0.5 or not math.isfinite(point):
+        verdict = "heavy"
+    else:
+        verdict = "stable"
+    return MomentEstimate(estimand, n, point, se, (point - 1.96 * se, point + 1.96 * se), top1, censored_n,
+                          censored_share, verdict)
+
+
+def whole_column_wald(batch, mean_increment: float) -> WaldReport:
+    """`estimate.wald_check` through numpy's own mean and std(ddof=1)."""
+    keep = ~batch.censored
+    n = int(keep.sum())
+    d = batch.s_tau[keep] - mean_increment * batch.tau[keep].astype(float)
+    mean_d = float(d.mean())
+    se = float(d.std(ddof=1) / math.sqrt(n))
+    sigmas = (0.0 if mean_d == 0.0 else math.inf) if se == 0.0 else abs(mean_d) / se
+    return WaldReport(n=n, mean_discrepancy=mean_d, std_error=se, sigmas=sigmas, ok=sigmas <= 4.0)
+
+
+def whole_column_ratio(batch, f_psi, x_grid=None) -> RatioCheckReport:
+    """`estimate.running_max_ratio_check` with one full-length mask per grid point."""
+    delta_tol, min_exceedances = 0.0, 30
+    keep = ~batch.censored
+    n = int(keep.sum())
+    notes = [f"{batch.censored_n} censored excursions excluded"] if batch.censored_n else []
+    if n == 0:
+        return RatioCheckReport(math.nan, [], False, None, delta_tol, min_exceedances, ["no uncensored samples"])
+    m_vals = batch.psi_max[keep]
+    e_tau = float(batch.tau[keep].mean())
+    if x_grid is None:
+        lo_level = min(0.25, 0.05 / max(e_tau, 1.0))
+        hi_level = max(min_exceedances * 1.5 / (n * max(e_tau, 1.0)), 2.0 / n)
+        if hi_level >= lo_level:
+            x_grid = [float(f_psi.tail_quantile(lo_level))]
+        else:
+            x_grid = [float(f_psi.tail_quantile(q)) for q in np.geomspace(lo_level, hi_level, 12)]
+    rows = []
+    for x in np.asarray(x_grid, dtype=float):
+        count = int((m_vals > x).sum())
+        tail = float(f_psi.tail(x))
+        if tail <= 0 or count == 0:
+            continue
+        lo_p, hi_p = _wilson_interval(count, n)
+        rows.append({"x": float(x), "exceedances": count, "ratio": count / n / tail,
+                     "ratio_lo": lo_p / tail, "ratio_hi": hi_p / tail})
+    resolvable = [r for r in rows if r["exceedances"] >= min_exceedances]
+    if not resolvable:
+        notes.append("no grid point resolves enough exceedances; enlarge n or lower the grid")
+        return RatioCheckReport(e_tau, rows, False, None, delta_tol, min_exceedances, notes)
+    top = max(resolvable, key=lambda r: r["x"])
+    ok = top["ratio_lo"] <= e_tau <= top["ratio_hi"]
+    return RatioCheckReport(e_tau, rows, ok, top["x"], delta_tol, min_exceedances, notes)

@@ -1,5 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,10 +23,12 @@ from ladderlab import (
     simulate_batch,
     wald_check,
 )
+from ladderlab import estimate
+from ladderlab.config import jsonify
 from ladderlab.tails import Pareto
 from ladderlab.walk import SampleBatch
 
-from oracles import bernoulli_descent_moment
+from oracles import bernoulli_descent_moment, whole_column_estimate, whole_column_ratio, whole_column_wald
 
 SEED = 77
 
@@ -77,15 +84,17 @@ def test_parameter_validation(g2, bern_batch):
         estimate_exp_moment(bern_batch, math.inf)
 
 
+@pytest.mark.filterwarnings("error")
 def test_overflowed_estimate_is_not_stable():
     """exp(c tau) overflows to inf for one long epoch; the point is then no
-    stable estimate, whatever the NaN top-1% share says."""
+    stable estimate, whatever the NaN top-1% share says, and no numpy
+    warning is raised on the way."""
     batch = _const_batch(1000)
     tau = batch.tau.copy()
     tau[0] = 20_000
-    with np.errstate(invalid="ignore"):  # the top-1% share is inf / inf
-        est = estimate_exp_moment(replace(batch, tau=tau), 0.05)
+    est = estimate_exp_moment(replace(batch, tau=tau), 0.05)
     assert est.point == math.inf
+    assert math.isnan(est.top1_share)
     assert est.verdict == "heavy"
 
 
@@ -302,3 +311,164 @@ def test_dominance_at_extreme_uniforms(chains):
         qt = chain.tilde.quantile(u)
         qh = chain.hat.quantile(u)
         assert np.all(qb <= qt) and np.all(qt <= qh), key
+
+
+# -- block estimators against whole columns ------------------------------------------
+
+
+def _sum_lengths():
+    k_pm1 = [2**k + d for k in range(3, 18) for d in (-1, 1)]
+    return sorted({*range(1, 10), 127, 128, 129, *k_pm1, 2**16 - 1, 2**16 + 1})
+
+
+def _special(x, rng, kind):
+    """x with -0.0, +-inf or nan written at a few random places."""
+    x = x.copy()
+    at = rng.integers(0, x.size, max(1, x.size // 1000))
+    if kind == "neg_zero":
+        x[at] = -0.0
+    elif kind == "all_neg_zero":
+        x[:] = -0.0
+    elif kind == "inf":
+        x[at] = math.inf
+    elif kind == "both_inf":
+        x[at[: (at.size + 1) // 2]] = math.inf
+        x[at[at.size // 2 :]] = -math.inf
+    elif kind == "nan":
+        x[at] = math.nan
+    return x
+
+
+def _pieces(n, rng):
+    """Random cut points of [0, n): single values, short runs and long ones."""
+    cuts = set(rng.integers(0, n + 1, 3).tolist()) | set(rng.integers(0, n + 1, 1 + n // 5000).tolist())
+    edges = sorted(cuts | {0, n})
+    return list(zip(edges[:-1], edges[1:]))
+
+
+@pytest.mark.parametrize("kind", ["plain", "neg_zero", "all_neg_zero", "inf", "both_inf", "nan"])
+def test_tree_sum_keeps_np_sum_bits(kind):
+    """The block sum must give np.sum's bits for any cut and any mask; a numpy
+    whose pairwise rule changed fails here before any golden digest does."""
+    rng = np.random.default_rng(2024)
+    for n in _sum_lengths():
+        x = _special(rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n), rng, kind)
+        keep = rng.random(n) < 0.7
+        whole, masked = estimate._TreeSum(n), estimate._TreeSum(int(keep.sum()))
+        with np.errstate(invalid="ignore"):  # inf - inf
+            for lo, hi in _pieces(n, rng):
+                whole.add(x[lo:hi])
+            for lo, hi in _pieces(n, rng):
+                masked.add(x[lo:hi][keep[lo:hi]])
+            assert np.float64(whole.total()).tobytes() == np.sum(x).tobytes(), (kind, n)
+            assert np.float64(masked.total()).tobytes() == np.sum(x[keep]).tobytes(), (kind, n, "masked")
+
+
+def _dump(report) -> str:
+    return json.dumps(jsonify(report.to_dict()), sort_keys=True)
+
+
+def _tied_batch(n=200_000, seed=5):
+    """tau 1 everywhere but 1,500 walks at 7 and 3,000 at 5: the 2,000th largest ties with 2,999 others."""
+    rng = np.random.default_rng(seed)
+    tau = np.ones(n, dtype=np.int64)
+    at = rng.permutation(n)
+    tau[at[:1500]], tau[at[1500:4500]] = 7, 5
+    s_tau = -rng.random(n)
+    m_tau = np.where(tau > 1, rng.random(n) * tau, 0.0)
+    censored = np.zeros(n, dtype=bool)
+    return SampleBatch(0, 10, 0.0, np.arange(n), tau, s_tau, m_tau, m_tau, censored)
+
+
+@pytest.fixture(scope="module")
+def oracle_batches():
+    pareto = Pareto(2.0, 1.0, shift=-3.0)
+    bern = BernoulliPM1(0.45)
+    return [
+        ("one_block", pareto, simulate_batch(pareto, seed=SEED, n_samples=1000)),
+        ("two16_minus", pareto, simulate_batch(pareto, seed=SEED, n_samples=2**16 - 1)),
+        ("two16_plus", pareto, simulate_batch(pareto, seed=SEED, n_samples=2**16 + 1)),
+        ("pareto_300k", pareto, simulate_batch(pareto, seed=SEED, n_samples=300_000)),
+        ("censored_cap5", bern, simulate_batch(bern, seed=3, n_samples=70_001, step_cap=5)),
+        ("censored_cap60", bern, simulate_batch(bern, seed=3, n_samples=100_003, step_cap=60)),
+        ("ties", Constant(-1.0), _tied_batch()),
+        ("constant", Constant(-1.0), _const_batch(40_000)),
+    ]
+
+
+def _estimators(g2):
+    """Label -> (estimator, the functional of tau it averages): the public
+    estimators, and one functional with nan and -0.0 values."""
+
+    def odd(t):
+        return np.where(t >= 5, np.nan, -0.0 * t)
+
+    return {
+        "power1": (lambda b: estimate_power_moment(b, 1.0), lambda t: t**1.0),
+        "power2": (lambda b: estimate_power_moment(b, 2.0), lambda t: t**2.0),
+        "exp": (lambda b: estimate_exp_moment(b, 0.3), lambda t: np.exp(0.3 * t)),
+        "growth": (lambda b: estimate_growth_moment(b, g2, 0.5, 0.25, 1.0), lambda t: np.exp(0.5 * g2(0.75 * t))),
+        "nan_and_neg_zero": (lambda b: estimate._estimate_functional(b, odd, {"kind": "odd"}), odd),
+    }
+
+
+def test_estimators_match_whole_columns(g2, oracle_batches):
+    """Every report equals the whole-column oracle's, on censored batches, one
+    block, 2^16 +- 1 walks, ties at the top-1% threshold and head(n) prefixes."""
+    estimators = _estimators(g2)
+    for name, spec, batch in oracle_batches:
+        for size in sorted({batch.n, batch.n // 4 + 3, batch.n // 64, 2}):
+            part = batch.head(size)
+            case = (name, size)
+            for label, (estimator, fn) in estimators.items():
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = estimator(part)
+                    want = whole_column_estimate(part, fn, got.estimand)
+                assert _dump(got) == _dump(want), (*case, label)
+            if part.n - part.censored_n >= 2:
+                assert _dump(wald_check(part, spec.mean)) == _dump(whole_column_wald(part, spec.mean)), case
+            assert _dump(running_max_ratio_check(part, spec)) == _dump(whole_column_ratio(part, spec)), case
+            grid = [0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 1e300]
+            assert _dump(running_max_ratio_check(part, spec, grid)) == _dump(whole_column_ratio(part, spec, grid)), case
+
+
+_FAULT_GUARD = """
+import json, resource
+from ladderlab import Pareto, estimate_power_moment, running_max_ratio_check, simulate_batch, wald_check
+
+spec = Pareto(2.0, 1.0, shift=-3.0)
+spec.mean  # its quadrature runs before the baseline
+usage = lambda: resource.getrusage(resource.RUSAGE_SELF)
+before = usage().ru_maxrss
+batch = simulate_batch(spec, 7, n_samples=500_000)
+faults = {}
+for name, call in [
+    ("power", lambda: estimate_power_moment(batch, 1.0)),
+    ("wald", lambda: wald_check(batch, spec.mean)),
+    ("ratio", lambda: running_max_ratio_check(batch, spec)),
+]:
+    call()
+    start = usage().ru_minflt
+    call()
+    faults[name] = usage().ru_minflt - start
+columns = sum(getattr(batch, c).nbytes for c in ("stream_ids", "tau", "s_tau", "m_tau", "psi_max", "censored"))
+print(json.dumps({"faults": faults, "growth": (usage().ru_maxrss - before) * 1024, "columns": columns}))
+"""
+
+
+def test_estimators_reuse_memory_after_simulate():
+    """In a fresh process, 5e5 walks (two chunks) then the estimators: a second
+    call takes almost no minor faults, and the peak grows by the columns plus
+    one chunk's work area (about 22 MB at 2.5e5 walks), never by a copy of
+    the columns or a full-length temporary."""
+    src = Path(estimate.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", _FAULT_GUARD],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    res = json.loads(out.stdout)
+    assert all(count <= 64 for count in res["faults"].values()), res
+    assert res["growth"] <= res["columns"] + (32 << 20), res

@@ -259,6 +259,27 @@ def test_chunking_invisible(monkeypatch):
     assert np.array_equal(a.tau, b.tau) and np.array_equal(a.s_tau, b.s_tau)
 
 
+@pytest.mark.parametrize("n", [walk._CHUNK - 1, walk._CHUNK, walk._CHUNK + 1, 2 * walk._CHUNK + 1])
+def test_chunks_written_in_place_match_per_chunk_calls(n):
+    spec = Pareto(2.0, 1.0, shift=-3.0)
+    batch = simulate_batch(spec, seed=SEED, n_samples=n)
+    parts = [
+        simulate_batch(spec, seed=SEED, stream_ids=np.arange(lo, min(lo + walk._CHUNK, n)))
+        for lo in range(0, n, walk._CHUNK)
+    ]
+    for name in walk._COLUMNS:
+        assert getattr(batch, name).tobytes() == np.concatenate([getattr(p, name) for p in parts]).tobytes(), name
+
+
+@pytest.mark.parametrize("chunk", [64, 10_000])
+def test_batch_owns_its_stream_ids(monkeypatch, chunk):
+    monkeypatch.setattr(walk, "_CHUNK", chunk)
+    ids = np.arange(100, 300, dtype=np.int64)
+    batch = simulate_batch(BernoulliPM1(0.25), seed=11, stream_ids=ids)
+    ids[:] = -1
+    assert np.array_equal(batch.stream_ids, np.arange(100, 300))
+
+
 def test_seed_changes_everything():
     a = simulate_batch(BernoulliPM1(0.25), seed=1, n_samples=2000)
     b = simulate_batch(BernoulliPM1(0.25), seed=2, n_samples=2000)
