@@ -46,7 +46,6 @@ from .growth import (
     check_slope_decay,
     check_tail_integral,
     default_condition_grid,
-    from_callables,
     make_builtin,
     make_growth,
 )

@@ -30,20 +30,20 @@ count, since each row's text depends only on its own values.  Both files are
 hashed as they are written, and `manifest.json`, written last, records each
 one's size and sha256.  `estimate` and `verify` first refuse a manifest of
 another config, then read the twin once, in `_SLICE_ROWS`-row blocks through
-one handle, hashing each block and copying its fields into the columns,
-while `samples.csv` is hashed on a helper thread; no CSV text is parsed, and
-the bytes that are hashed are the bytes that are loaded.  The twin must be
-the .npy 1.0 header of a C-order array of the manifest's fields and row
-count followed by exactly those rows, holding the manifest's stream ids
-`start, start + 1, ...` in order, and both digests must match.  So a samples
-file that is truncated, ragged, reordered, swapped or edited in place, a
-missing twin or one of another layout, a manifest without digests (from an
-older `simulate`) and a manifest of the wrong shape are all refused with
-exit 1.  Every artifact is written to a
-temp file in the output directory and moved into place with `os.replace`;
-`simulate` removes the old manifest before it replaces the samples, so a
-killed run never leaves new samples beside an old manifest or a half-written
-file under an artifact's name.
+one handle, hashing each block and copying its fields but the stream ids
+into the columns, while `samples.csv` is hashed on a helper thread; no CSV
+text is parsed, and the bytes that are hashed are the bytes that are
+loaded.  The twin must be the .npy 1.0 header of a C-order array of the
+manifest's fields and row count followed by exactly those rows, holding
+the manifest's stream ids `start, start + 1, ...` in order, and both
+digests must match.  So a samples file that is truncated, ragged,
+reordered, swapped or edited in place, a missing twin or one of another
+layout, a manifest without digests (from an older `simulate`) and a
+manifest of the wrong shape are all refused with exit 1.  Every artifact
+is written to a temp file in the output directory and moved into place
+with `os.replace`; `simulate` removes the old manifest before it replaces
+the samples, so a killed run never leaves new samples beside an old
+manifest or a half-written file under an artifact's name.
 
 Exit codes: 0 success, 1 usage/config error, 2 verification or certification
 failure, 3 censored-dominated estimate.
@@ -303,11 +303,11 @@ def _sha256_rest(fh) -> str:
 
 
 def _read_twin(fh, dtype: np.dtype, start: int, count: int) -> tuple[dict, str]:
-    """The columns of `samples.npy`, read once through `fh` in blocks of
-    `_SLICE_ROWS` rows, and the sha256 of the bytes read.  Anything but the
-    .npy 1.0 header of a C-order array of `dtype` and shape `(count,)`
-    followed by exactly its rows, one per stream id `start, start + 1, ...`
-    in order, is a ValueError."""
+    """The columns of `samples.npy` but the stream ids, read once through
+    `fh` in blocks of `_SLICE_ROWS` rows, and the sha256 of the bytes read.
+    Anything but the .npy 1.0 header of a C-order array of `dtype` and shape
+    `(count,)` followed by exactly its rows, one per stream id `start,
+    start + 1, ...` in order, is a ValueError."""
     sha = hashlib.sha256()
     head = fh.read(10)  # magic string, version, little-endian uint16 header length
     if len(head) < 10 or head[:8] != np.lib.format.MAGIC_PREFIX + bytes([1, 0]):
@@ -322,7 +322,7 @@ def _read_twin(fh, dtype: np.dtype, start: int, count: int) -> tuple[dict, str]:
         )
     if os.fstat(fh.fileno()).st_size != len(head) + count * dtype.itemsize:
         raise ValueError(f"{_TWIN_FILE} is not {count} rows of {dtype.itemsize} bytes after its header")
-    cols = {name: np.empty(count, bool if name == "censored" else dtype[name]) for name in dtype.names}
+    cols = {name: np.empty(count, bool if name == "censored" else dtype[name]) for name in dtype.names[1:]}
     buf = np.empty(_SLICE_ROWS, dtype)
     raw = buf.view(np.uint8)
     for a in range(0, count, _SLICE_ROWS):
@@ -365,10 +365,8 @@ def _read_samples(out_dir: Path, manifest: dict) -> SampleBatch:
         if sha != files[name]["sha256"]:
             raise _mismatch(name)
     return SampleBatch(
-        seed=int(manifest["seed"]),
-        step_cap=int(manifest["step_cap"]),
         shift=float(manifest["shift"]),
-        stream_ids=cols["stream_id"],
+        first_stream=start,
         tau=cols["tau"],
         s_tau=cols["s_tau"],
         m_tau=cols["m_tau"],
@@ -499,8 +497,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, replay: int | None = None
     dtype, n = _sample_dtype(cfg.shift), cfg.n_samples
 
     def task(lo, hi):  # at most one simulate_batch chunk, so no concatenation
-        ids = np.arange(lo, hi, dtype=np.int64)
-        batch = simulate_batch(spec, cfg.seed, stream_ids=ids, step_cap=cfg.step_cap, shift=cfg.shift)
+        batch = simulate_batch(spec, cfg.seed, hi - lo, step_cap=cfg.step_cap, shift=cfg.shift, first_stream=lo)
         return _encode(batch, dtype)
 
     # the old manifest goes first: a run killed before the new one is written

@@ -38,7 +38,6 @@ __all__ = [
     "ConditionReport",
     "make_builtin",
     "make_growth",
-    "from_callables",
     "default_condition_grid",
     "check_shape",
     "check_slope_decay",
@@ -256,32 +255,6 @@ def make_growth(spec: dict) -> GrowthFunction:
     if "param" not in spec:
         raise ValueError("growth spec needs a 'param' field")
     return make_builtin(family, spec["param"])
-
-
-def from_callables(
-    ev: Callable,
-    deriv: Callable | None = None,
-    inverse: Callable | None = None,
-    family: str = "custom",
-) -> GrowthFunction:
-    """Wrap raw callables as a GrowthFunction (mainly for test doubles)."""
-
-    def ev_arr(x):
-        return np.asarray(ev(np.asarray(x, dtype=float)), dtype=float)
-
-    if deriv is None:
-
-        def deriv(x):  # central difference with relative step
-            x = np.asarray(x, dtype=float)
-            h = np.maximum(np.abs(x) * 1e-6, 1e-9)
-            return (ev_arr(x + h) - ev_arr(x - h)) / (2.0 * h)
-
-    if inverse is None:
-
-        def inverse(t):
-            return _bisect_increasing(ev_arr, t, lo=1e-6)
-
-    return GrowthFunction(family, {}, ev_arr, deriv, inverse)
 
 
 def default_condition_grid():

@@ -34,16 +34,21 @@ width-1 sub-block stops at its only row, so it needs no search for the first
 descending step.
 
 Each `simulate_batch` call owns one work area, sized to its largest chunk: the
-per-walk state arrays, an arena of `chunk x _FIRST_BLOCK` doubles (a plane for
-the partial sums and one for their running maximum, written with `out=`; the
-slices touch only its front), the lent uniforms and the Philox planes.  Every
-chunk resets it in place and compacts into the front of its arrays, so the
-walk's own buffers are allocated once per call.  The call, not the module,
-owns it, because the CLI simulates on two threads at once.
+call's spec, seed, step cap and shift, the per-walk state arrays, an arena of
+`chunk x _FIRST_BLOCK` doubles (a plane for the partial sums and one for their
+running maximum, written with `out=`; the slices touch only its front), the
+lent uniforms, stream ids and Philox planes.  Every chunk resets it in place
+and compacts into the front of its arrays, so the walk's own buffers are
+allocated once per call.  The call, not the module, owns it, because the CLI
+simulates on two threads at once.
 
-Each chunk writes its results straight into the call's full-length columns,
-so the call's peak memory is the columns plus one work area, with no
-per-chunk parts and no concatenation after them.  The index that `reset`
+A batch holds the streams first_stream, first_stream + 1, ..., so it stores
+no stream ids: a live walk's stream is its row in the chunk plus the chunk's
+first stream, computed per slice into the work area.  Each chunk writes its
+results straight into the call's full-length columns, so the call's peak
+memory is the columns plus one work area, with no per-chunk parts and no
+concatenation after them.  Without a shift psi_max is m_tau itself, so the
+columns hold 25 bytes per walk (33 with a shift).  The index that `run`
 gives a chunk's walks is a fresh `np.arange`, freed at once: freeing a block
 that glibc served by mmap raises its dynamic mmap threshold to that block's
 size, so the slices' temporaries then come from the heap.  An index copied
@@ -79,7 +84,7 @@ _CHUNK = 250_000  # walks simulated at a time by one simulate_batch call
 _STRAGGLER_CELLS = 1 << 12  # once live walks x steps left in the block are at most this, the rest is one sub-block
 _SLICE_CELLS = 1 << 16  # cells (walks x steps) of one draw: a sub-block runs in slices of at most this many
 _ROW_SCAN_MIN = 128  # walks from which _scan loops over rows
-_COLUMNS = ("stream_ids", "tau", "s_tau", "m_tau", "psi_max", "censored")  # a SampleBatch's per-walk arrays
+_COLUMNS = ("tau", "s_tau", "m_tau", "psi_max", "censored")  # a SampleBatch's per-walk arrays
 
 
 class WalkError(ValueError):
@@ -88,12 +93,13 @@ class WalkError(ValueError):
 
 @dataclass
 class SampleBatch:
-    """Struct-of-arrays batch of ladder samples from one seeded run."""
+    """Struct-of-arrays batch of ladder samples of streams first_stream, first_stream + 1, ...
 
-    seed: int
-    step_cap: int
+    Without a shift `psi_max` is `m_tau` itself.
+    """
+
     shift: float
-    stream_ids: np.ndarray
+    first_stream: int
     tau: np.ndarray
     s_tau: np.ndarray
     m_tau: np.ndarray
@@ -107,6 +113,10 @@ class SampleBatch:
     @property
     def censored_n(self) -> int:
         return int(self.censored.sum())
+
+    @property
+    def stream_ids(self) -> np.ndarray:
+        return np.arange(self.first_stream, self.first_stream + self.n, dtype=np.int64)
 
     def head(self, n: int) -> "SampleBatch":
         return replace(self, **{name: getattr(self, name)[:n] for name in _COLUMNS})
@@ -147,50 +157,63 @@ def _scan(ufunc, head, body, out):
         ufunc.accumulate(out, axis=0, out=out)
 
 
-def _draw_columns(spec: TailSpec, seed: int, streams: np.ndarray, start: int, width: int, units, planes):
-    """Increments of `streams` over steps start..start+width-1, drawn into the lent `units` and `planes`."""
-    steps = np.arange(start, start + width, dtype=np.uint64)[:, None]
-    out = [u[: width * streams.size].reshape(width, streams.size) for u in units]
-    if spec.uses_slot1:
-        u0, u1 = rng.uniform_pair(seed, streams[None, :], steps, out=out, planes=planes)
-    else:
-        u0, u1 = rng.uniform_slot0(seed, streams[None, :], steps, out=out[0], planes=planes), None
-    return spec.increment_from_uniforms(u0, u1)
-
-
 class _WorkArea:
     """The work area of one `simulate_batch` call, and the live walks of its current chunk.
 
     The state arrays are the fronts of the work area's arrays, indexed by
     live walk: `idx` the walk's row in the chunk, `part` the partial sum of
     the increments drawn so far in the current block, `base`/`comp` the
-    compensated sum of the blocks before it.  `reset` starts a chunk in
+    compensated sum of the blocks before it.  `run` starts each chunk in
     place, and the walks that descend leave by compaction, so every chunk
-    reuses the same memory.
+    reuses the same memory.  `path_sink`, if given, collects each slice's
+    increments and partial sums of the first live walk (the replay of one
+    walk).
     """
 
-    def __init__(self, capacity: int, spec: TailSpec, shift: float):
-        self.shift = shift
+    def __init__(self, capacity: int, spec: TailSpec, seed: int, step_cap: int, shift: float, path_sink=None):
+        self.spec, self.seed, self.step_cap, self.shift, self.path_sink = spec, seed, step_cap, shift, path_sink
         # without a shift run_psi is never read, so it is neither reset nor compacted
         self._sums = ("base", "comp", "part", "run_max") + (("run_psi",) if shift != 0.0 else ())
-        self._full = {"idx": np.empty(capacity, dtype=np.int64), "streams": np.empty(capacity, dtype=np.uint64)}
+        self._full = {"idx": np.empty(capacity, dtype=np.int64)}
         self._full.update((name, np.empty(capacity)) for name in self._sums)
         self._stopped = np.empty(capacity, dtype=bool)
         # two planes, for the partial sums and their running max
         self.arena = np.empty((2, capacity * _FIRST_BLOCK // 2))
         self.units = np.empty((2 if spec.uses_slot1 else 1, _SLICE_CELLS))
+        self.streams = np.empty(min(capacity, _SLICE_CELLS), dtype=np.uint64)
         self.planes = np.empty(6 * rng._TILE, dtype=np.uint64)
 
-    def reset(self, streams: np.ndarray, out):
-        """Start the walks of `streams`, writing their results into `out`."""
-        m = streams.size
+    def run(self, first: int, m: int, out):
+        """Run the walks of streams first..first+m-1; write tau, s_tau, m_tau, psi_max, censored into `out`."""
+        self.first = first
         self.tau, self.s_tau, self.m_tau, self.psi_max, _ = out
         for name, full in self._full.items():
             setattr(self, name, full[:m])
         self.idx[:] = np.arange(m)  # a fresh index, not a kept one: see the module docstring on faults
-        self.streams[:] = streams  # the wrapping int64 -> uint64 cast
         for name in self._sums:
             getattr(self, name).fill(0.0)  # run_max covers the empty partial sum S_0 = 0
+        for start, length in _block_schedule(self.step_cap):
+            for sub_start, width in _sub_blocks(start, length):
+                if self.idx.size == 0:
+                    break
+                rest = start + length - sub_start
+                if self.idx.size * rest <= _STRAGGLER_CELLS:
+                    self.advance(sub_start, rest)
+                    break
+                self.advance(sub_start, width)
+            if self.idx.size == 0:
+                break
+            # the compensated carry runs at block ends only, as in one cumsum per block
+            self.carry()
+
+        tau, s_tau, m_tau, psi_max, censored = out
+        censored[:] = False
+        censored[self.idx] = True
+        tau[self.idx] = self.step_cap
+        s_tau[self.idx] = self.base
+        m_tau[self.idx] = self.run_max
+        if self.shift != 0.0:
+            psi_max[self.idx] = self.run_psi
 
     def carry(self):
         """Add the block's partial sums to the compensated base (Kahan), in place, and zero them."""
@@ -200,7 +223,7 @@ class _WorkArea:
         self.base, self.comp = t, np.subtract(c, y, out=c)
         self.part.fill(0.0)
 
-    def advance(self, spec, seed, start, width, path_sink):
+    def advance(self, start, width):
         """Draw steps start..start+width-1 for every live walk; drop the ones that descend.
 
         A sub-block wider than a slice runs as narrower ones, which keeps the
@@ -209,9 +232,9 @@ class _WorkArea:
         for lo in range(start, start + width, _SLICE_CELLS):
             if self.idx.size == 0:
                 break
-            self._advance(spec, seed, lo, min(_SLICE_CELLS, start + width - lo), path_sink)
+            self._advance(lo, min(_SLICE_CELLS, start + width - lo))
 
-    def _advance(self, spec, seed, start, width, path_sink):
+    def _advance(self, start, width):
         cells = self.arena.shape[1]
         if width + 1 > cells:
             self.arena = np.empty((2, width + 1))
@@ -221,7 +244,7 @@ class _WorkArea:
         stopped = self._stopped[:n]
         for lo in range(0, n, per_slice):
             sl = slice(lo, lo + per_slice)
-            stopped[sl] = self._advance_slice(spec, seed, start, width, sl, path_sink)
+            stopped[sl] = self._advance_slice(start, width, sl)
         if stopped.any():
             keep = np.flatnonzero(~stopped)
             for name in self._full:
@@ -229,8 +252,20 @@ class _WorkArea:
                 live[: keep.size] = live.take(keep)
                 setattr(self, name, live[: keep.size])
 
-    def _advance_slice(self, spec, seed, start, width, sl, path_sink):
-        x = _draw_columns(spec, seed, self.streams[sl], start, width, self.units, self.planes)
+    def _draw(self, sl, start, width):
+        """Increments of the live walks `sl` over steps start..start+width-1, drawn into the lent buffers."""
+        idx = self.idx[sl]
+        streams = np.add(idx, self.first, out=self.streams[: idx.size], casting="unsafe")
+        steps = np.arange(start, start + width, dtype=np.uint64)[:, None]
+        out = [u[: width * idx.size].reshape(width, idx.size) for u in self.units]
+        if self.spec.uses_slot1:
+            u0, u1 = rng.uniform_pair(self.seed, streams[None, :], steps, out=out, planes=self.planes)
+        else:
+            u0, u1 = rng.uniform_slot0(self.seed, streams[None, :], steps, out=out[0], planes=self.planes), None
+        return self.spec.increment_from_uniforms(u0, u1)
+
+    def _advance_slice(self, start, width, sl):
+        x = self._draw(sl, start, width)
         n = x.shape[1]
         # row 0 carries the in-block partial sum, so the sum adds in the same
         # order as one cumsum over the whole block
@@ -239,8 +274,8 @@ class _WorkArea:
         self.part[sl] = c[-1]
         s = c[1:]
         np.add(s, self.base[sl], out=s)
-        if path_sink is not None:
-            path_sink.append((x[:, 0].copy(), s[:, 0].copy()))
+        if self.path_sink is not None:
+            self.path_sink.append((x[:, 0].copy(), s[:, 0].copy()))
 
         stop_mask = s <= 0.0
         stopped = stop_mask.any(axis=0)
@@ -263,63 +298,29 @@ class _WorkArea:
         return stopped
 
 
-def _columns(n: int):
-    """Empty tau, s_tau, m_tau, psi_max and censored columns for n walks."""
-    return np.empty(n, dtype=np.int64), np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=bool)
-
-
-def _simulate_chunk(
-    ch: _WorkArea,
-    spec: TailSpec,
-    seed: int,
-    streams: np.ndarray,
-    step_cap: int,
-    out,
-    path_sink: list | None = None,
-):
-    """Run the walks of `streams` in the work area `ch`; write tau, s_tau, m_tau, psi_max, censored into `out`."""
-    ch.reset(streams, out)
-    for start, length in _block_schedule(step_cap):
-        for sub_start, width in _sub_blocks(start, length):
-            if ch.idx.size == 0:
-                break
-            rest = start + length - sub_start
-            if ch.idx.size * rest <= _STRAGGLER_CELLS:
-                ch.advance(spec, seed, sub_start, rest, path_sink)
-                break
-            ch.advance(spec, seed, sub_start, width, path_sink)
-        if ch.idx.size == 0:
-            break
-        # the compensated carry runs at block ends only, as in one cumsum per block
-        ch.carry()
-
-    tau, s_tau, m_tau, psi_max, censored = out
-    censored[:] = False
-    censored[ch.idx] = True
-    tau[ch.idx] = step_cap
-    s_tau[ch.idx] = ch.base
-    m_tau[ch.idx] = ch.run_max
-    if ch.shift == 0.0:
-        psi_max[:] = m_tau
-    else:
-        psi_max[ch.idx] = ch.run_psi
+def _columns(n: int, shift: float):
+    """Empty tau, s_tau, m_tau, psi_max and censored columns for n walks; without a shift psi_max is m_tau."""
+    tau, s_tau, m_tau = np.empty(n, dtype=np.int64), np.empty(n), np.empty(n)
+    psi_max = np.empty(n) if shift != 0.0 else m_tau
+    return tau, s_tau, m_tau, psi_max, np.empty(n, dtype=bool)
 
 
 def simulate_batch(
     spec: TailSpec,
     seed: int,
-    n_samples: int | None = None,
-    stream_ids=None,
+    n_samples: int,
     step_cap: int = 1_000_000,
     shift: float = 0.0,
+    first_stream: int = 0,
 ) -> SampleBatch:
-    """Simulate one walk per stream id until first descent or the step cap.
+    """Simulate the walks of streams first_stream..first_stream+n_samples-1 until first descent or the step cap.
 
-    Walks run in chunks of `_CHUNK` (2.5e5) stream ids, which bounds the work
+    Walks run in chunks of `_CHUNK` (2.5e5) streams, which bounds the work
     area; results depend only on (seed, stream id, step index), not on the
-    chunking.  `shift` additionally tracks the running maximum of the
-    drift-compensated partial sums S_n + n*shift, which is the quantity the
-    stopping-time tail comparison needs.
+    chunking, so a batch from `first_stream` k holds rows k.. of a batch
+    from 0.  Stream ids lie in [0, 2**63).  `shift` additionally tracks the
+    running maximum of the drift-compensated partial sums S_n + n*shift,
+    which is the quantity the stopping-time tail comparison needs.
     """
     mean = spec.mean
     if not mean < 0:
@@ -328,30 +329,17 @@ def simulate_batch(
         raise WalkError("compensated increments must keep a strictly negative mean")
     if step_cap < 1:
         raise WalkError("step_cap must be at least one")
-    if stream_ids is None:
-        if n_samples is None:
-            raise WalkError("pass either n_samples or stream_ids")
-        if n_samples < 1:
-            raise WalkError("n_samples must be at least one")
-        ids = np.arange(n_samples, dtype=np.int64)
-    else:
-        ids = np.asarray(stream_ids, dtype=np.int64)
-    n = ids.size
-    if n == 0:
-        raise WalkError("stream_ids must not be empty")
+    if n_samples < 1:
+        raise WalkError("n_samples must be at least one")
+    if first_stream < 0 or first_stream + n_samples > 2**63:
+        raise WalkError(f"stream ids {first_stream}..{first_stream + n_samples - 1} are not all in [0, 2**63)")
 
-    ch = _WorkArea(min(_CHUNK, n), spec, shift)
-    columns = _columns(n)
-    for lo in range(0, n, _CHUNK):
-        hi = lo + _CHUNK
-        _simulate_chunk(ch, spec, seed, ids[lo:hi], step_cap, [c[lo:hi] for c in columns])
-    if stream_ids is not None:
-        # the batch's own copy, so later edits to the caller's array leave it alone.  Taken here,
-        # with the work area still held: taken before the walks, or after the work area was
-        # freed, it raised the peak RSS of the CLI simulate stage by 2-5 MB (glibc placement)
-        ids = ids.copy()
-    tau, s_tau, m_tau, psi_max, censored = columns
-    return SampleBatch(seed, step_cap, shift, ids, tau, s_tau, m_tau, psi_max, censored)
+    area = _WorkArea(min(_CHUNK, n_samples), spec, seed, step_cap, shift)
+    columns = _columns(n_samples, shift)
+    for lo in range(0, n_samples, _CHUNK):
+        hi = min(lo + _CHUNK, n_samples)
+        area.run(first_stream + lo, hi - lo, [c[lo:hi] for c in columns])
+    return SampleBatch(shift, first_stream, *columns)
 
 
 def replay_path(
@@ -361,11 +349,13 @@ def replay_path(
 
     Uses the batch engine on a single stream, so the replay reproduces the
     recorded sample bit for bit, including the block-structured arithmetic.
+    A stream id outside [0, 2**63) is a WalkError.
     """
+    if not 0 <= stream_id < 2**63:
+        raise WalkError(f"stream id {stream_id} is not in [0, 2**63)")
     sink: list = []
-    streams = np.asarray([stream_id], dtype=np.int64)
-    out = _columns(1)
-    _simulate_chunk(_WorkArea(1, spec, shift), spec, seed, streams, step_cap, out, path_sink=sink)
+    out = _columns(1, shift)
+    _WorkArea(1, spec, seed, step_cap, shift, path_sink=sink).run(stream_id, 1, out)
     tau, s_tau, m_tau, psi_max, cens = out
     increments = np.concatenate([x for x, _ in sink])
     partial = np.concatenate([s for _, s in sink])

@@ -124,7 +124,7 @@ def write_samples_csv_rowwise(path, batch) -> None:
         writer.writerow(["stream_id", "tau", "s_tau", "m_tau", "censored"] + ["psi_max"] * with_psi)
         for i in range(batch.n):
             row = [
-                int(batch.stream_ids[i]),
+                batch.first_stream + i,
                 int(batch.tau[i]),
                 repr(float(batch.s_tau[i])),
                 repr(float(batch.m_tau[i])),

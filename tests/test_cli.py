@@ -318,11 +318,11 @@ def test_failed_task_leaves_old_samples_and_no_temp_file(tmp_path, cfg_path, mon
     before = [(out / name).read_bytes() for name in names]
     simulate_batch, starts = cli.simulate_batch, []
 
-    def fail_in_task_3(spec, seed, stream_ids, **kwargs):
-        starts.append(int(stream_ids[0]))
-        if stream_ids[0] == 1400:
+    def fail_in_task_3(spec, seed, n_samples, first_stream, **kwargs):
+        starts.append(first_stream)
+        if first_stream == 1400:
             raise RuntimeError("task 3 failed")
-        return simulate_batch(spec, seed, stream_ids=stream_ids, **kwargs)
+        return simulate_batch(spec, seed, n_samples, first_stream=first_stream, **kwargs)
 
     monkeypatch.setattr(cli, "_TASK_WALKS", 700)
     monkeypatch.setattr(cli, "simulate_batch", fail_in_task_3)
@@ -357,10 +357,8 @@ EVERY_SPECIAL_FLOAT = [(2**62, x, -x, x, i % 2 == 0) for i, x in enumerate(SPECI
 def test_samples_csv_round_trip(rows, n, start, shift):
     tau, s_tau, m_tau, psi_max, censored = (np.resize(np.array(col), n) for col in zip(*rows))
     batch = SampleBatch(
-        seed=1,
-        step_cap=10,
         shift=shift,
-        stream_ids=np.arange(start, start + n, dtype=np.int64),
+        first_stream=start,
         tau=tau.astype(np.int64),
         s_tau=s_tau.astype(float),
         m_tau=m_tau.astype(float),
@@ -706,6 +704,15 @@ def test_replay_emits_audit_path(tmp_path, cfg_path):
         rows = list(csv.DictReader(fh))
     assert len(lines) - 1 == int(rows[5]["tau"])
     assert lines[-1].split(",")[2] == rows[5]["s_tau"]
+
+
+@pytest.mark.parametrize("stream_id", ["-1", str(2**63)])
+def test_replay_refuses_out_of_range_ids(tmp_path, cfg_path, capsys, stream_id):
+    # -1 would wrap to stream 2**64 - 1, and 2**63 overflowed the int64 cast
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out), "--replay", stream_id]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_construct_writes_tail_tables(tmp_path, cfg_path):

@@ -152,8 +152,7 @@ def test_censored_lower_bound_flagged():
 
 def test_all_censored_no_point_estimate():
     batch = SampleBatch(
-        seed=0, step_cap=10, shift=0.0,
-        stream_ids=np.arange(4), tau=np.full(4, 10, dtype=np.int64),
+        shift=0.0, first_stream=0, tau=np.full(4, 10, dtype=np.int64),
         s_tau=np.ones(4), m_tau=np.ones(4), psi_max=np.ones(4),
         censored=np.ones(4, dtype=bool),
     )
@@ -377,7 +376,7 @@ def _tied_batch(n=200_000, seed=5):
     s_tau = -rng.random(n)
     m_tau = np.where(tau > 1, rng.random(n) * tau, 0.0)
     censored = np.zeros(n, dtype=bool)
-    return SampleBatch(0, 10, 0.0, np.arange(n), tau, s_tau, m_tau, m_tau, censored)
+    return SampleBatch(0.0, 0, tau, s_tau, m_tau, m_tau, censored)
 
 
 @pytest.fixture(scope="module")

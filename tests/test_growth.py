@@ -14,13 +14,31 @@ from ladderlab import (
     check_slope_decay,
     check_tail_integral,
     default_condition_grid,
-    from_callables,
     make_builtin,
     make_growth,
 )
-from ladderlab.growth import GrowthEvalError
+from ladderlab.growth import GrowthEvalError, _bisect_increasing
 
 from oracles import weibull_exp_tail_integral
+
+
+def from_callables(ev, deriv=None) -> GrowthFunction:
+    """Wrap raw callables as a GrowthFunction test double."""
+
+    def ev_arr(x):
+        return np.asarray(ev(np.asarray(x, dtype=float)), dtype=float)
+
+    if deriv is None:
+
+        def deriv(x):  # central difference with relative step
+            x = np.asarray(x, dtype=float)
+            h = np.maximum(np.abs(x) * 1e-6, 1e-9)
+            return (ev_arr(x + h) - ev_arr(x - h)) / (2.0 * h)
+
+    def inverse(t):
+        return _bisect_increasing(ev_arr, t, lo=1e-6)
+
+    return GrowthFunction("custom", {}, ev_arr, deriv, inverse)
 
 
 # -- builtins ---------------------------------------------------------------

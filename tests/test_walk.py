@@ -33,8 +33,6 @@ def test_config_validation():
         simulate_batch(Constant(1.0), seed=1, n_samples=1)  # nonnegative drift
     with pytest.raises(WalkError):
         simulate_batch(BernoulliPM1(0.5), seed=1, n_samples=10)  # zero mean
-    with pytest.raises(WalkError):
-        simulate_batch(Constant(-1.0), seed=1)  # neither n_samples nor ids
 
 
 @pytest.mark.parametrize(
@@ -42,9 +40,10 @@ def test_config_validation():
     [
         dict(n_samples=0),
         dict(n_samples=-5),
-        dict(stream_ids=[]),
+        dict(n_samples=2, first_stream=-1),
+        dict(n_samples=2, first_stream=2**63 - 1),
     ],
-    ids=["no-samples", "negative-samples", "no-stream-ids"],
+    ids=["no-samples", "negative-samples", "negative-stream", "past-last-stream"],
 )
 def test_empty_batch_or_chunk_refused(monkeypatch, kwargs):
     # refused before the work area is allocated
@@ -62,20 +61,20 @@ def test_shift_must_keep_negative_drift():
 
 
 def test_point_mass_descends_first_step():
-    s = simulate_batch(Constant(-1.0), seed=3, stream_ids=[9])
+    s = simulate_batch(Constant(-1.0), seed=3, n_samples=1, first_stream=9)
     assert (int(s.tau[0]), float(s.s_tau[0]), float(s.m_tau[0]), bool(s.censored[0])) == (1, -1.0, 0.0, False)
 
 
 def test_point_mass_shifted():
-    s = simulate_batch(Constant(-1.0), seed=3, stream_ids=[0], shift=0.5)
+    s = simulate_batch(Constant(-1.0), seed=3, n_samples=1, shift=0.5)
     assert s.tau[0] == 1 and s.s_tau[0] == -1.0
     # compensated partial sum is -0.5; the running max keeps the empty prefix 0
     assert s.psi_max[0] == 0.0
 
 
 def test_zero_shift_equals_plain_epoch():
-    a = simulate_batch(BernoulliPM1(0.25), seed=5, stream_ids=[17])
-    b = simulate_batch(BernoulliPM1(0.25), seed=5, stream_ids=[17], shift=0.0)
+    a = simulate_batch(BernoulliPM1(0.25), seed=5, n_samples=1, first_stream=17)
+    b = simulate_batch(BernoulliPM1(0.25), seed=5, n_samples=1, first_stream=17, shift=0.0)
     assert (a.tau[0], a.s_tau[0], a.m_tau[0]) == (b.tau[0], b.s_tau[0], b.m_tau[0])
 
 
@@ -141,7 +140,7 @@ def test_bitwise_determinism():
 def test_stream_keyed_subsets():
     spec = QueuePair(Exponential(1.0), Constant(2.0))
     full = simulate_batch(spec, seed=11, n_samples=64)
-    part = simulate_batch(spec, seed=11, stream_ids=np.arange(20, 40))
+    part = simulate_batch(spec, seed=11, n_samples=20, first_stream=20)
     assert np.array_equal(part.tau, full.tau[20:40])
     assert np.array_equal(part.s_tau, full.s_tau[20:40])
 
@@ -187,17 +186,17 @@ def test_concurrent_batches_match_serial(monkeypatch):
     # alone, the queue walk both slots
     monkeypatch.setattr(walk, "_CHUNK", 2_000)
     for spec in (QueuePair(Exponential(1.0), Exponential(1.25)), Pareto(2.0, 1.0, shift=-3.0)):
-        ids = [np.arange(k * 5_000, (k + 1) * 5_000) for k in range(4)]
-        serial = [simulate_batch(spec, 3, stream_ids=i) for i in ids]
-        results = [None] * len(ids)
+        firsts = [k * 5_000 for k in range(4)]
+        serial = [simulate_batch(spec, 3, 5_000, first_stream=first) for first in firsts]
+        results = [None] * len(firsts)
 
         def run(k):
-            results[k] = simulate_batch(spec, 3, stream_ids=ids[k])
+            results[k] = simulate_batch(spec, 3, 5_000, first_stream=firsts[k])
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            threads = [threading.Thread(target=run, args=(k,)) for k in range(len(ids))]
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(len(firsts))]
             for th in threads:
                 th.start()
             for th in threads:
@@ -264,20 +263,50 @@ def test_chunks_written_in_place_match_per_chunk_calls(n):
     spec = Pareto(2.0, 1.0, shift=-3.0)
     batch = simulate_batch(spec, seed=SEED, n_samples=n)
     parts = [
-        simulate_batch(spec, seed=SEED, stream_ids=np.arange(lo, min(lo + walk._CHUNK, n)))
+        simulate_batch(spec, seed=SEED, n_samples=min(walk._CHUNK, n - lo), first_stream=lo)
         for lo in range(0, n, walk._CHUNK)
     ]
-    for name in walk._COLUMNS:
+    for name in ("stream_ids",) + walk._COLUMNS:
         assert getattr(batch, name).tobytes() == np.concatenate([getattr(p, name) for p in parts]).tobytes(), name
 
 
-@pytest.mark.parametrize("chunk", [64, 10_000])
-def test_batch_owns_its_stream_ids(monkeypatch, chunk):
-    monkeypatch.setattr(walk, "_CHUNK", chunk)
-    ids = np.arange(100, 300, dtype=np.int64)
-    batch = simulate_batch(BernoulliPM1(0.25), seed=11, stream_ids=ids)
-    ids[:] = -1
-    assert np.array_equal(batch.stream_ids, np.arange(100, 300))
+@pytest.mark.parametrize("first", [1, 63, 64, 65, 129, 500])
+def test_first_stream_is_a_row_offset(monkeypatch, first):
+    # a batch from stream k across chunk boundaries holds rows k.. of a batch from 0
+    monkeypatch.setattr(walk, "_CHUNK", 64)
+    spec = QueuePair(Exponential(1.0), Exponential(1.25))
+    for shift in (0.0, -spec.mean / 2):
+        whole = simulate_batch(spec, SEED, n_samples=700, shift=shift, step_cap=50)
+        part = simulate_batch(spec, SEED, n_samples=700 - first, shift=shift, step_cap=50, first_stream=first)
+        assert part.first_stream == first
+        for name in ("stream_ids",) + walk._COLUMNS:
+            assert getattr(part, name).tobytes() == getattr(whole, name)[first:].tobytes(), (shift, name)
+
+
+def test_last_streams_match_replay():
+    # the last stream ids below 2**63 run and replay like any other
+    spec = Pareto(2.0, 1.0, shift=-2.3)
+    n, shift = 40, -spec.mean / 2
+    batch = simulate_batch(spec, SEED, n_samples=n, shift=shift, step_cap=200, first_stream=2**63 - n)
+    assert batch.stream_ids[-1] == 2**63 - 1
+    for i, sid in enumerate(batch.stream_ids.tolist()):
+        path = replay_path(spec, SEED, sid, step_cap=200, shift=shift)
+        got = (path["tau"], path["s_tau"], path["m_tau"], path["psi_max"], path["censored"])
+        assert got == (batch.tau[i], batch.s_tau[i], batch.m_tau[i], batch.psi_max[i], batch.censored[i]), sid
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.5])
+def test_columns_hold_only_what_is_not_derived(shift):
+    # no stream-id array; without a shift psi_max is m_tau itself
+    batch = simulate_batch(Pareto(2.0, 1.0, shift=-3.0), SEED, n_samples=1_000, shift=shift, first_stream=7)
+    stored = [getattr(batch, name) for name in walk._COLUMNS]
+    assert all(col.base is None for col in stored)
+    distinct = {id(col): col for col in stored}.values()
+    assert sum(col.nbytes for col in distinct) == (25 if shift == 0.0 else 33) * batch.n
+    assert np.shares_memory(batch.psi_max, batch.m_tau) == (shift == 0.0)
+    head = batch.head(10)
+    assert np.shares_memory(head.psi_max, head.m_tau) == (shift == 0.0)
+    assert np.array_equal(head.stream_ids, np.arange(7, 17))
 
 
 def test_seed_changes_everything():
