@@ -496,7 +496,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, replay: int | None = None
         return EXIT_OK
     dtype, n = _sample_dtype(cfg.shift), cfg.n_samples
 
-    def task(lo, hi):  # at most one simulate_batch chunk, so no concatenation
+    def task(lo, hi):  # at most walk._CHUNK walks, so simulate_batch runs one chunk
         batch = simulate_batch(spec, cfg.seed, hi - lo, step_cap=cfg.step_cap, shift=cfg.shift, first_stream=lo)
         return _encode(batch, dtype)
 
@@ -649,7 +649,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="YAML or JSON experiment config")
-        p.add_argument("--out", default=None, help="output directory (default from config or ./out)")
+        p.add_argument("--out", default="out", help="output directory (default ./out)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--streams", type=int, default=None, help="override the parallel stream count")
         if name == "estimate":
@@ -673,7 +673,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    out_dir = Path(args.out or cfg.outputs.get("dir", "out"))
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     try:

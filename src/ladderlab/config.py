@@ -3,10 +3,11 @@
 Configs are human-edited YAML (JSON is a YAML subset, so plain JSON files
 load too).  The canonical hash covers every field that can change computed
 values - distribution and growth specs, functional parameters, sample counts,
-seeds, caps - and deliberately excludes output paths and the parallelism
-degree, which affect neither a single byte of the results (simulation is
-keyed per stream).  Every artifact embeds the hash, so stale mixes of config
-and samples are refused instead of silently estimated.
+seeds, caps - and deliberately excludes the parallelism degree, which
+affects no byte of the results (simulation is keyed per stream); the output
+directory is the `--out` option, not a config field.  Every artifact embeds
+the hash, so stale mixes of config and samples are refused instead of
+silently estimated.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 __all__ = ["ConfigError", "ExperimentConfig", "Report", "load_config", "jsonify"]
@@ -52,10 +53,9 @@ class Report:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-_UNHASHED = ("streams", "outputs")  # the parallelism degree and the output paths
 _NUMBERS = ("eps", "delta", "alpha", "c", "shift")
 _FIELD_TYPES = (  # a value of another type is refused, not truncated, parsed or crashed on later
-    (("growth", "increments", "outputs"), dict, "a mapping"),
+    (("growth", "increments"), dict, "a mapping"),
     (_NUMBERS, (int, float), "a number"),
     (("n_samples", "step_cap", "seed", "streams"), int, "an integer"),
 )
@@ -77,7 +77,6 @@ class ExperimentConfig:
     step_cap: int = 1_000_000
     seed: int = 0
     streams: int = 1
-    outputs: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for names, types, what in _FIELD_TYPES:
@@ -108,8 +107,8 @@ class ExperimentConfig:
         self.shift = float(self.shift)
 
     def semantic_dict(self) -> dict:
-        """Fields that determine computed values; basis of the config hash."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in _UNHASHED}
+        """Fields that determine computed values, all but the parallelism degree; basis of the config hash."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "streams"}
 
     @property
     def config_hash(self) -> str:

@@ -83,7 +83,7 @@ def _exp_growth_moment(base: TailSpec, g: GrowthFunction, t_hi: float) -> float 
     recorded rather than raised; the fit gates on sup stabilization instead.
     """
 
-    log_tail, inverse = base.scalar_log_tail(), g.scalar_inverse()
+    log_tail, inverse = base.scalar_log_tail(), g.scalar_inverse
 
     def integrand(t):
         v = t + log_tail(inverse(t))  # _transformed_log_product at one abscissa

@@ -124,15 +124,15 @@ def long_tailed_profile(spec: TailSpec, x_grid=None) -> TailRatioReport:
 _DECAY_KNOT_LEVELS = (0.5, 1e-1, 1e-2, 1e-4, 1e-8, 1e-16, 1e-32, 1e-64, 1e-128, 1e-250)
 
 
-def _convolution_ratio(spec: TailSpec, x: float, m: float, lt_x: float) -> float:
+def _convolution_ratio(spec: TailSpec, x: float, m: float, lt_x: float, quantiles: list[float]) -> float:
     """int_0^x tail(x-y) tail(y) dy over (2 m tail(x)), evaluated in log space.
 
     lt_x is log tail(x).  Folding at x/2 uses the symmetry of the integrand;
     normalizing by tail(x) inside the exponent keeps everything representable
     far beyond the point where the tail itself underflows.  Knots at the
-    tail's own decay quantiles ensure the quadrature resolves the mass
-    concentrated near y = 0 even when the integration range spans many
-    decades.
+    tail's own decay quantiles (at `_DECAY_KNOT_LEVELS`, computed once by the
+    caller) ensure the quadrature resolves the mass concentrated near y = 0
+    even when the integration range spans many decades.
     """
     half = x / 2.0
     log_tail = spec.scalar_log_tail()
@@ -145,10 +145,7 @@ def _convolution_ratio(spec: TailSpec, x: float, m: float, lt_x: float) -> float
     knots = {loc for loc, _ in spec.atoms if 0.0 < loc < half}
     knots |= {x - loc for loc, _ in spec.atoms if 0.0 < x - loc < half}
     knots |= {p for p in (spec.support[0], x - spec.support[0]) if 0.0 < p < half}
-    for level in _DECAY_KNOT_LEVELS:
-        q = float(spec.tail_quantile(level))
-        if 0.0 < q < half:
-            knots.add(q)
+    knots |= {q for q in quantiles if 0.0 < q < half}
     edges = [0.0] + sorted(knots) + [half]
     total = sum(
         quad(integrand, a, b, epsabs=0.0, epsrel=1e-9, limit=400) for a, b in zip(edges[:-1], edges[1:])
@@ -176,12 +173,13 @@ def sstar_ratio(spec: TailSpec, x_grid=None) -> TailRatioReport:
     xs, ratios = [], []
     notes = []
     log_tail = spec.scalar_log_tail()
+    quantiles = [float(spec.tail_quantile(level)) for level in _DECAY_KNOT_LEVELS]
     for x in x_grid.tolist():
         lt = log_tail(x)
         if not math.isfinite(lt):
             notes.append("grid truncated where the log-tail is not finite")
             break
-        ratios.append(_convolution_ratio(spec, x, m, lt))
+        ratios.append(_convolution_ratio(spec, x, m, lt, quantiles))
         xs.append(x)
     if not xs:
         return TailRatioReport("sstar", [], [], False, tol, 0.0, ["no usable grid"])

@@ -88,15 +88,32 @@ def _bisect_increasing(fn, targets, lo, atol=1e-12):
     return float(out[0]) if scalar else out
 
 
+def _bisect_increasing_scalar(fn, target, lo, atol=1e-12):
+    """`_bisect_increasing` for one float target and a float -> float fn, step for step."""
+    hi = max(lo * 2.0, lo + 1.0)
+    for _ in range(200):
+        if not fn(hi) <= target:
+            break
+        hi *= 4.0
+    else:
+        raise GrowthEvalError("could not bracket inverse: target too large")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if fn(mid) > target else (mid, hi)
+        if hi - lo <= max(atol, 4.0 * np.spacing(hi)):  # np.spacing is negative below zero, math.ulp is not
+            break
+    return 0.5 * (lo + hi)
+
+
 @dataclass(frozen=True)
 class GrowthFunction:
     """A growth function with derivative and generalized inverse.
 
     The inverse follows the convention inf{x : g(x) > t}, so it is defined for
-    every t >= 0 even where g has flat stretches.  All three callables accept
-    and return numpy arrays.  The closed-form families also carry float ->
-    float forms of g and of its inverse for quadrature integrands, written
-    under the bit-identity rule of the ``tails`` module docstring.
+    every t >= 0 even where g has flat stretches.  The first three callables
+    take and return numpy arrays; `scalar_eval` and `scalar_inverse` are g and
+    its inverse from float to float for quadrature integrands, with the array
+    code's bits under the rule of the ``tails`` module docstring.
     """
 
     family: str
@@ -104,8 +121,8 @@ class GrowthFunction:
     _eval: Callable
     _deriv: Callable
     _inverse: Callable
-    _scalar_eval: Callable | None = None
-    _scalar_inverse: Callable | None = None
+    scalar_eval: Callable
+    scalar_inverse: Callable
 
     def __call__(self, x):
         return self._eval(np.asarray(x, dtype=float))
@@ -115,14 +132,6 @@ class GrowthFunction:
 
     def inverse(self, t):
         return self._inverse(np.asarray(t, dtype=float))
-
-    def scalar_eval(self):
-        """float -> float g with the bits of float(self(x))."""
-        return self._scalar_eval or (lambda x: float(self(x)))
-
-    def scalar_inverse(self):
-        """float -> float inverse with the bits of float(self.inverse(t))."""
-        return self._scalar_inverse or (lambda t: float(self.inverse(t)))
 
     def spec_dict(self) -> dict:
         if self.family == "table":
@@ -201,7 +210,13 @@ def _make_g3(beta: float) -> GrowthFunction:
     def ev_scalar(x):
         return scalar_power(0.0 if x <= 0.0 else x, beta) * float(np.log(1.0 if x <= 1.0 else x))
 
-    return GrowthFunction("g3", {"param": beta}, ev, dv, inv, ev_scalar)
+    def ev_loop(x):  # ev as inv bisects it, on a one-element array: numpy's vectorized pow, not libm's
+        return float(np.power(0.0 if x <= 0.0 else x, beta)) * float(np.log(1.0 if x <= 1.0 else x))
+
+    def inv_scalar(t):
+        return _bisect_increasing_scalar(ev_loop, t, lo=1.0)
+
+    return GrowthFunction("g3", {"param": beta}, ev, dv, inv, ev_scalar, inv_scalar)
 
 
 def _make_table(points: Sequence[Sequence[float]]) -> GrowthFunction:
@@ -228,11 +243,22 @@ def _make_table(points: Sequence[Sequence[float]]) -> GrowthFunction:
         idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(slopes) - 1)
         return slopes[idx]
 
-    def inv(t):
-        lo = xs[0] if slopes[0] > 0 else xs[0] - 1.0
-        return _bisect_increasing(ev, t, lo=min(lo, 1e-6))
+    lo = float(min(xs[0] if slopes[0] > 0 else xs[0] - 1.0, 1e-6))
 
-    return GrowthFunction("table", {"points": [list(p) for p in pts]}, ev, dv, inv)
+    def inv(t):
+        return _bisect_increasing(ev, t, lo=lo)
+
+    def ev_scalar(x):
+        if x < xs[0]:
+            return float(ys[0] + (x - xs[0]) * slopes[0])
+        if x > xs[-1]:
+            return float(ys[-1] + (x - xs[-1]) * slopes[-1])
+        return float(np.interp(x, xs, ys))
+
+    def inv_scalar(t):
+        return _bisect_increasing_scalar(ev_scalar, t, lo=lo)
+
+    return GrowthFunction("table", {"points": [list(p) for p in pts]}, ev, dv, inv, ev_scalar, inv_scalar)
 
 
 _FAMILIES = {"g1": _make_g1, "g2": _make_g2, "g3": _make_g3}
@@ -419,10 +445,9 @@ def check_tail_integral(g: GrowthFunction, gamma: float) -> tuple[str, float]:
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must be in (0,1), got {gamma}")
     coef = 1.0 - gamma
-    g_scalar = g.scalar_eval()
 
     def integrand(x):
-        return float(np.exp(-coef * g_scalar(x)))
+        return float(np.exp(-coef * g.scalar_eval(x)))
 
     try:
         total, converged = doubling_integral(

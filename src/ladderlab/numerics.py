@@ -19,9 +19,9 @@ def quad(
     """Integral of f over [a, b] by QUADPACK (Piessens et al., 1983).
 
     QUADPACK calls f once per abscissa, so f maps a Python float to a Python
-    float: the ``scalar_tail``/``scalar_log_tail`` closures of ``tails`` and
-    the ``scalar_eval``/``scalar_inverse`` closures of ``growth`` do, where
-    numpy's 0-d array overhead would cost more than the arithmetic.
+    float, built from the ``scalar_tail``/``scalar_log_tail`` closures of
+    ``tails`` and the ``scalar_eval``/``scalar_inverse`` fields of ``growth``:
+    no array fallback and its 0-d overhead (one exception, named in ``tails``).
 
     Far-tail integrands sit at rounding-noise level by design; convergence is
     governed by the callers' own decay criteria and the closed-form checks in

@@ -17,20 +17,24 @@ two tail-ordered distributions yields ordered samples.
 
 QUADPACK calls its integrand one abscissa at a time, so every quadrature
 integrand is built from ``scalar_tail()``/``scalar_log_tail()``: float -> float
-closures that return the same bits as ``float(self.tail(x))`` on the 0-d array
+closures that return the bits of the array ``tail``/``log_tail`` on a 0-d array
 and skip numpy's per-call array overhead.  The default pair is the log of the
 tail: ``log_tail`` is ``np.log(self.tail(x))`` and ``scalar_log_tail`` is the
 log of ``scalar_tail``, so a class that overrides ``log_tail`` also overrides
-``scalar_log_tail``.  The families and constructed tails that quadrature
-reaches override them under one rule, which the test suite checks bit for bit:
+``scalar_log_tail``.  ``TailSpec.scalar_tail`` raises like ``tail``: there is
+no generic fallback, and every class writes its own under one rule, which the
+test suite checks bit for bit.  Only a ``QueuePair`` with a continuous
+interarrival calls its array tail, a BLAS dot whose summation order no scalar
+loop reproduces; no config has one.  The rule:
 
 * every transcendental is the numpy/scipy ufunc of the array code, called on
   a Python float (``np.log``, ``np.exp``, ``special.ndtr``,
   ``special.log_ndtr``), and its result is converted with ``float``;
 * ``v ** p`` in the array code acts on a numpy float64 scalar (a ufunc on a
   0-d array returns one), which is libm's pow: write
-  ``numerics.scalar_power(v, p)``.  Neither ``np.power`` on a float (numpy's
-  vectorized loop) nor Python ``**`` (it raises on overflow) gives those bits;
+  ``numerics.scalar_power(v, p)``.  ``np.power`` on a float takes numpy's
+  vectorized loop instead, the bits of ``v ** p`` on a one-element array (as
+  in g3's bisected inverse), and Python ``**`` raises on overflow;
 * only + - * /, unary minus and comparisons run as Python float operations,
   and no ``math`` function: ``math.log`` and ``np.log`` differ in the last
   bit on some inputs;
@@ -41,6 +45,7 @@ reaches override them under one rule, which the test suite checks bit for bit:
 
 from __future__ import annotations
 
+import bisect
 import math
 from functools import cached_property
 from typing import Sequence
@@ -122,8 +127,8 @@ class TailSpec:
             return np.log(self.tail(x))
 
     def scalar_tail(self):
-        """float -> float tail with the bits of float(self.tail(x)), for integrands."""
-        return lambda x: float(self.tail(x))
+        """float -> float tail with the bits of the array tail on one point, for integrands."""
+        raise NotImplementedError
 
     def scalar_log_tail(self):
         """float -> float log of scalar_tail(), the scalar twin of the default log_tail."""
@@ -432,6 +437,10 @@ class _AtomicTail(TailSpec):
         idx = np.searchsorted(self._locs, x, side="right")
         return self._tail_from[idx]
 
+    def scalar_tail(self):
+        locs, tail_from = self._locs.tolist(), self._tail_from.tolist()
+        return lambda x: tail_from[bisect.bisect_right(locs, x)]  # searchsorted's index, NaN last too
+
     def tail_quantile(self, q):
         q = np.asarray(q, dtype=float)
         # smallest atom whose "tail from here" is <= q
@@ -549,6 +558,20 @@ class QueuePair(TailSpec):
             return out
         return np.tensordot(self.sigma.tail(x[..., None] + self._tq), self._w, axes=([-1], [0]))
 
+    def scalar_tail(self):
+        if not self._t_atoms:
+            # tensordot's BLAS summation order has no scalar twin (module docstring)
+            return lambda x: float(self.tail(x))
+        sigma, t_atoms = self.sigma.scalar_tail(), self._t_atoms
+
+        def tail(x):
+            out = 0.0
+            for loc, mass in t_atoms:
+                out += mass * sigma(x + loc)
+            return out
+
+        return tail
+
     def increment_from_uniforms(self, u0, u1):
         return self.sigma.quantile(u0) - self.t.quantile(u1)
 
@@ -591,7 +614,7 @@ class MajorantIncrement(TailSpec):
         return lambda x: float(np.exp(log_tail(x)))
 
     def scalar_log_tail(self):
-        g, ln_k = self.g.scalar_eval(), self._ln_k
+        g, ln_k = self.g.scalar_eval, self._ln_k
 
         def log_tail(x):
             v = ln_k - g(x)

@@ -549,6 +549,18 @@ def test_unknown_config_key_rejected(tmp_path):
     assert main(["check", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("outputs", [{"dir": 5}, {"dri": "x"}], ids=["bad-type", "misspelt-key"])
+def test_outputs_is_an_unknown_key(tmp_path, outputs, capsys):
+    """The output directory is --out alone: an `outputs` mapping, well typed
+    or not, is refused before anything is written."""
+    cfg = _write_config(tmp_path / "bad.yaml", outputs=outputs)
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "config error: unknown config keys: ['outputs']\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "key, value",
     [
@@ -566,7 +578,6 @@ def test_unknown_config_key_rejected(tmp_path):
         ("eps", "0.5"),
         ("growth", "g1"),
         ("increments", [1, 2]),
-        ("outputs", "abc"),
         ("alpha", math.inf),
         ("c", math.inf),
         ("delta", math.inf),

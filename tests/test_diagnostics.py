@@ -5,13 +5,15 @@ import pytest
 from scipy import integrate
 
 from ladderlab import (
+    Constant,
     Exponential,
     Pareto,
+    QueuePair,
     check_log_tail_increment,
     long_tailed_profile,
     sstar_ratio,
 )
-from ladderlab.diagnostics import _convolution_ratio, usable_tail_horizon
+from ladderlab.diagnostics import _DECAY_KNOT_LEVELS, _convolution_ratio, usable_tail_horizon
 
 from oracles import (
     exponential_self_convolution_ratio,
@@ -69,11 +71,25 @@ def test_sstar_exponential_grows_linearly():
     assert rep.ratios[-1] == pytest.approx(20.0, rel=1e-8)
 
 
+def _knot_quantiles(spec):
+    return [float(spec.tail_quantile(level)) for level in _DECAY_KNOT_LEVELS]
+
+
+def test_sstar_knot_quantiles_computed_once(monkeypatch):
+    """The decay knots do not depend on x, so one sstar_ratio call computes each quantile once."""
+    spec = QueuePair(Exponential(1.0), Constant(2.0))  # its quantile bisects the tail
+    levels, tail_quantile = [], spec.tail_quantile
+    monkeypatch.setattr(spec, "tail_quantile", lambda q: levels.append(q) or tail_quantile(q))
+    rep = sstar_ratio(spec, x_grid=np.geomspace(1.0, 40.0, 12))
+    assert len(rep.x) == 12
+    assert levels == list(_DECAY_KNOT_LEVELS)
+
+
 def test_sstar_symmetric_split_equals_full_integral():
     p = Pareto(2.0, 1.0)
     x = 100.0
     m = p.pos_mean
-    folded = _convolution_ratio(p, x, m, float(p.log_tail(x))) * 2.0 * m * float(p.tail(x))
+    folded = _convolution_ratio(p, x, m, float(p.log_tail(x)), _knot_quantiles(p)) * 2.0 * m * float(p.tail(x))
     full, _ = integrate.quad(
         lambda y: float(p.tail(x - y)) * float(p.tail(y)), 0.0, x, limit=400, points=[1.0, x / 2, x - 1.0]
     )
@@ -90,7 +106,7 @@ def test_convolution_ratio_matches_mpmath(chains, part, x):
     else:
         log_tail, knots = log_power_majorant_log_tail_mp(chain.g.params["param"], chain.K), [spec.support[0]]
     m = spec.pos_mean
-    got = _convolution_ratio(spec, x, m, float(spec.log_tail(x)))
+    got = _convolution_ratio(spec, x, m, float(spec.log_tail(x)), _knot_quantiles(spec))
     assert got == pytest.approx(self_convolution_ratio(log_tail, x, m, knots), rel=1e-12)
 
 

@@ -450,16 +450,18 @@ for name, call in [
     start = usage().ru_minflt
     call()
     faults[name] = usage().ru_minflt - start
-columns = sum(getattr(batch, c).nbytes for c in ("stream_ids", "tau", "s_tau", "m_tau", "psi_max", "censored"))
+stored = {id(a): a for a in (batch.tau, batch.s_tau, batch.m_tau, batch.psi_max, batch.censored)}  # psi_max is m_tau
+columns = sum(a.nbytes for a in stored.values())
 print(json.dumps({"faults": faults, "growth": (usage().ru_maxrss - before) * 1024, "columns": columns}))
 """
 
 
 def test_estimators_reuse_memory_after_simulate():
     """In a fresh process, 5e5 walks (two chunks) then the estimators: a second
-    call takes almost no minor faults, and the peak grows by the columns plus
-    one chunk's work area (about 22 MB at 2.5e5 walks), never by a copy of
-    the columns or a full-length temporary."""
+    call takes almost no minor faults, and the peak grows by the stored
+    columns (12.5 MB; the stream ids are derived on demand) plus one chunk's
+    work area (about 22 MB at 2.5e5 walks), never by a copy of the columns or
+    a full-length temporary."""
     src = Path(estimate.__file__).resolve().parents[1]
     out = subprocess.run(
         [sys.executable, "-c", _FAULT_GUARD],

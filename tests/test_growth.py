@@ -23,7 +23,7 @@ from oracles import weibull_exp_tail_integral
 
 
 def from_callables(ev, deriv=None) -> GrowthFunction:
-    """Wrap raw callables as a GrowthFunction test double."""
+    """Wrap raw callables as a GrowthFunction test double; its float forms wrap the array ones."""
 
     def ev_arr(x):
         return np.asarray(ev(np.asarray(x, dtype=float)), dtype=float)
@@ -38,7 +38,7 @@ def from_callables(ev, deriv=None) -> GrowthFunction:
     def inverse(t):
         return _bisect_increasing(ev_arr, t, lo=1e-6)
 
-    return GrowthFunction("custom", {}, ev_arr, deriv, inverse)
+    return GrowthFunction("custom", {}, ev_arr, deriv, inverse, lambda x: float(ev_arr(x)), lambda t: float(inverse(t)))
 
 
 # -- builtins ---------------------------------------------------------------
@@ -136,9 +136,9 @@ def test_shape_non_monotone_fails():
 
 
 def test_shape_derivative_mismatch_fails():
-    bad = GrowthFunction("custom", {}, lambda x: np.sqrt(np.maximum(x, 0.0)),
-                         lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                         lambda t: np.maximum(t, 0.0) ** 2)
+    sqrt, square = lambda x: np.sqrt(np.maximum(x, 0.0)), lambda t: np.maximum(t, 0.0) ** 2
+    bad = GrowthFunction("custom", {}, sqrt, lambda x: np.ones_like(np.asarray(x, dtype=float)), square,
+                         lambda x: float(sqrt(x)), lambda t: float(square(t)))
     res = check_shape(bad)
     assert not res.ok
     assert any(w["kind"] == "derivative_mismatch" for w in res.witnesses)

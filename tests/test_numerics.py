@@ -6,10 +6,12 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 from scipy import integrate
 
 import ladderlab
-from ladderlab import ShiftedTail, build_chain, certify, make_builtin, numerics, sstar_ratio
+from ladderlab import GrowthFunction, ShiftedTail, build_chain, certify, make_builtin, numerics, sstar_ratio, tails
+from ladderlab.cli import main
 
 from conftest import CHAIN_SPECS
 
@@ -59,3 +61,57 @@ def test_quad_integrands_return_python_floats(monkeypatch, key):
     sstar_ratio(chain.hat)
     sstar_ratio(ShiftedTail(chain.trunc, chain.shift))
     assert spy.types == {float}
+
+
+class _ArrayPathGuard:
+    """Stands in for scipy.integrate inside numerics; counts the array tail,
+    log-tail, g and inverse calls made while an integrand runs."""
+
+    IntegrationWarning = integrate.IntegrationWarning
+
+    def __init__(self, monkeypatch):
+        self.depth, self.calls = 0, {}
+        classes, todo = [], [tails.TailSpec]
+        while todo:
+            classes.append(todo.pop())
+            todo.extend(classes[-1].__subclasses__())
+        targets = [(cls, name) for cls in classes for name in ("tail", "log_tail") if name in vars(cls)]
+        for owner, name in targets + [(GrowthFunction, "__call__"), (GrowthFunction, "inverse")]:
+            monkeypatch.setattr(owner, name, self._counted(f"{owner.__name__}.{name}", vars(owner)[name]))
+
+    def _counted(self, key, fn):
+        def wrapper(*args, **kwargs):
+            if self.depth:
+                self.calls[key] = self.calls.get(key, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def quad(self, f, a, b, **opts):
+        def integrand(x):
+            self.depth += 1
+            try:
+                return f(x)
+            finally:
+                self.depth -= 1
+
+        return integrate.quad(integrand, a, b, **opts)
+
+
+def test_no_integrand_reaches_the_array_code(monkeypatch, tmp_path):
+    """Every integrand the CLI stages build on every config is float -> float
+    all the way down: inside one, no TailSpec tail or log_tail and no
+    GrowthFunction call or inverse runs."""
+    guard = _ArrayPathGuard(monkeypatch)
+    monkeypatch.setattr(numerics, "integrate", guard)
+    flagged = {}
+    for path in sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml")):
+        raw, cfg = yaml.safe_load(path.read_text()), tmp_path / path.name
+        cfg.write_text(yaml.safe_dump({**raw, "n_samples": 2000}))
+        stages = ["check", "construct"] if "growth" in raw else []
+        for stage in stages + ["simulate", "verify"]:
+            guard.calls = {}
+            assert main([stage, "--config", str(cfg), "--out", str(tmp_path / path.stem)]) == 0, (path.stem, stage)
+            if guard.calls:
+                flagged[f"{path.stem} {stage}"] = guard.calls
+    assert flagged == {}

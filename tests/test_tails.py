@@ -22,6 +22,7 @@ from ladderlab import (
     WeibullShifted,
     make_builtin,
     make_builtin_dist,
+    make_growth,
 )
 from ladderlab import numerics, tails
 
@@ -262,10 +263,18 @@ FAMILIES = {
     "bernoulli": BernoulliPM1(0.25),
     "constant": Constant(-1.0),
     "queue_atomic": QueuePair(Exponential(1.0), Constant(2.0)),
+    # three atoms, so the order of the scalar sum shows in its bits
+    "queue_atoms": QueuePair(WeibullShifted(1.0, 0.6), tails._AtomicTail([(0.5, 0.25), (1.25, 0.35), (2.0, 0.4)])),
     "queue_continuous": QueuePair(Exponential(1.0), Exponential(2.0)),
 }
 GROWTH = {"g1": make_builtin("g1", 2.0), "g1_frac": make_builtin("g1", 1.7), "g2": make_builtin("g2", 0.5),
-          "g2_frac": make_builtin("g2", 0.6), "g3": make_builtin("g3", 0.5)}
+          "g2_frac": make_builtin("g2", 0.6), "g3": make_builtin("g3", 0.5),
+          "g3_frac": make_builtin("g3", 0.3),
+          "table": make_growth({"family": "table", "points": [[0.5, 0.1], [2.0, 0.7], [30.0, 3.0], [1e3, 6.5]]}),
+          "table_flat_first": make_growth({"family": "table", "points": [[0.5, 0.0], [3.0, 0.0], [10.0, 2.0], [80.0, 5.0]]}),
+          "table_negative_x": make_growth({"family": "table", "points": [[-0.75, 0.0], [-0.25, 0.4], [4.0, 2.5], [60.0, 7.0]]}),
+          # a bracket far below zero, where np.spacing in the stop rule is negative
+          "table_far_negative_x": make_growth({"family": "table", "points": [[-5e3, 0.0], [-4e3, 1.0], [0.0, 2.0], [1e2, 4.0]]})}
 SPECIAL_X = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1.0, -1.0, 1e300, -1e300,
              math.inf, -math.inf, math.nan]
 # 4e4 points: math.log and np.log disagree on about 2 in 1e4 of them
@@ -316,7 +325,7 @@ def _assert_scalar_paths_match(spec, xs):
 
 
 def _assert_growth_paths_match(g, ts):
-    ev, inv = g.scalar_eval(), g.scalar_inverse()
+    ev, inv = g.scalar_eval, g.scalar_inverse
     for t in ts:
         t = float(t)
         assert _outcome(ev, t) == _outcome(lambda v: g(np.float64(v)), t), ("eval", t)
@@ -342,7 +351,7 @@ def test_means_are_the_half_line_integrals(chains):
         if type(spec).mean is tails.TailSpec.mean:
             definition = _outcome(lambda level: spec.pos_mean - spec.mass_integral_below(level), 0.0)
             assert _outcome(lambda _: spec.mean, 0.0) == definition, name
-    assert checked == 25
+    assert checked == 26
 
 
 def test_default_scalar_log_tail_needs_no_array_path(chains, monkeypatch):
@@ -383,7 +392,7 @@ def test_scalar_growth_bit_identical(t):
 @pytest.mark.parametrize("name", sorted(GROWTH))
 def test_scalar_growth_bit_identical_dense(name):
     g = GROWTH[name]
-    xs = DENSE_X if name != "g3" else DENSE_X[::40]  # g3's inverse bisects, about 1 ms a call
+    xs = DENSE_X if g.family in ("g1", "g2") else DENSE_X[::40]  # the array inverse bisects, about 1 ms a call
     _assert_growth_paths_match(g, SPECIAL_X + xs)
 
 
