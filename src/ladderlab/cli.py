@@ -23,7 +23,7 @@ columns of `samples.csv`, written slice by slice.
 `simulate` streams: the stream ids are split into tasks of at most
 `_TASK_WALKS` walks, and each task is simulated (one `simulate_batch` chunk)
 and encoded into its CSV text and twin rows on one of `LADDERLAB_THREADS`
-worker threads (capped by `--streams`).  The main thread takes the results
+worker threads (else one per usable CPU).  The main thread takes the results
 strictly in task order, with at most workers + 1 tasks in flight, so memory
 is bounded per task, not per run, and the bytes do not depend on the worker
 count, since each row's text depends only on its own values.  Both files are
@@ -390,10 +390,11 @@ def _load_samples(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, SampleBat
     return manifest, _read_samples(out_dir, manifest)
 
 
-def _thread_budget(cfg: ExperimentConfig) -> int:
-    env = os.environ.get("LADDERLAB_THREADS", "")
-    cap = int(env) if env.strip() else cfg.streams
-    return max(1, min(cfg.streams, cap))
+def _worker_count() -> int:
+    """`LADDERLAB_THREADS` if it is set, else the number of CPUs this process may run on."""
+    env = os.environ.get("LADDERLAB_THREADS", "").strip()
+    usable = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
+    return max(1, int(env)) if env else len(usable)
 
 
 def _require(cfg_field, name: str):
@@ -432,9 +433,7 @@ def _effective_delta(cfg: ExperimentConfig, a: float) -> float:
 def cmd_check(cfg: ExperimentConfig, out_dir: Path) -> int:
     g = _growth_from(cfg)
     report = certify(g)
-    payload = report.to_dict()
-    payload["config_hash"] = cfg.config_hash
-    _write_json(out_dir / "condition_report.json", payload)
+    _write_json(out_dir / "condition_report.json", {**report.to_dict(), "config_hash": cfg.config_hash})
     status = "certified" if report.all_ok else "FAILED"
     print(
         f"check: {status} family={report.family} gamma={report.gamma} A={report.A} "
@@ -448,9 +447,7 @@ def cmd_construct(cfg: ExperimentConfig, out_dir: Path) -> int:
     base = _increments_from(cfg)
     report = certify(g)
     if not report.all_ok:
-        payload = report.to_dict()
-        payload["config_hash"] = cfg.config_hash
-        _write_json(out_dir / "condition_report.json", payload)
+        _write_json(out_dir / "condition_report.json", {**report.to_dict(), "config_hash": cfg.config_hash})
         print("construct: growth certification failed; see condition_report.json", file=sys.stderr)
         return EXIT_VERIFY
     a = -base.mean
@@ -463,9 +460,7 @@ def cmd_construct(cfg: ExperimentConfig, out_dir: Path) -> int:
             chain.hat, report.gamma
         ).to_dict(),
     }
-    payload = chain.to_dict()
-    payload["config_hash"] = cfg.config_hash
-    _write_json(out_dir / "chain.json", payload)
+    _write_json(out_dir / "chain.json", {**chain.to_dict(), "config_hash": cfg.config_hash})
 
     lo = min(chain.base.support[0], 0.0)
     hi = diagnostics.usable_tail_horizon(chain.base)
@@ -504,7 +499,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, replay: int | None = None
     # leaves samples without a manifest, never new samples with an old one
     (out_dir / _MANIFEST_FILE).unlink(missing_ok=True)
     tasks = ((lo, min(lo + _TASK_WALKS, n)) for lo in range(0, n, _TASK_WALKS))
-    with closing(_in_order(task, tasks, _thread_budget(cfg))) as encoded:
+    with closing(_in_order(task, tasks, _worker_count())) as encoded:
         written, censored_n, tau_sum = _write_samples(out_dir, dtype, n, encoded)
     manifest = {
         "config_hash": cfg.config_hash,
@@ -651,7 +646,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="YAML or JSON experiment config")
         p.add_argument("--out", default="out", help="output directory (default ./out)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--streams", type=int, default=None, help="override the parallel stream count")
         if name == "estimate":
             p.add_argument("--format", choices=["csv", "json"], default="json", help="csv adds estimates.csv")
         if name == "simulate":
@@ -668,7 +662,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, seed_override=args.seed, streams_override=args.streams)
+        cfg = load_config(args.config, seed_override=args.seed)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

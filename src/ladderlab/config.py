@@ -1,24 +1,25 @@
 """Experiment configuration: parsing, validation, canonical hashing.
 
 Configs are human-edited YAML (JSON is a YAML subset, so plain JSON files
-load too).  The canonical hash covers every field that can change computed
-values - distribution and growth specs, functional parameters, sample counts,
-seeds, caps - and deliberately excludes the parallelism degree, which
-affects no byte of the results (simulation is keyed per stream); the output
-directory is the `--out` option, not a config field.  Every artifact embeds
-the hash, so stale mixes of config and samples are refused instead of
-silently estimated.
+load too).  Every field can change computed values, so the canonical hash
+covers them all; the output directory (`--out`) and the worker count
+(`LADDERLAB_THREADS`) are not config fields.  Every artifact embeds the hash,
+so stale mixes of config and samples are refused instead of silently
+estimated.  The `growth` and `increments` family records are checked by
+`build_record` against their factory's signature, under the type rule of the
+top-level fields.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-__all__ = ["ConfigError", "ExperimentConfig", "Report", "load_config", "jsonify"]
+__all__ = ["ConfigError", "ExperimentConfig", "Report", "build_record", "load_config", "jsonify"]
 
 
 class ConfigError(ValueError):
@@ -53,18 +54,69 @@ class Report:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-_NUMBERS = ("eps", "delta", "alpha", "c", "shift")
-_FIELD_TYPES = (  # a value of another type is refused, not truncated, parsed or crashed on later
-    (("growth", "increments"), dict, "a mapping"),
-    (_NUMBERS, (int, float), "a number"),
-    (("n_samples", "step_cap", "seed", "streams"), int, "an integer"),
-)
-_UNSET = ("growth", "increments", "eps", "delta", "alpha", "c")  # None when the config leaves them out
+_PAIRS = "Sequence[Sequence[float]]"  # the annotation of a list of number pairs
+_KINDS = {"float": ((int, float), "a number"), "int": (int, "an integer"), "dict": (dict, "a mapping")}
+
+
+def _check_value(kind: str, value, name: str) -> None:
+    """Refuse a value of the wrong type for the field or parameter `name` annotated `kind`.
+
+    A number is an int or a finite float and an integer an int, neither a
+    bool nor a string: a value of another type is refused, not truncated,
+    parsed or crashed on later.  An annotation ending in `| None` admits None.
+    """
+    if value is None and kind.endswith(" | None"):
+        return
+    if kind == _PAIRS:
+        if not (isinstance(value, list) and all(isinstance(p, list) and len(p) == 2 for p in value)):
+            raise ConfigError(f"{name} must be a list of number pairs, got {value!r}")
+        for number in (v for pair in value for v in pair):
+            _check_value("float", number, name)
+        return
+    types, what = _KINDS[kind.removesuffix(" | None")]
+    if not isinstance(value, types) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+
+
+def build_record(record, factories: dict, where: str, nested=None):
+    """Call the factory that the `family` tag of the config record at `where` names in `factories`.
+
+    Every other key of the record must name a parameter of that factory, and
+    every parameter without a default must be given.  A parameter annotated
+    `float` takes a number and one annotated `Sequence[Sequence[float]]` a list
+    of number pairs, under the rule of the top-level fields; any other takes a
+    nested record, built by `nested(value, "<where>.<key>")`.  Anything else,
+    and a ValueError of the factory, is a ConfigError that names the record.
+    """
+    if not isinstance(record, dict):
+        raise ConfigError(f"{where} must be a mapping, got {record!r}")
+    family = record.get("family")
+    if not (isinstance(family, str) and family in factories):
+        raise ConfigError(f"{where}: family must be one of {sorted(factories)}, got {family!r}")
+    factory = factories[family]
+    params = inspect.signature(factory).parameters
+    args = {key: value for key, value in record.items() if key != "family"}
+    unknown = [key for key in args if key not in params]
+    missing = [name for name, p in params.items() if p.default is p.empty and name not in args]
+    if unknown or missing:
+        raise ConfigError(f"{where}: {family} takes {list(params)}; unknown keys {unknown}, missing keys {missing}")
+    for key, value in args.items():
+        kind = params[key].annotation
+        if kind in ("float", _PAIRS):
+            _check_value(kind, value, f"{where}: {key}")
+        else:
+            args[key] = nested(value, f"{where}.{key}")
+    try:
+        return factory(**args)
+    except ValueError as exc:  # a parameter out of its family's range
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 @dataclass
-class ExperimentConfig:
-    """Validated experiment description."""
+class ExperimentConfig(Report):
+    """Validated experiment description; its canonical hash covers every field."""
 
     growth: dict | None = None
     increments: dict | None = None
@@ -76,51 +128,31 @@ class ExperimentConfig:
     n_samples: int = 10_000
     step_cap: int = 1_000_000
     seed: int = 0
-    streams: int = 1
 
     def __post_init__(self):
-        for names, types, what in _FIELD_TYPES:
-            for name in names:
-                value = getattr(self, name)
-                if value is None and name in _UNSET:
-                    continue
-                if not isinstance(value, types) or isinstance(value, bool):
-                    raise ConfigError(f"{name} must be {what}, got {value!r}")
-        for name in _NUMBERS:  # an int is finite; an inf or nan float would run or fail later
-            value = getattr(self, name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value!r}")
+        for f in fields(self):
+            _check_value(f.type, getattr(self, f.name), f.name)
         if self.eps is not None and not 0.0 < self.eps < 1.0:
             raise ConfigError(f"eps must lie in (0, 1), got {self.eps}")
-        if self.delta is not None and not self.delta > 0.0:
-            raise ConfigError(f"delta must be positive, got {self.delta}")
-        if self.alpha is not None and not self.alpha > 0.0:
-            raise ConfigError(f"alpha must be positive, got {self.alpha}")
-        if self.c is not None and not self.c > 0.0:
-            raise ConfigError(f"c must be positive, got {self.c}")
-        if self.n_samples < 1:
-            raise ConfigError("n_samples must be at least one")
-        if self.step_cap < 1:
-            raise ConfigError("step_cap must be at least one")
-        if self.streams < 1:
-            raise ConfigError("streams must be at least one")
+        for name in ("delta", "alpha", "c"):
+            if getattr(self, name) is not None and not getattr(self, name) > 0.0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("n_samples", "step_cap"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least one")
         self.shift = float(self.shift)
-
-    def semantic_dict(self) -> dict:
-        """Fields that determine computed values, all but the parallelism degree; basis of the config hash."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "streams"}
 
     @property
     def config_hash(self) -> str:
-        canonical = json.dumps(self.semantic_dict(), sort_keys=True, separators=(",", ":"))
+        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 _KNOWN_KEYS = {f.name for f in fields(ExperimentConfig)}
 
 
-def load_config(path, seed_override: int | None = None, streams_override: int | None = None) -> ExperimentConfig:
-    """Load and validate a YAML/JSON config; overrides apply before hashing."""
+def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
+    """Load and validate a YAML/JSON config; the seed override applies before hashing."""
     import yaml  # here, not at the top, so that `import ladderlab` does not load PyYAML
 
     text = Path(path).read_text()
@@ -130,14 +162,9 @@ def load_config(path, seed_override: int | None = None, streams_override: int | 
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a mapping")
-    unknown = set(raw) - _KNOWN_KEYS
+    unknown = [key for key in raw if key not in _KNOWN_KEYS]  # also every key that is not a string
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown config keys: {unknown}")
     if seed_override is not None:
         raw["seed"] = seed_override
-    if streams_override is not None:
-        raw["streams"] = streams_override
-    try:
-        return ExperimentConfig(**raw)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(**raw)

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import Report
+from .config import Report, build_record
 from .numerics import doubling_integral, scalar_power, stabilized_running_max
 
 __all__ = [
@@ -59,9 +59,9 @@ def _bisect_increasing(fn, targets, lo, atol=1e-12):
     """Generalized inverse of an increasing fn by bracketed bisection.
 
     Returns x with fn(x) ~= target; targets may be an array.  The bracket is
-    grown geometrically from `lo`; the iteration stops when the bracket width
-    falls below `atol` or below a few ulps of the abscissa, whichever is
-    larger.
+    grown geometrically from `lo`, a non-positive upper end first to 1.0; the
+    iteration stops when the bracket width falls below `atol` or below a few
+    ulps of the abscissa, whichever is larger.
     """
     t = np.asarray(targets, dtype=float)
     scalar = t.ndim == 0
@@ -72,7 +72,7 @@ def _bisect_increasing(fn, targets, lo, atol=1e-12):
         need = fn(hi) <= t
         if not need.any():
             break
-        hi = np.where(need, hi * 4.0, hi)
+        hi = np.where(need, np.where(hi > 0.0, hi * 4.0, 1.0), hi)
     else:
         raise GrowthEvalError("could not bracket inverse: target too large")
     lo_arr = lo_arr.copy()
@@ -94,7 +94,7 @@ def _bisect_increasing_scalar(fn, target, lo, atol=1e-12):
     for _ in range(200):
         if not fn(hi) <= target:
             break
-        hi *= 4.0
+        hi = hi * 4.0 if hi > 0.0 else 1.0
     else:
         raise GrowthEvalError("could not bracket inverse: target too large")
     for _ in range(200):
@@ -113,7 +113,9 @@ class GrowthFunction:
     every t >= 0 even where g has flat stretches.  The first three callables
     take and return numpy arrays; `scalar_eval` and `scalar_inverse` are g and
     its inverse from float to float for quadrature integrands, with the array
-    code's bits under the rule of the ``tails`` module docstring.
+    code's bits under the rule of the ``tails`` module docstring.  `params`
+    holds the keyword arguments of the family's factory, so `family` and
+    `params` are its config record.
     """
 
     family: str
@@ -134,14 +136,13 @@ class GrowthFunction:
         return self._inverse(np.asarray(t, dtype=float))
 
     def spec_dict(self) -> dict:
-        if self.family == "table":
-            return {"family": "table", "points": self.params["points"]}
-        return {"family": self.family, "param": self.params["param"]}
+        return {"family": self.family, **self.params}
 
 
-def _make_g1(alpha: float) -> GrowthFunction:
+def _make_g1(param: float) -> GrowthFunction:
+    alpha = float(param)
     if not alpha > 1:
-        raise ValueError(f"g1 needs alpha > 1, got {alpha}")
+        raise ValueError(f"g1 needs param > 1, got {alpha}")
 
     def ev(x):
         return np.log(np.maximum(x, 1.0)) ** alpha
@@ -165,9 +166,10 @@ def _make_g1(alpha: float) -> GrowthFunction:
     return GrowthFunction("g1", {"param": alpha}, ev, dv, inv, ev_scalar, inv_scalar)
 
 
-def _make_g2(beta: float) -> GrowthFunction:
+def _make_g2(param: float) -> GrowthFunction:
+    beta = float(param)
     if not 0 < beta < 1:
-        raise ValueError(f"g2 needs beta in (0,1), got {beta}")
+        raise ValueError(f"g2 needs param in (0,1), got {beta}")
 
     def ev(x):
         return np.maximum(x, 0.0) ** beta
@@ -190,9 +192,10 @@ def _make_g2(beta: float) -> GrowthFunction:
     return GrowthFunction("g2", {"param": beta}, ev, dv, inv, ev_scalar, inv_scalar)
 
 
-def _make_g3(beta: float) -> GrowthFunction:
+def _make_g3(param: float) -> GrowthFunction:
+    beta = float(param)
     if not 0 < beta < 1:
-        raise ValueError(f"g3 needs beta in (0,1), got {beta}")
+        raise ValueError(f"g3 needs param in (0,1), got {beta}")
 
     def ev(x):
         xp = np.maximum(x, 0.0)
@@ -261,26 +264,17 @@ def _make_table(points: Sequence[Sequence[float]]) -> GrowthFunction:
     return GrowthFunction("table", {"points": [list(p) for p in pts]}, ev, dv, inv, ev_scalar, inv_scalar)
 
 
-_FAMILIES = {"g1": _make_g1, "g2": _make_g2, "g3": _make_g3}
+_FAMILIES = {"g1": _make_g1, "g2": _make_g2, "g3": _make_g3, "table": _make_table}  # by config tag
 
 
 def make_builtin(family: str, param: float) -> GrowthFunction:
     """Build one of the closed-form families g1/g2/g3."""
-    try:
-        factory = _FAMILIES[family]
-    except KeyError:
-        raise ValueError(f"unknown growth family {family!r}") from None
-    return factory(float(param))
+    return make_growth({"family": family, "param": param})
 
 
-def make_growth(spec: dict) -> GrowthFunction:
-    """Build a growth function from its config record."""
-    family = spec.get("family")
-    if family == "table":
-        return _make_table(spec["points"])
-    if "param" not in spec:
-        raise ValueError("growth spec needs a 'param' field")
-    return make_builtin(family, spec["param"])
+def make_growth(spec: dict, where: str = "growth") -> GrowthFunction:
+    """Build a growth function from its config record at `where`, checked by `config.build_record`."""
+    return build_record(spec, _FAMILIES, where)
 
 
 def default_condition_grid():

@@ -9,7 +9,10 @@ means by their definitions, integrated on first read and cached:
 families cover the test bench: shifted Weibull and lognormal (the
 intermediate heavy-tailed regime), Pareto (regularly varying reference),
 two-point and constant increments, exponential service times and
-service-minus-interarrival pairs.
+service-minus-interarrival pairs.  ``make_builtin_dist`` builds one from its
+config record: the ``family`` tag picks the class, whose constructor is the
+record's schema, checked by ``config.build_record``, and ``spec_dict`` reads
+the record back from the constructor parameters' attributes.
 
 Quantiles use the convention ``tail_quantile(q) = inf{x : tail(x) <= q}``;
 ``quantile(u) = tail_quantile(1 - u)`` so that one shared uniform applied to
@@ -46,6 +49,7 @@ loop reproduces; no config has one.  The rule:
 from __future__ import annotations
 
 import bisect
+import inspect
 import math
 from functools import cached_property
 from typing import Sequence
@@ -53,6 +57,7 @@ from typing import Sequence
 import numpy as np
 from scipy import special
 
+from .config import build_record
 from .numerics import doubling_integral, quad, scalar_power
 
 __all__ = [
@@ -155,7 +160,13 @@ class TailSpec:
         return self.quantile(u0)
 
     def spec_dict(self) -> dict:
-        raise NotImplementedError
+        """The config record of a builtin family: its tag and each constructor
+        parameter, read back from the attribute of the same name."""
+        record = {"family": {cls: tag for tag, cls in _FAMILIES.items()}[type(self)]}
+        for name in inspect.signature(type(self)).parameters:
+            value = getattr(self, name)
+            record[name] = value.spec_dict() if isinstance(value, TailSpec) else value
+        return record
 
     # -- means by quadrature -------------------------------------------------
 
@@ -308,9 +319,6 @@ class WeibullShifted(TailSpec):
             arg = np.maximum(np.log(self.c / q), 0.0)
         return self.shift + arg ** (1.0 / self.beta)
 
-    def spec_dict(self):
-        return {"family": "weibull_shifted", "c": self.c, "beta": self.beta, "shift": self.shift}
-
 
 class LognormalShifted(TailSpec):
     """shift + LogNormal(mu, sigma2)."""
@@ -359,9 +367,6 @@ class LognormalShifted(TailSpec):
         q = np.asarray(q, dtype=float)
         return self.shift + np.exp(self.mu - self._sigma * special.ndtri(q))
 
-    def spec_dict(self):
-        return {"family": "lognormal_shifted", "mu": self.mu, "sigma2": self.sigma2, "shift": self.shift}
-
 
 class Pareto(TailSpec):
     """shift + Pareto(index, scale): tail ((x - shift)/scale)^(-index) beyond scale."""
@@ -405,9 +410,6 @@ class Pareto(TailSpec):
     def tail_quantile(self, q):
         q = np.asarray(q, dtype=float)
         return self.shift + self.scale * q ** (-1.0 / self.index)
-
-    def spec_dict(self):
-        return {"family": "pareto", "index": self.index, "scale": self.scale, "shift": self.shift}
 
 
 class _AtomicTail(TailSpec):
@@ -467,9 +469,6 @@ class BernoulliPM1(_AtomicTail):
         atom_list = [(-1.0, 1.0 - self.p), (1.0, self.p)]
         super().__init__(atom_list)
 
-    def spec_dict(self):
-        return {"family": "bernoulli_pm1", "p": self.p}
-
 
 class Constant(_AtomicTail):
     """Point mass at a single value."""
@@ -478,9 +477,6 @@ class Constant(_AtomicTail):
         self.value = float(value)
         super().__init__([(self.value, 1.0)])
 
-    def spec_dict(self):
-        return {"family": "constant", "value": self.value}
-
 
 class Exponential(TailSpec):
     """Exponential with the given mean, supported on [0, inf)."""
@@ -488,7 +484,7 @@ class Exponential(TailSpec):
     def __init__(self, mean: float):
         if mean <= 0:
             raise TailError("exponential needs mean > 0")
-        self.mean_param = float(mean)
+        self.mean = float(mean)  # the closed form, shadowing the quadrature of TailSpec.mean
 
     @property
     def support(self):
@@ -496,26 +492,23 @@ class Exponential(TailSpec):
 
     def tail(self, x):
         x = np.asarray(x, dtype=float)
-        return np.where(x < 0, 1.0, np.exp(-np.maximum(x, 0.0) / self.mean_param))
+        return np.where(x < 0, 1.0, np.exp(-np.maximum(x, 0.0) / self.mean))
 
     def log_tail(self, x):
         x = np.asarray(x, dtype=float)
-        return np.where(x < 0, 0.0, -np.maximum(x, 0.0) / self.mean_param)
+        return np.where(x < 0, 0.0, -np.maximum(x, 0.0) / self.mean)
 
     def scalar_tail(self):
         log_tail = self.scalar_log_tail()
         return lambda x: 1.0 if x < 0 else float(np.exp(log_tail(x)))
 
     def scalar_log_tail(self):
-        mean = self.mean_param
+        mean = self.mean
         return lambda x: 0.0 if x < 0 else -(0.0 if x <= 0.0 else x) / mean
 
     def tail_quantile(self, q):
         q = np.asarray(q, dtype=float)
-        return -self.mean_param * np.log(q)
-
-    def spec_dict(self):
-        return {"family": "exponential", "mean": self.mean_param}
+        return -self.mean * np.log(q)
 
 
 class QueuePair(TailSpec):
@@ -578,9 +571,6 @@ class QueuePair(TailSpec):
     @property
     def mean(self):
         return self.sigma.mean - self.t.mean
-
-    def spec_dict(self):
-        return {"family": "queue_pair", "sigma": self.sigma.spec_dict(), "t": self.t.spec_dict()}
 
 
 # ---------------------------------------------------------------------------
@@ -745,24 +735,17 @@ class ShiftedTail(TailSpec):
 # Config dispatch
 # ---------------------------------------------------------------------------
 
-_DIST_BUILDERS = {
-    "weibull_shifted": lambda s: WeibullShifted(s["c"], s["beta"], s.get("shift", 0.0)),
-    "lognormal_shifted": lambda s: LognormalShifted(s["mu"], s["sigma2"], s.get("shift", 0.0)),
-    "pareto": lambda s: Pareto(s["index"], s["scale"], s.get("shift", 0.0)),
-    "bernoulli_pm1": lambda s: BernoulliPM1(s["p"]),
-    "constant": lambda s: Constant(s["value"]),
-    "exponential": lambda s: Exponential(s["mean"]),
+_FAMILIES = {  # the builtin families by config tag; each constructor is its record's schema
+    "weibull_shifted": WeibullShifted,
+    "lognormal_shifted": LognormalShifted,
+    "pareto": Pareto,
+    "bernoulli_pm1": BernoulliPM1,
+    "constant": Constant,
+    "exponential": Exponential,
+    "queue_pair": QueuePair,
 }
 
 
-def make_builtin_dist(spec: dict) -> TailSpec:
-    """Build a distribution from its tagged config record."""
-    family = spec.get("family")
-    if family == "queue_pair":
-        return QueuePair(make_builtin_dist(spec["sigma"]), make_builtin_dist(spec["t"]))
-    try:
-        builder = _DIST_BUILDERS[family]
-    except KeyError:
-        raise TailError(f"unknown distribution family {family!r}") from None
-    return builder(spec)
-
+def make_builtin_dist(spec: dict, where: str = "increments") -> TailSpec:
+    """Build a builtin distribution from its config record at `where`, checked by `config.build_record`."""
+    return build_record(spec, _FAMILIES, where, nested=make_builtin_dist)

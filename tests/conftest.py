@@ -24,6 +24,27 @@ CHAIN_SPECS = {
 
 
 @pytest.fixture(scope="session")
+def numeric_build():
+    """The numpy and scipy versions and the SIMD dispatch targets numpy runs
+    here (its compiled targets whose CPU features are active), for the
+    message of a failed digest comparison: the last bits of QUADPACK, the
+    quantiles and the BLAS sums depend on all three."""
+    import numpy
+    import scipy
+
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    active = [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]
+    return (
+        f"running numpy {numpy.__version__}, scipy {scipy.__version__}, active dispatch targets {active}; "
+        "the digests were recorded with numpy 2.4.6, scipy 1.17.1 and the AVX-512 targets "
+        "['X86_V4', 'AVX512_ICL', 'AVX512_SPR'] active"
+    )
+
+
+@pytest.fixture(scope="session")
 def certified():
     """Certification reports of the three builtin families, fitted once."""
     out = {}

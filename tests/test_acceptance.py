@@ -309,7 +309,6 @@ def test_criterion_10_reproducibility(tmp_path):
                 "eps": 0.5,
                 "n_samples": 5000,
                 "seed": SEED,
-                "streams": 2,
             }
         )
     )

@@ -39,7 +39,6 @@ def _write_config(path: Path, **overrides) -> Path:
         "n_samples": 3000,
         "step_cap": 1_000_000,
         "seed": SEED,
-        "streams": 3,
     }
     cfg.update(overrides)
     cfg = {k: v for k, v in cfg.items() if v is not None}
@@ -93,28 +92,25 @@ def test_byte_identical_reruns(tmp_path, cfg_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
-def test_streams_do_not_change_bytes(tmp_path, cfg_path):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
+def test_thread_env_does_not_change_bytes(tmp_path, cfg_path, monkeypatch):
+    """The worker count is LADDERLAB_THREADS, else the usable CPU count; it changes no byte."""
+    out1, out2, out3 = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+    monkeypatch.delenv("LADDERLAB_THREADS", raising=False)
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out1)]) == 0
-    assert main(["simulate", "--config", str(cfg_path), "--out", str(out2), "--streams", "7"]) == 0
+    for out, threads in ((out2, "1"), (out3, "3")):
+        monkeypatch.setenv("LADDERLAB_THREADS", threads)
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
     for name in ["samples.csv", "samples.npy", "manifest.json"]:
+        assert (out1 / name).read_bytes() == (out3 / name).read_bytes(), name
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
-def test_thread_env_does_not_change_bytes(tmp_path, cfg_path):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["simulate", "--config", str(cfg_path), "--out", str(out1)]) == 0
-    old = os.environ.get("LADDERLAB_THREADS")
-    os.environ["LADDERLAB_THREADS"] = "2"
-    try:
-        assert main(["simulate", "--config", str(cfg_path), "--out", str(out2)]) == 0
-    finally:
-        if old is None:
-            os.environ.pop("LADDERLAB_THREADS", None)
-        else:
-            os.environ["LADDERLAB_THREADS"] = old
-    for name in ["samples.csv", "samples.npy", "manifest.json"]:
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+def test_worker_count_is_the_env_else_the_usable_cpus(monkeypatch):
+    monkeypatch.delenv("LADDERLAB_THREADS", raising=False)
+    assert cli._worker_count() == len(os.sched_getaffinity(0))
+    for env, count in (("3", 3), (" 1 ", 1), ("0", 1), ("", len(os.sched_getaffinity(0)))):
+        monkeypatch.setenv("LADDERLAB_THREADS", env)
+        assert cli._worker_count() == count
 
 
 def test_seed_override_applies_before_hashing(tmp_path, cfg_path):
@@ -280,7 +276,7 @@ def test_failed_simulate_leaves_no_half_file(tmp_path, cfg_path, monkeypatch):
 def test_streamed_tasks_do_not_change_bytes(tmp_path, cfg_path, monkeypatch):
     """3,000 walks in tasks of 700 (five tasks, the last one partial) give the
     bytes of one whole task, on one, two or four worker threads (under a
-    short switch interval) and at 1, 3 or 7 streams."""
+    short switch interval)."""
     whole = tmp_path / "whole"
     monkeypatch.setenv("LADDERLAB_THREADS", "1")
     assert main(["simulate", "--config", str(cfg_path), "--out", str(whole)]) == 0
@@ -298,14 +294,14 @@ def test_streamed_tasks_do_not_change_bytes(tmp_path, cfg_path, monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for threads, streams in [("1", "1"), ("2", "1"), ("1", "7"), ("2", "7"), ("2", "3"), ("4", "7")]:
+        for threads in ["1", "2", "4"]:
             sizes.clear()
-            out = tmp_path / f"t{threads}s{streams}"
+            out = tmp_path / f"t{threads}"
             monkeypatch.setenv("LADDERLAB_THREADS", threads)
-            assert main(["simulate", "--config", str(cfg_path), "--out", str(out), "--streams", streams]) == 0
+            assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
             assert sorted(sizes) == [200, 700, 700, 700, 700]
             for name in names:
-                assert (out / name).read_bytes() == (whole / name).read_bytes(), (threads, streams, name)
+                assert (out / name).read_bytes() == (whole / name).read_bytes(), (threads, name)
     finally:
         sys.setswitchinterval(interval)
     assert main(["estimate", "--config", str(cfg_path), "--out", str(out)]) == 0
@@ -568,7 +564,7 @@ def test_outputs_is_an_unknown_key(tmp_path, outputs, capsys):
         ("n_samples", 2.7),
         ("n_samples", "abc"),
         ("step_cap", 1e6),
-        ("streams", True),
+        ("streams", True),  # no config field now: refused as an unknown key
         ("shift", "abc"),
         ("shift", "0.5"),
         ("alpha", True),
@@ -597,6 +593,57 @@ def test_non_integer_count_or_seed_rejected(tmp_path, key, value, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and key in err
     assert not out.exists()
+
+
+LOGNORMAL = {"family": "lognormal_shifted", "mu": 0.0, "sigma2": 0.25, "shift": -2.1331484530668263}
+QUEUE = {"family": "queue_pair", "sigma": {"family": "exponential", "mean": 1.0}, "t": {"family": "constant", "value": 2.0}}
+WEIBULL = {"family": "weibull_shifted", "c": 1.0, "beta": 0.6, "shift": -2.5045618892421555}
+
+
+@pytest.mark.parametrize(
+    "command, overrides, expected",
+    [
+        ("simulate", {"increments": {**LOGNORMAL, "sigma": 0.9}}, "increments: lognormal_shifted takes ['mu', 'sigma2', 'shift']; unknown keys ['sigma']"),
+        ("check", {"growth": {"family": "g1", "param": 2.0, "alpha": 3.0}}, "growth: g1 takes ['param']; unknown keys ['alpha']"),
+        ("simulate", {"increments": {**QUEUE, "rho": 0.5}}, "increments: queue_pair takes ['sigma', 't']; unknown keys ['rho']"),
+        ("simulate", {"increments": {**QUEUE, "sigma": {"family": "exponential", "rate": 1.0}}}, "increments.sigma: exponential takes ['mean']; unknown keys ['rate'], missing keys ['mean']"),
+        ("simulate", {"increments": {**QUEUE, "t": 2.0}}, "increments.t must be a mapping, got 2.0"),
+        ("simulate", {"increments": {**LOGNORMAL, "mu": "0.0"}}, "increments: mu must be a number, got '0.0'"),
+        ("simulate", {"increments": {**WEIBULL, "beta": "0.6"}}, "increments: beta must be a number, got '0.6'"),
+        ("simulate", {"increments": {**WEIBULL, "shift": [-3.0]}}, "increments: shift must be a number, got [-3.0]"),
+        ("simulate", {"increments": {k: v for k, v in LOGNORMAL.items() if k != "sigma2"}}, "increments: lognormal_shifted takes ['mu', 'sigma2', 'shift']; unknown keys [], missing keys ['sigma2']"),
+        ("simulate", {"increments": {"family": "bernoulli_pm1", "p": True}}, "increments: p must be a number, got True"),
+        ("simulate", {"increments": {**WEIBULL, "c": math.inf}}, "increments: c must be finite, got inf"),
+        ("simulate", {"increments": {**WEIBULL, "shift": math.nan}}, "increments: shift must be finite, got nan"),
+        ("simulate", {"increments": {**WEIBULL, "family": "weibull"}}, "increments: family must be one of ["),
+        ("check", {"growth": {"family": "table", "points": [[0.5, 0.1], [2.0], [30.0, 3.0]]}}, "growth: points must be a list of number pairs"),
+        ("check", {"growth": {"family": "table", "points": [[0.5, 0.1], [2.0, "0.7"]]}}, "growth: points must be a number, got '0.7'"),
+        ("check", {"growth": {"family": "g2", "param": 1.5}}, "growth: g2 needs param in (0,1), got 1.5"),
+        ("simulate", {"increments": {**WEIBULL, "c": 0}}, "increments: weibull_shifted needs c > 0"),
+        ("simulate", {"streams": 4}, "unknown config keys: ['streams']"),
+    ],
+    ids=["stray-sigma", "growth-alpha", "queue-rho", "nested-key", "nested-scalar", "mu-string", "beta-string",
+         "shift-list", "missing-sigma2", "p-bool", "c-inf", "shift-nan", "unknown-family", "table-non-pair",
+         "table-string", "growth-range", "weibull-range", "streams"],
+)
+def test_bad_record_is_refused(tmp_path, capsys, command, overrides, expected):
+    """A family record is checked against its constructor or factory: an
+    unknown or missing key, a value of the wrong type or an infinite number is
+    a config error naming the record and the key, before anything is
+    written or removed, and the worker count is no config field."""
+    cfg = _write_config(tmp_path / "bad.yaml", **overrides)
+    out = tmp_path / "run"
+    out.mkdir()
+    for name in ("manifest.json", "samples.csv", "samples.npy", "condition_report.json"):
+        (out / name).write_text(f"old {name}")
+    capsys.readouterr()
+    for target in (out, tmp_path / "fresh"):
+        assert main([command, "--config", str(cfg), "--out", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: " + expected) and err.count("\n") == 1, err
+    assert {p.name: p.read_text() for p in out.iterdir()} == {p.name: f"old {p.name}" for p in out.iterdir()}
+    fresh = tmp_path / "fresh"  # made by main only once the config has loaded
+    assert len(list(out.iterdir())) == 4 and (not fresh.exists() or list(fresh.iterdir()) == [])
 
 
 # config_hash of every config in configs/; it covers the computed values only,
@@ -737,7 +784,7 @@ def test_construct_writes_tail_tables(tmp_path, cfg_path):
         assert spliced <= majorant * (1 + 1e-12)
 
 
-# sha256 of stage artifacts at --seed 7 --streams 1: check and construct on
+# sha256 of stage artifacts at --seed 7 on one worker: check and construct on
 # the three growth-family configs, simulate on every config (and on one with a
 # walk shift, so the psi_max column is pinned) with n_samples cut to
 # GOLDEN_SAMPLES, and on five of them estimate --format csv, verify and
@@ -822,14 +869,15 @@ def _require_golden_versions():
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
-def test_golden_digests(tmp_path, name):
+def test_golden_digests(tmp_path, name, monkeypatch, numeric_build):
     import hashlib
 
     _require_golden_versions()
+    monkeypatch.setenv("LADDERLAB_THREADS", "1")
     base, overrides = GOLDEN_VARIANTS.get(name, (name, {}))
     cfg = CONFIGS / f"{base}.yaml"
     out = tmp_path / name
-    args = ["--out", str(out), "--seed", "7", "--streams", "1"]
+    args = ["--out", str(out), "--seed", "7"]
     if "chain.json" in GOLDEN_DIGESTS[name]:
         for stage in ("check", "construct"):
             assert main([stage, "--config", str(cfg), *args]) == 0
@@ -841,10 +889,10 @@ def test_golden_digests(tmp_path, name):
         assert main(["verify", "--config", str(small), *args]) == 0
         assert main(["simulate", "--config", str(small), "--replay", "5", *args]) == 0
     digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in GOLDEN_DIGESTS[name]}
-    assert digests == GOLDEN_DIGESTS[name]
+    assert digests == GOLDEN_DIGESTS[name], numeric_build
 
 
-def test_golden_batch_digest(monkeypatch):
+def test_golden_batch_digest(monkeypatch, numeric_build):
     import hashlib
 
     from ladderlab import Pareto, simulate_batch, walk
@@ -855,4 +903,4 @@ def test_golden_batch_digest(monkeypatch):
     h = hashlib.sha256()
     for field in ("tau", "s_tau", "m_tau", "psi_max", "censored"):
         h.update(getattr(batch, field).tobytes())
-    assert h.hexdigest() == GOLDEN_BATCH
+    assert h.hexdigest() == GOLDEN_BATCH, numeric_build

@@ -121,8 +121,8 @@ def test_sstar_majorants_consistent(chains, key):
 def test_sstar_requires_positive_mean():
     from ladderlab import Constant
 
-    with pytest.raises(ValueError):
-        sstar_ratio(Constant(-1.0))  # no mass above zero
+    with pytest.raises(ValueError, match="positive-part mean > 0"):
+        sstar_ratio(Constant(-1.0))  # no mass above zero: pos_mean is exactly 0
 
 
 # -- hazard-scale increment bound ---------------------------------------------------

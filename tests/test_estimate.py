@@ -84,6 +84,27 @@ def test_parameter_validation(g2, bern_batch):
         estimate_exp_moment(bern_batch, math.inf)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, batch: estimate_growth_moment(batch, g, eps=1.0, delta=0.25, a=0.5),
+        lambda g, batch: estimate_growth_moment(batch, g, eps=0.5, delta=0.5, a=0.5),
+        lambda g, batch: estimate_growth_moment(batch, g, eps=0.5, delta=0.0, a=0.5),
+        lambda g, batch: estimate_exp_moment(batch, 0.0),
+    ],
+    ids=["eps-one", "delta-a", "delta-zero", "c-zero"],
+)
+def test_open_parameter_ranges_refuse_their_ends(g2, call):
+    """eps lies in (0, 1), delta in (0, a) and c in (0, inf): each end is refused."""
+    with pytest.raises(ValueError, match="must lie in|must be positive"):
+        call(g2, _const_batch(10))
+
+
+def test_one_walk_batch_has_zero_standard_error():
+    est = estimate_power_moment(_const_batch(1), 2.0)
+    assert (est.n, est.point, est.std_error, est.ci95) == (1, 1.0, 0.0, (1.0, 1.0))
+
+
 @pytest.mark.filterwarnings("error")
 def test_overflowed_estimate_is_not_stable():
     """exp(c tau) overflows to inf for one long epoch; the point is then no

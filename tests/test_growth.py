@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from ladderlab import (
+    ConfigError,
     GrowthFunction,
     certify,
     check_increment_slack,
@@ -85,6 +86,33 @@ def test_table_growth():
         make_growth({"family": "table", "points": [[1.0, 1.0], [1.0, 2.0]]})
     with pytest.raises(ValueError):
         make_growth({"family": "table", "points": [[1.0, 2.0], [2.0, 1.0]]})
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [[0.0, 0.0], [3.0, 0.0], [10.0, 2.0], [80.0, 5.0]],  # flat first segment from 0: the bracket starts at 0
+        [[-6.0, 0.0], [-1.5, 0.4], [4.0, 2.5], [60.0, 7.0]],  # first abscissa below -1
+        [[-5e3, 0.0], [-4e3, 1.0], [0.0, 2.0], [1e2, 4.0]],
+    ],
+)
+def test_table_inverse_brackets_from_non_positive_start(points):
+    """A bracket whose upper end starts at or below zero grows to 1.0 first,
+    so the inverse exists above it too, on the array and the scalar path."""
+    g = make_growth({"family": "table", "points": points})
+    for t in (0.2, 1.0, 4.5, 30.0):
+        x = g.inverse(t)
+        assert float(g(x)) == pytest.approx(t, rel=1e-9, abs=1e-9)
+        assert g.scalar_inverse(t) == float(x)
+
+
+def test_table_growth_record_is_checked():
+    """Each point is a pair of numbers; spec_dict reads the record back."""
+    g = make_growth({"family": "table", "points": [[1, 0], [2.0, 1.0]]})
+    assert g.spec_dict() == {"family": "table", "points": [[1.0, 0.0], [2.0, 1.0]]}
+    for points in ([[1.0, 0.0], [2.0]], [[1.0, 0.0], [2.0, "1.0"]], [[1.0, 0.0], [2.0, True]], [1.0, 2.0]):
+        with pytest.raises(ConfigError, match="growth: points"):
+            make_growth({"family": "table", "points": points})
 
 
 @pytest.mark.parametrize("family,param", [("g1", 2.0), ("g2", 0.5), ("g3", 0.5)])
