@@ -16,6 +16,7 @@ import hashlib
 import inspect
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -61,9 +62,9 @@ _KINDS = {"float": ((int, float), "a number"), "int": (int, "an integer"), "dict
 def _check_value(kind: str, value, name: str) -> None:
     """Refuse a value of the wrong type for the field or parameter `name` annotated `kind`.
 
-    A number is an int or a finite float and an integer an int, neither a
-    bool nor a string: a value of another type is refused, not truncated,
-    parsed or crashed on later.  An annotation ending in `| None` admits None.
+    A number is an int or a float with a finite double value and an integer
+    an int, neither a bool nor a string: a value of another type is refused,
+    not truncated, parsed or crashed on later.  An annotation ending in `| None` admits None.
     """
     if value is None and kind.endswith(" | None"):
         return
@@ -76,7 +77,7 @@ def _check_value(kind: str, value, name: str) -> None:
     types, what = _KINDS[kind.removesuffix(" | None")]
     if not isinstance(value, types) or isinstance(value, bool):
         raise ConfigError(f"{name} must be {what}, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
+    if what == "a number" and (value != value or abs(value) > sys.float_info.max):  # nan, inf or no double
         raise ConfigError(f"{name} must be finite, got {value!r}")
 
 

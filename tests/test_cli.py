@@ -596,42 +596,54 @@ def test_non_integer_count_or_seed_rejected(tmp_path, key, value, capsys):
 
 
 LOGNORMAL = {"family": "lognormal_shifted", "mu": 0.0, "sigma2": 0.25, "shift": -2.1331484530668263}
-QUEUE = {"family": "queue_pair", "sigma": {"family": "exponential", "mean": 1.0}, "t": {"family": "constant", "value": 2.0}}
+QUEUE = {"family": "queue_pair", "sigma": {"family": "exponential", "mean": 1.0},
+         "t": {"family": "constant", "value": 2.0}}
 WEIBULL = {"family": "weibull_shifted", "c": 1.0, "beta": 0.6, "shift": -2.5045618892421555}
 
 
+LOGNORMAL_KEYS = "lognormal_shifted takes ['mu', 'sigma2', 'shift']"
+NO_SIGMA2 = {k: v for k, v in LOGNORMAL.items() if k != "sigma2"}
+TABLE_BAD_PAIR = {"family": "table", "points": [[0.5, 0.1], [2.0], [30.0, 3.0]]}
+
+
 @pytest.mark.parametrize(
-    "command, overrides, expected",
+    "overrides, expected",
     [
-        ("simulate", {"increments": {**LOGNORMAL, "sigma": 0.9}}, "increments: lognormal_shifted takes ['mu', 'sigma2', 'shift']; unknown keys ['sigma']"),
-        ("check", {"growth": {"family": "g1", "param": 2.0, "alpha": 3.0}}, "growth: g1 takes ['param']; unknown keys ['alpha']"),
-        ("simulate", {"increments": {**QUEUE, "rho": 0.5}}, "increments: queue_pair takes ['sigma', 't']; unknown keys ['rho']"),
-        ("simulate", {"increments": {**QUEUE, "sigma": {"family": "exponential", "rate": 1.0}}}, "increments.sigma: exponential takes ['mean']; unknown keys ['rate'], missing keys ['mean']"),
-        ("simulate", {"increments": {**QUEUE, "t": 2.0}}, "increments.t must be a mapping, got 2.0"),
-        ("simulate", {"increments": {**LOGNORMAL, "mu": "0.0"}}, "increments: mu must be a number, got '0.0'"),
-        ("simulate", {"increments": {**WEIBULL, "beta": "0.6"}}, "increments: beta must be a number, got '0.6'"),
-        ("simulate", {"increments": {**WEIBULL, "shift": [-3.0]}}, "increments: shift must be a number, got [-3.0]"),
-        ("simulate", {"increments": {k: v for k, v in LOGNORMAL.items() if k != "sigma2"}}, "increments: lognormal_shifted takes ['mu', 'sigma2', 'shift']; unknown keys [], missing keys ['sigma2']"),
-        ("simulate", {"increments": {"family": "bernoulli_pm1", "p": True}}, "increments: p must be a number, got True"),
-        ("simulate", {"increments": {**WEIBULL, "c": math.inf}}, "increments: c must be finite, got inf"),
-        ("simulate", {"increments": {**WEIBULL, "shift": math.nan}}, "increments: shift must be finite, got nan"),
-        ("simulate", {"increments": {**WEIBULL, "family": "weibull"}}, "increments: family must be one of ["),
-        ("check", {"growth": {"family": "table", "points": [[0.5, 0.1], [2.0], [30.0, 3.0]]}}, "growth: points must be a list of number pairs"),
-        ("check", {"growth": {"family": "table", "points": [[0.5, 0.1], [2.0, "0.7"]]}}, "growth: points must be a number, got '0.7'"),
-        ("check", {"growth": {"family": "g2", "param": 1.5}}, "growth: g2 needs param in (0,1), got 1.5"),
-        ("simulate", {"increments": {**WEIBULL, "c": 0}}, "increments: weibull_shifted needs c > 0"),
-        ("simulate", {"streams": 4}, "unknown config keys: ['streams']"),
+        ({"increments": {**LOGNORMAL, "sigma": 0.9}}, f"increments: {LOGNORMAL_KEYS}; unknown keys ['sigma']"),
+        ({"growth": {"family": "g1", "param": 2.0, "alpha": 3.0}}, "growth: g1 takes ['param']; unknown keys ['alpha']"),
+        ({"increments": {**QUEUE, "rho": 0.5}}, "increments: queue_pair takes ['sigma', 't']; unknown keys ['rho']"),
+        (
+            {"increments": {**QUEUE, "sigma": {"family": "exponential", "rate": 1.0}}},
+            "increments.sigma: exponential takes ['mean']; unknown keys ['rate'], missing keys ['mean']",
+        ),
+        ({"increments": {**QUEUE, "t": 2.0}}, "increments.t must be a mapping, got 2.0"),
+        ({"increments": {**LOGNORMAL, "mu": "0.0"}}, "increments: mu must be a number, got '0.0'"),
+        ({"increments": {**WEIBULL, "beta": "0.6"}}, "increments: beta must be a number, got '0.6'"),
+        ({"increments": {**WEIBULL, "shift": [-3.0]}}, "increments: shift must be a number, got [-3.0]"),
+        ({"increments": NO_SIGMA2}, f"increments: {LOGNORMAL_KEYS}; unknown keys [], missing keys ['sigma2']"),
+        ({"increments": {"family": "bernoulli_pm1", "p": True}}, "increments: p must be a number, got True"),
+        ({"increments": {**WEIBULL, "c": math.inf}}, "increments: c must be finite, got inf"),
+        ({"increments": {**WEIBULL, "shift": math.nan}}, "increments: shift must be finite, got nan"),
+        ({"increments": {**WEIBULL, "shift": -(10**400)}}, "increments: shift must be finite, got -1000"),
+        ({"shift": 10**400}, "shift must be finite, got 1000"),
+        ({"increments": {**WEIBULL, "family": "weibull"}}, "increments: family must be one of ["),
+        ({"growth": TABLE_BAD_PAIR}, "growth: points must be a list of number pairs"),
+        ({"growth": {"family": "table", "points": [[0.5, 0.1], [2.0, "0.7"]]}}, "growth: points must be a number"),
+        ({"growth": {"family": "g2", "param": 1.5}}, "growth: g2 needs param in (0,1), got 1.5"),
+        ({"increments": {**WEIBULL, "c": 0}}, "increments: weibull_shifted needs c > 0"),
+        ({"streams": 4}, "unknown config keys: ['streams']"),
     ],
     ids=["stray-sigma", "growth-alpha", "queue-rho", "nested-key", "nested-scalar", "mu-string", "beta-string",
-         "shift-list", "missing-sigma2", "p-bool", "c-inf", "shift-nan", "unknown-family", "table-non-pair",
-         "table-string", "growth-range", "weibull-range", "streams"],
+         "shift-list", "missing-sigma2", "p-bool", "c-inf", "shift-nan", "shift-no-double", "top-shift-no-double",
+         "unknown-family", "table-non-pair", "table-string", "growth-range", "weibull-range", "streams"],
 )
-def test_bad_record_is_refused(tmp_path, capsys, command, overrides, expected):
+def test_bad_record_is_refused(tmp_path, capsys, overrides, expected):
     """A family record is checked against its constructor or factory: an
     unknown or missing key, a value of the wrong type or an infinite number is
     a config error naming the record and the key, before anything is
     written or removed, and the worker count is no config field."""
     cfg = _write_config(tmp_path / "bad.yaml", **overrides)
+    command = "check" if "growth" in overrides else "simulate"  # each builds the record it needs first
     out = tmp_path / "run"
     out.mkdir()
     for name in ("manifest.json", "samples.csv", "samples.npy", "condition_report.json"):
