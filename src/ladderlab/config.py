@@ -141,6 +141,8 @@ class ExperimentConfig(Report):
         for name in ("n_samples", "step_cap"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least one")
+        if not 0 <= self.seed < 2**64:  # Philox's key is one 64-bit word
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         self.shift = float(self.shift)
 
     @property

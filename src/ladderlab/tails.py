@@ -18,7 +18,7 @@ Quantiles use the convention ``tail_quantile(q) = inf{x : tail(x) <= q}``;
 ``quantile(u) = tail_quantile(1 - u)`` so that one shared uniform applied to
 two tail-ordered distributions yields ordered samples.
 
-QUADPACK calls its integrand one abscissa at a time, so every quadrature
+QUADPACK calls its integrand one abscissa at a time, so every QUADPACK
 integrand is built from ``scalar_tail()``/``scalar_log_tail()``: float -> float
 closures that return the bits of the array ``tail``/``log_tail`` on a 0-d array
 and skip numpy's per-call array overhead.  The default pair is the log of the
@@ -517,8 +517,10 @@ class QueuePair(TailSpec):
     Sampling consumes a pair of uniforms per step (one per component), which
     makes the single-server waiting-time recursion and the random-walk view
     agree path by path under a shared random source.  The composite tail is
-    exact when the interarrival part is atomic, otherwise it is computed by
-    fixed-order Gauss-Legendre over the interarrival quantile.
+    exact when the interarrival part is atomic, and so is its log-tail, a
+    log-sum-exp of the service log-tails that stays finite where the tail
+    underflows; otherwise the tail is computed by fixed-order Gauss-Legendre
+    over the interarrival quantile.
     """
 
     _GL_NODES = 256
@@ -564,6 +566,28 @@ class QueuePair(TailSpec):
             return out
 
         return tail
+
+    def log_tail(self, x):
+        """log sum_i m_i tail_sigma(x + t_i) over the interarrival atoms t_i, m_i."""
+        if not self._t_atoms:
+            return super().log_tail(x)
+        x = np.asarray(x, dtype=float)
+        return np.logaddexp.reduce([np.log(mass) + self.sigma.log_tail(x + loc) for loc, mass in self._t_atoms])
+
+    def scalar_log_tail(self):
+        if not self._t_atoms:
+            return super().scalar_log_tail()
+        sigma = self.sigma.scalar_log_tail()
+        t_atoms = [(loc, float(np.log(mass))) for loc, mass in self._t_atoms]
+
+        def log_tail(x):
+            out = None
+            for loc, log_mass in t_atoms:  # np.logaddexp.reduce's order
+                term = log_mass + sigma(x + loc)
+                out = term if out is None else float(np.logaddexp(out, term))
+            return out
+
+        return log_tail
 
     def increment_from_uniforms(self, u0, u1):
         return self.sigma.quantile(u0) - self.t.quantile(u1)

@@ -151,12 +151,29 @@ def lognormal_log_tail_mp(mu: float, sigma2: float, shift: float):
     return log_tail
 
 
-def log_power_majorant_log_tail_mp(alpha: float, k: float):
-    """log min(1, K exp(-(log max(x, 1))^alpha)), the g1 dominating increment."""
-    alpha, ln_k = mpmath.mpf(alpha), mpmath.log(mpmath.mpf(k))
+def weibull_log_tail_mp(c: float, beta: float, shift: float):
+    """log min(1, c exp(-((x - shift)^+)^beta)) as an mpmath function of x."""
+    ln_c, beta, shift = mpmath.log(mpmath.mpf(c)), mpmath.mpf(beta), mpmath.mpf(shift)
 
     def log_tail(x):
-        return min(mpmath.mpf(0), ln_k - mpmath.log(max(x, 1)) ** alpha)
+        return mpmath.mpf(0) if x < shift else min(mpmath.mpf(0), ln_c - (x - shift) ** beta)
+
+    return log_tail
+
+
+_GROWTH_MP = {  # the g1/g2/g3 growth functions, written from their formulas
+    "g1": lambda p: lambda x: mpmath.log(max(x, 1)) ** p,
+    "g2": lambda p: lambda x: max(x, 0) ** p,
+    "g3": lambda p: lambda x: max(x, 0) ** p * mpmath.log(max(x, 1)),
+}
+
+
+def majorant_log_tail_mp(family: str, param: float, k: float):
+    """log min(1, K exp(-g(x))), the dominating increment of growth family g1, g2 or g3."""
+    g, ln_k = _GROWTH_MP[family](mpmath.mpf(param)), mpmath.log(mpmath.mpf(k))
+
+    def log_tail(x):
+        return min(mpmath.mpf(0), ln_k - g(x))
 
     return log_tail
 

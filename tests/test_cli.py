@@ -595,7 +595,27 @@ def test_non_integer_count_or_seed_rejected(tmp_path, key, value, capsys):
     assert not out.exists()
 
 
-LOGNORMAL = {"family": "lognormal_shifted", "mu": 0.0, "sigma2": 0.25, "shift": -2.1331484530668263}
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
+@pytest.mark.parametrize("via", ["config", "option"])
+def test_out_of_range_seed_rejected(tmp_path, capsys, seed, via):
+    """Philox takes a 64-bit key: a seed outside [0, 2**64) is a config error,
+    in the config and through --seed, not reduced modulo 2**64 (2**64 + 1 would
+    run the walks of seed 1 under another config hash)."""
+    cfg = _write_config(tmp_path / "bad.yaml", **({"seed": seed} if via == "config" else {}))
+    out = tmp_path / "run"
+    capsys.readouterr()
+    override = ["--seed", str(seed)] if via == "option" else []
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), *override]) == 1
+    assert capsys.readouterr().err == f"config error: seed must lie in [0, 2**64), got {seed}\n"
+    assert not out.exists()
+
+
+def test_seed_range_edges_accepted():
+    assert ladderlab.ExperimentConfig(seed=0).seed == 0
+    assert ladderlab.ExperimentConfig(seed=2**64 - 1).seed == 2**64 - 1
+
+
+LOGNORMAL ={"family": "lognormal_shifted", "mu": 0.0, "sigma2": 0.25, "shift": -2.1331484530668263}
 QUEUE = {"family": "queue_pair", "sigma": {"family": "exponential", "mean": 1.0},
          "t": {"family": "constant", "value": 2.0}}
 WEIBULL = {"family": "weibull_shifted", "c": 1.0, "beta": 0.6, "shift": -2.5045618892421555}
@@ -802,10 +822,11 @@ def test_construct_writes_tail_tables(tmp_path, cfg_path):
 # GOLDEN_SAMPLES, and on five of them estimate --format csv, verify and
 # simulate --replay 5 as well, so every field read back from samples.csv, every
 # CLI table writer and verify's S* profile of the increments (psi_sstar) are
-# pinned, with the queue pair's generic log-tail, quantile bisection and
+# pinned, with the queue pair's log-sum-exp log-tail, quantile bisection and
 # slot 1; the splice and truncation tails reach the digests through chain.json.
-# QUADPACK's and the quantiles' last bits depend on the numpy and scipy builds,
-# so the digests hold for the versions they were recorded with.
+# The last bits of QUADPACK, of the batched Gauss-Kronrod S* profiles and of
+# the quantiles depend on the numpy and scipy builds, so the digests hold for
+# the versions they were recorded with.
 GOLDEN_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
 GOLDEN_SAMPLES = 20_000
 GOLDEN_VARIANTS = {"pareto_ratio_shift": ("pareto_ratio", {"shift": 0.5})}
@@ -821,25 +842,25 @@ GOLDEN_DIGESTS = {
     },
     "g1_lognormal": {
         "condition_report.json": "8e57f41cddd4f8defa211162efb8121250f118bb05365c6f49c3c2c7345e4dd8",
-        "chain.json": "94f6bfb70c35dc242771fdc316c1968aae1de89587c332f6263bc6b74ea9ca1a",
+        "chain.json": "2e03642754a8e4c0ffe535463e0e18e96a0e71383634a8701a1e34547069fd37",
         "tail_tables.csv": "0cac49e430c7c2d70ada9f438272347cc4b4127b120f44ec9865df4224d89e59",
         "samples.csv": "dedd44a01621dd585373c7af0f58438c78f940cca01c07388f6625d3800709fd",
         "estimates.json": "7e2b34b23bb619e3d6cc9623d6db9146088354fe0dafacdab778aa8130a1bbd0",
-        "verify_report.json": "7f9c21467966c3323040a15a09cc9cbb028dd65ed171a28977f552f09b0fcc92",
+        "verify_report.json": "2492867624040a0233cdb16cd28398550b9ba6bbe14fcfa1d1705a2e84277973",
         "replay_5.csv": "eaa006407f01a7e3ba88353bb416cc2f29994de88ea6e423f347da07468a6df3",
     },
     "g2_weibull": {
         "condition_report.json": "b48a42e664869098a858953259c39a3944c2a44d2d9d78ec51845cb796518663",
-        "chain.json": "24d326c05869ab01d6ba538a3a28e2d9ddebd755b2536950ae2ed30fdb624de4",
+        "chain.json": "8a16540a1aa3a16120a710077bed7a8f293152bffc829cf17ae4680686a5303f",
         "tail_tables.csv": "5b587dee95a4c1230fbd002281277f099be73cabfd880bbb5f19ec8a2dbc391e",
         "samples.csv": "66ca06aad179d7fe02e12e622a04581978f5e7b661f1acb776a5c01f59b5dd8a",
         "estimates.json": "7aec8d0afedc07744693a43746de1d9c42d921523aec7f985d7dd5825ddff200",
-        "verify_report.json": "74491efc7d0329acc91b2d59888e36b43d0a1091c28c9859692e319c2aeec4a6",
+        "verify_report.json": "18c0aa708a62b88daac1c9d8ca20be79f48d17fc0c75777bc1491f7ffe8650dc",
         "replay_5.csv": "431f8a3c9d7f3a715d749d37f44e295f5a64bd6fd7ad3b0ea5376f01dbd159ae",
     },
     "g3_weibull": {
         "condition_report.json": "8e3e65351ad86a263b8fb39b5e9450669693119f45c6de89493b57c296183cd8",
-        "chain.json": "bf3554afdb02e60142498751e892d0b01ab59e7629adad059c9686c375044dfb",
+        "chain.json": "d2b985d619462d7b120dd3c099e245838d43a0ec63c099be5ab7da7c01a07641",
         "tail_tables.csv": "fb346a53f930c710ebe36e3ed796d0fd6b27b878492869a0a103d941a6fe5e8e",
         "samples.csv": "0cf60cf2acc1191ec4e36f84cfa550ef41bfb42755b4436d156c8b4e4865c657",
     },
@@ -848,7 +869,7 @@ GOLDEN_DIGESTS = {
         "samples.csv": "856fdb9accf7f2c225fc1b8598a0ed412b875803b59a6aacc8980ca260eeb36f",
         "estimates.json": "056953c3db9c5b79e8ce82af2b719dc48f5cd6ec02735b7af00fa5fd9b9d8937",
         "estimates.csv": "0e721d5e61b438ceb42b769fef779742f0ecbb17b134405c6f172d96c1c20e5f",
-        "verify_report.json": "442e7b33ec96296539476b6ef44e152baebdbca18abcf9af4b9587682b5bb295",
+        "verify_report.json": "ddb4ee13d561d21fd5c3f3a99e27332bd56db5fca1d87dc45c4f8c42975ce942",
         "ratio_curve.csv": "fd22e674751d9f672a8f6a4772dee505a9ec2fc62087f42bb5fee286dc561808",
         "stability_curve.csv": "fc76c8044fdfabccec4ec0c696f493cc6dfbcaec099052bb42b8cdd952e726aa",
         "replay_5.csv": "dbe296343119d0c835aa633cb97f69a2b0526f56b7250249d2f37cc6347a01a8",
@@ -859,7 +880,7 @@ GOLDEN_DIGESTS = {
         "samples.csv": "d358dbd4c81c011d7a7734dcc2270333eb84913937f0bced8d9e57d0950c3778",
         "estimates.json": "19257d658e5ee3ea995e97d9cb3c93b32d1e40c42f4a53bfd4074b4bef59e682",
         "estimates.csv": "4d71705fc47dd27fed40e0536170900016fb4d3b3e8f039c21b63764fce4a26b",
-        "verify_report.json": "b1d362fffdd108f0611fa2f1e6ac61d6586346cd8ef1cbdfb79e642a0065391e",
+        "verify_report.json": "5d7cb10bd52515a2f402912c500b327367bbf282bacac2184f21c68114e35d67",
         "ratio_curve.csv": "1f237d449b2fe9f1497ce3598093b16f9127606c7a5fa04f9a9445d7f088d453",
         "stability_curve.csv": "76214ea17829d07a56ca1b1329fadf2291e9c1250a5ed0eccf324e955069cb7d",
         "replay_5.csv": "a94e915346a6685642c0f5cde1206933581d3141389a8ab52eab135796a9028a",

@@ -9,17 +9,20 @@ from ladderlab import (
     Exponential,
     Pareto,
     QueuePair,
+    TailSpec,
     check_log_tail_increment,
     long_tailed_profile,
+    numerics,
     sstar_ratio,
 )
-from ladderlab.diagnostics import _DECAY_KNOT_LEVELS, _convolution_ratio, usable_tail_horizon
+from ladderlab.diagnostics import _DECAY_KNOT_LEVELS, usable_tail_horizon
 
 from oracles import (
     exponential_self_convolution_ratio,
-    log_power_majorant_log_tail_mp,
     lognormal_log_tail_mp,
+    majorant_log_tail_mp,
     self_convolution_ratio,
+    weibull_log_tail_mp,
 )
 
 
@@ -71,10 +74,6 @@ def test_sstar_exponential_grows_linearly():
     assert rep.ratios[-1] == pytest.approx(20.0, rel=1e-8)
 
 
-def _knot_quantiles(spec):
-    return [float(spec.tail_quantile(level)) for level in _DECAY_KNOT_LEVELS]
-
-
 def test_sstar_knot_quantiles_computed_once(monkeypatch):
     """The decay knots do not depend on x, so one sstar_ratio call computes each quantile once."""
     spec = QueuePair(Exponential(1.0), Constant(2.0))  # its quantile bisects the tail
@@ -89,25 +88,96 @@ def test_sstar_symmetric_split_equals_full_integral():
     p = Pareto(2.0, 1.0)
     x = 100.0
     m = p.pos_mean
-    folded = _convolution_ratio(p, x, m, float(p.log_tail(x)), _knot_quantiles(p)) * 2.0 * m * float(p.tail(x))
+    folded = sstar_ratio(p, x_grid=[x]).ratios[0] * 2.0 * m * float(p.tail(x))
     full, _ = integrate.quad(
-        lambda y: float(p.tail(x - y)) * float(p.tail(y)), 0.0, x, limit=400, points=[1.0, x / 2, x - 1.0]
+        lambda y: float(p.tail(x - y)) * float(p.tail(y)),
+        0.0, x, epsabs=0.0, epsrel=1e-13, limit=400, points=[1.0, x / 2, x - 1.0],
     )
-    assert folded == pytest.approx(full, rel=1e-8)
+    assert folded == pytest.approx(full, rel=1e-12)
+
+
+def _mpmath_sstar_ratio(chain, key, part, x):
+    """The S* ratio of the chain's base or majorant at x by 30-digit mpmath."""
+    spec = getattr(chain, part)
+    if part == "hat":
+        log_tail, knots = majorant_log_tail_mp(key, chain.g.params["param"], chain.K), [spec.support[0]]
+    elif key == "g1":
+        log_tail, knots = lognormal_log_tail_mp(spec.mu, spec.sigma2, spec.shift), []
+    else:
+        log_tail, knots = weibull_log_tail_mp(spec.c, spec.beta, spec.shift), []
+    return self_convolution_ratio(log_tail, x, spec.pos_mean, knots)
 
 
 @pytest.mark.parametrize("x", [30.0, 3000.0])
 @pytest.mark.parametrize("part", ["base", "hat"])
 def test_convolution_ratio_matches_mpmath(chains, part, x):
-    chain = chains["g1"]
-    spec = getattr(chain, part)
-    if part == "base":
-        log_tail, knots = lognormal_log_tail_mp(spec.mu, spec.sigma2, spec.shift), []
+    got = sstar_ratio(getattr(chains["g1"], part), x_grid=[x]).ratios[0]
+    assert got == pytest.approx(_mpmath_sstar_ratio(chains["g1"], "g1", part, x), rel=1e-12)
+
+
+@pytest.mark.parametrize("x", [30.0, 3000.0])
+@pytest.mark.parametrize("part", ["base", "hat"])
+@pytest.mark.parametrize("key", ["g2", "g3"])
+def test_weibull_convolution_ratio_matches_mpmath(chains, key, part, x):
+    got = sstar_ratio(getattr(chains[key], part), x_grid=[x]).ratios[0]
+    assert got == pytest.approx(_mpmath_sstar_ratio(chains[key], key, part, x), rel=1e-12)
+
+
+def test_queue_pair_sstar_ratio_is_half_x():
+    """Service Exp(1) against interarrival 2: tail exp(-(x + 2)), whose S*
+    ratio is x / 2 in closed form, on the whole default grid; the exact
+    log-tail carries the grid far past where the tail underflows."""
+    rep = sstar_ratio(QueuePair(Exponential(1.0), Constant(2.0)))
+    assert rep.usable_hi > 1e4 and rep.notes == [] and not rep.ok
+    for x, r in zip(rep.x, rep.ratios):
+        assert r == pytest.approx(x / 2.0, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("case", ["g1-hat", "g2-base", "g3-hat", "pareto", "queue"])
+def test_sstar_point_bits_do_not_depend_on_the_grid(chains, case):
+    """Each ratio is computed from its own x alone: a point computed by itself
+    has the bits of the same point computed with the whole default grid."""
+    if case == "pareto":
+        spec = Pareto(2.0, 1.0)
+    elif case == "queue":
+        spec = QueuePair(Exponential(1.0), Constant(2.0))
     else:
-        log_tail, knots = log_power_majorant_log_tail_mp(chain.g.params["param"], chain.K), [spec.support[0]]
-    m = spec.pos_mean
-    got = _convolution_ratio(spec, x, m, float(spec.log_tail(x)), _knot_quantiles(spec))
-    assert got == pytest.approx(self_convolution_ratio(log_tail, x, m, knots), rel=1e-12)
+        key, part = case.split("-")
+        spec = getattr(chains[key], part)
+    rep = sstar_ratio(spec)
+    alone = [sstar_ratio(spec, x_grid=[x]).ratios[0] for x in rep.x]
+    assert alone == rep.ratios  # float ==: bit for bit
+    assert sstar_ratio(spec, x_grid=rep.x[::-1]).ratios == rep.ratios[::-1]
+
+
+class _NoisyTail(TailSpec):
+    """Log-tail -y - 1e-3 (1 + sin(1e4 y)): a wiggle no 21-point rule resolves to 1e-9."""
+
+    pos_mean = 1.0
+
+    @property
+    def support(self):
+        return (0.0, math.inf)
+
+    def tail(self, x):
+        return np.exp(self.log_tail(x))
+
+    def log_tail(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x < 0.0, 0.0, -np.maximum(x, 0.0) - 1e-3 * (1.0 + np.sin(1e4 * x)))
+
+
+def test_sstar_noisy_integrand_stops_at_the_interval_cap(monkeypatch):
+    """A point that cannot reach epsrel 1e-9 stops at 400 intervals and is
+    named in the notes: the work per point is bounded (each bisection adds
+    one interval and evaluates two), and the kernel raises nothing."""
+    intervals, qk21 = [], numerics._qk21
+    monkeypatch.setattr(numerics, "_qk21", lambda f, g, a, b: intervals.append(a.size) or qk21(f, g, a, b))
+    xs = [5.0, 10.0, 20.0]
+    rep = sstar_ratio(_NoisyTail(), x_grid=xs)
+    assert rep.x == xs and all(math.isfinite(r) for r in rep.ratios)
+    assert rep.notes == [f"quadrature stopped at 400 intervals before epsrel 1e-09 at x = {xs}"]
+    assert sum(intervals) <= 2 * 400 * len(xs)
 
 
 @pytest.mark.parametrize("key", ["g1", "g2", "g3"])

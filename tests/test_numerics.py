@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from scipy import integrate
@@ -42,9 +43,10 @@ class _IntegrandTypes:
     IntegrationWarning = integrate.IntegrationWarning
 
     def __init__(self):
-        self.types = set()
+        self.types, self.calls = set(), 0
 
     def quad(self, f, a, b, **opts):
+        self.calls += 1
         self.types.add(type(f(0.5 * (a + b))))
         return integrate.quad(f, a, b, **opts)
 
@@ -58,9 +60,9 @@ def test_quad_integrands_return_python_floats(monkeypatch, key):
     family, param, base_factory = CHAIN_SPECS[key]
     g = make_builtin(family, param)
     chain = build_chain(base_factory(), g, certify(g))
-    sstar_ratio(chain.hat)
-    sstar_ratio(ShiftedTail(chain.trunc, chain.shift))
-    assert spy.types == {float}
+    ShiftedTail(chain.trunc, chain.shift).pos_mean
+    chain.hat.pos_mean
+    assert spy.calls > 0 and spy.types == {float}
 
 
 class _ArrayPathGuard:
@@ -70,7 +72,7 @@ class _ArrayPathGuard:
     IntegrationWarning = integrate.IntegrationWarning
 
     def __init__(self, monkeypatch):
-        self.depth, self.calls = 0, {}
+        self.depth, self.calls, self.quads = 0, {}, 0
         classes, todo = [], [tails.TailSpec]
         while todo:
             classes.append(todo.pop())
@@ -88,6 +90,8 @@ class _ArrayPathGuard:
         return wrapper
 
     def quad(self, f, a, b, **opts):
+        self.quads += 1
+
         def integrand(x):
             self.depth += 1
             try:
@@ -114,4 +118,42 @@ def test_no_integrand_reaches_the_array_code(monkeypatch, tmp_path):
             assert main([stage, "--config", str(cfg), "--out", str(tmp_path / path.stem)]) == 0, (path.stem, stage)
             if guard.calls:
                 flagged[f"{path.stem} {stage}"] = guard.calls
-    assert flagged == {}
+    assert guard.quads > 0 and flagged == {}
+
+
+def test_gk21_rule_is_quadpacks():
+    """The Gauss half is the 10-point Gauss-Legendre rule, and the 21-point
+    Kronrod rule integrates every polynomial of degree up to 31 on [-1, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    np.testing.assert_allclose(numerics._XGK[1:10:2], nodes[5:][::-1], rtol=0, atol=2e-16)
+    np.testing.assert_allclose(numerics._WG, weights[5:][::-1], rtol=0, atol=2e-16)
+    xs = np.concatenate([-numerics._XGK[:10], [0.0], numerics._XGK[:10][::-1]])
+    ws = np.concatenate([numerics._WGK[:10], [numerics._WGK[10]], numerics._WGK[:10][::-1]])
+    for degree in range(32):
+        exact = 0.0 if degree % 2 else 2.0 / (degree + 1)
+        assert float(ws @ xs**degree) == pytest.approx(exact, abs=1e-15), degree
+
+
+def test_adaptive_gk21_integrates_each_group():
+    """Groups of several intervals each, one of them needing bisection:
+    every group's integral to epsrel, and no group capped."""
+    group = np.array([0, 0, 1, 2, 2, 2])
+    a = np.array([0.0, 1.0, 0.0, 0.0, 0.5, 2.0])
+    b = np.array([1.0, 3.0, 50.0, 0.5, 2.0, 9.0])
+    scale = np.array([1.0, 40.0, 0.5])  # exp(-scale y): group 1 is sharply peaked at 0
+
+    total, capped = numerics.adaptive_gk21(
+        lambda g, y: scale[g] * np.exp(-scale[g] * y), group, a, b, epsrel=1e-12, limit=400
+    )
+    exact = [-np.expm1(-3.0), -np.expm1(-2000.0), -np.expm1(-4.5)]
+    np.testing.assert_allclose(total, exact, rtol=1e-12)
+    assert not capped.any()
+
+
+def test_sstar_ratio_calls_no_quadpack(monkeypatch, chains):
+    """The S* profile runs on the batched kernel alone: QUADPACK is not called."""
+    hat = chains["g1"].hat
+    hat.pos_mean  # a quadrature of its own, cached
+    spy = _IntegrandTypes()
+    monkeypatch.setattr(numerics, "integrate", spy)
+    assert sstar_ratio(hat).ok and spy.calls == 0

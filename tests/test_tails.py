@@ -393,6 +393,23 @@ def test_scalar_tail_bit_identical_dense(name):
     _assert_scalar_paths_match(FAMILIES[name], DENSE_X)
 
 
+@pytest.mark.parametrize("name", ["queue_atomic", "queue_atoms"])
+def test_queue_pair_log_tail_is_the_log_sum_exp(name):
+    """With an atomic interarrival the log-tail is the log-sum-exp of the
+    service log-tails: the log of the tail where that is representable, and
+    finite where the tail underflows; its scalar twin keeps its bits."""
+    spec = FAMILIES[name]
+    xs = np.linspace(-3.0, 600.0, 4001)
+    tail, log_tail = spec.tail(xs), spec.log_tail(xs)
+    shown = tail > 1e-300
+    np.testing.assert_allclose(log_tail[shown], np.log(tail[shown]), rtol=1e-15, atol=1e-15)
+    deep = np.array([1e5, 1e8, 1e12])
+    assert spec.tail(deep).tolist() == [0.0, 0.0, 0.0] and np.isfinite(spec.log_tail(deep)).all()
+    if name == "queue_atomic":  # tail exp(-(x + 2))
+        assert spec.log_tail(deep).tolist() == (-(deep + 2.0)).tolist()
+    _assert_scalar_paths_match(spec, DENSE_X[::20])
+
+
 @settings(max_examples=150, deadline=None)
 @given(t=st.one_of(st.floats(), st.floats(min_value=-2.0, max_value=60.0)))
 def test_scalar_growth_bit_identical(t):
