@@ -16,34 +16,37 @@ per-cell lengths give the row offsets, and each column is written at its
 offsets in vectorised digit passes.  Ints and integral floats below 2**53
 need no `repr`: for those doubles it is the integer's digits and ".0".  With a
 negative drift most walks descend at step 1, where m_tau is 0.0, so most m_tau
-cells take that path.  Beside it, `simulate` writes `samples.npy`, a binary
-twin with the same values: one C-order structured array whose fields are the
-columns of `samples.csv`, written slice by slice.
+cells take that path.  Beside it, `simulate` writes each column of
+`samples.csv` but the stream id, which the manifest fixes, as its own binary
+file `samples.<column>.npy`: a plain 1-D .npy 1.0 array, as `np.save` writes
+it, of the column's values in row order.
 
 `simulate` streams: the stream ids are split into tasks of at most
 `_TASK_WALKS` walks, and each task is simulated (one `simulate_batch` chunk)
-and encoded into its CSV text and twin rows on one of `LADDERLAB_THREADS`
-worker threads (else one per usable CPU).  The main thread takes the results
-strictly in task order, with at most workers + 1 tasks in flight, so memory
-is bounded per task, not per run, and the bytes do not depend on the worker
-count, since each row's text depends only on its own values.  Both files are
-hashed as they are written, and `manifest.json`, written last, records each
-one's size and sha256.  `estimate` and `verify` first refuse a manifest of
-another config, then read the twin once, in `_SLICE_ROWS`-row blocks through
-one handle, hashing each block and copying its fields but the stream ids
-into the columns, while `samples.csv` is hashed on a helper thread; no CSV
-text is parsed, and the bytes that are hashed are the bytes that are
-loaded.  The twin must be the .npy 1.0 header of a C-order array of the
-manifest's fields and row count followed by exactly those rows, holding
-the manifest's stream ids `start, start + 1, ...` in order, and both
-digests must match.  So a samples file that is truncated, ragged,
-reordered, swapped or edited in place, a missing twin or one of another
-layout, a manifest without digests (from an older `simulate`) and a
-manifest of the wrong shape are all refused with exit 1.  Every artifact
-is written to a temp file in the output directory and moved into place
-with `os.replace`; `simulate` removes the old manifest before it replaces
-the samples, so a killed run never leaves new samples beside an old
-manifest or a half-written file under an artifact's name.
+and encoded into its CSV text on one of `LADDERLAB_THREADS` worker threads
+(else one per usable CPU).  The main thread takes the results strictly in
+task order, with at most workers + 1 tasks in flight, and writes the CSV
+text and the batch's contiguous columns, so memory is bounded per task, not
+per run, and the bytes do not depend on the worker count, since each row's
+text depends only on its own values.  Every file is hashed as it is
+written, and `manifest.json`, written last, records each one's size and
+sha256.  `estimate` and `verify` first refuse a manifest of another config,
+then run one job per file of the manifest on a pool of the same worker
+count: each checks its file's size, and for a column file checks that its
+header is exactly the expected dtype, C order and shape `(count,)` and
+reads the values straight into a new column, hashing each piece as it
+lands; `samples.csv` is only hashed.  No CSV text is parsed, and the bytes
+that are hashed are the bytes that are loaded.  So a samples file that is
+truncated, ragged, reordered, swapped or edited in place, a missing column
+file or one of another layout, a manifest without the digests of exactly
+these files (from an older `simulate`) and a manifest of the wrong shape
+are all refused with exit 1.  A `LADDERLAB_THREADS` that is not a positive
+integer is a config error, refused before anything is read or removed.
+Every artifact is written to a temp file in the output directory and moved
+into place with `os.replace`; `simulate` removes the old manifest, and then
+any sample file that the new manifest will not list, before it replaces the
+samples, so a killed run never leaves new samples beside an old manifest or
+a half-written file under an artifact's name.
 
 Exit codes: 0 success, 1 usage/config error, 2 verification or certification
 failure, 3 censored-dominated estimate.
@@ -59,7 +62,7 @@ import os
 import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing, contextmanager
+from contextlib import ExitStack, closing, contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -77,14 +80,15 @@ EXIT_VERIFY = 2
 EXIT_CENSORED = 3
 
 _SAMPLES_FILE = "samples.csv"
-_TWIN_FILE = "samples.npy"  # the samples.csv values, read back by estimate and verify
+_LEGACY_TWIN = "samples.npy"  # all columns in one structured array, the layout before the column files
 _MANIFEST_FILE = "manifest.json"
-_SLICE_ROWS = 1 << 16  # rows formatted and written, or read, at a time
+_SLICE_ROWS = 1 << 16  # rows formatted and written at a time
 _TASK_WALKS = 250_000  # walks simulated and encoded per worker task
-_HASH_BLOCK = 1 << 18  # bytes read at a time to check a digest
-# samples.csv columns and samples.npy fields with their dtypes; "f8" cells are written by repr
-_SAMPLE_FIELDS = [("stream_id", "i8"), ("tau", "i8"), ("s_tau", "f8"), ("m_tau", "f8"), ("censored", "i1")]
-_PSI_FIELD = ("psi_max", "f8")  # written only for a walk with a shift
+_HASH_BLOCK = 1 << 18  # bytes read at a time to check a digest or load a column
+_SAMPLE_COLUMNS = ["stream_id", "tau", "s_tau", "m_tau", "censored"]  # of samples.csv; psi_max follows with a shift
+# each column but the stream id is also its own samples.<column>.npy of this dtype; float cells are written by repr
+_COLUMN_DTYPES = {name: np.dtype(code) for name, code in
+                  [("tau", "<i8"), ("s_tau", "<f8"), ("m_tau", "<f8"), ("censored", "|b1"), ("psi_max", "<f8")]}
 _POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)  # a uint64 below 10**k has at most k digits
 _EXACT_INT = 2.0**53  # every integer of smaller magnitude is a double
 
@@ -220,48 +224,54 @@ def _format_rows(cols: list[np.ndarray]) -> np.ndarray:
     return buf
 
 
-def _sample_dtype(shift: float) -> np.dtype:
-    """The columns of `samples.csv` and the fields of `samples.npy`."""
-    return np.dtype(_SAMPLE_FIELDS + ([_PSI_FIELD] if shift != 0.0 else []))
+def _sample_columns(shift: float) -> list[str]:
+    """The columns of `samples.csv`; each but the stream id has its own .npy file."""
+    return _SAMPLE_COLUMNS + ["psi_max"] * (shift != 0.0)
 
 
-def _encode(batch: SampleBatch, dtype: np.dtype) -> tuple[list, list]:
-    """The `samples.csv` text and the `samples.npy` rows of `batch`, as two
-    lists of buffers of `_SLICE_ROWS` rows each."""
-    cols = [batch.stream_ids, batch.tau, batch.s_tau, batch.m_tau, batch.censored, batch.psi_max][: len(dtype)]
-    text, twin = [], []
-    for part in _slices(cols):
-        text.append(_format_rows(part))
-        rows = np.empty(len(part[0]), dtype)
-        for name, col in zip(dtype.names, part):
-            rows[name] = col
-        twin.append(rows)
-    return text, twin
+def _column_file(name: str) -> str:
+    return f"samples.{name}.npy"
 
 
-def _write_samples(out_dir: Path, dtype: np.dtype, n: int, encoded) -> tuple[dict, int, int]:
-    """Write `samples.csv` and its binary twin `samples.npy` in `out_dir` from
-    `encoded`, the `_encode` output of consecutive runs of the `n` rows in
-    order.  Returns the manifest's `columns` and `files` (each file's size
-    and sha256), the number of censored walks and the sum of tau."""
+def _npy_header(dtype: np.dtype, count: int) -> bytes:
+    """The .npy 1.0 header that `np.save` writes for a 1-D array of `count` values of `dtype`."""
     header = io.BytesIO()
     np.lib.format.write_array_header_1_0(
-        header, {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": (n,)}
+        header, {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": (count,)}
     )
+    return header.getvalue()
+
+
+def _encode(batch: SampleBatch, columns: list[str]) -> list[np.ndarray]:
+    """The `samples.csv` text of `batch`, as buffers of `_SLICE_ROWS` rows each."""
+    cols = [batch.stream_ids] + [getattr(batch, name) for name in columns[1:]]
+    return [_format_rows(part) for part in _slices(cols)]
+
+
+def _write_samples(out_dir: Path, columns: list[str], n: int, encoded) -> tuple[dict, int, int]:
+    """Write `samples.csv` and one .npy file per column but the stream id in
+    `out_dir` from `encoded`: (batch, its `_encode` text) for consecutive runs
+    of the `n` rows in order.  Returns the manifest's `columns` and `files`
+    (each file's size and sha256), the number of censored walks and the sum
+    of tau."""
     censored_n = tau_sum = 0
-    with _atomic_open(out_dir / _SAMPLES_FILE) as text_fh, _atomic_open(out_dir / _TWIN_FILE) as twin_fh:
-        text_out, twin_out = _HashedWriter(text_fh), _HashedWriter(twin_fh)
-        text_out.write((",".join(dtype.names) + "\r\n").encode())
-        twin_out.write(header.getvalue())
-        for text, twin in encoded:
+    with ExitStack() as stack:
+        out = {
+            name: _HashedWriter(stack.enter_context(_atomic_open(out_dir / name)))
+            for name in [_SAMPLES_FILE] + [_column_file(col) for col in columns[1:]]
+        }
+        out[_SAMPLES_FILE].write((",".join(columns) + "\r\n").encode())
+        for col in columns[1:]:
+            out[_column_file(col)].write(_npy_header(_COLUMN_DTYPES[col], n))
+        for batch, text in encoded:
             for chunk in text:
-                text_out.write(chunk)
-            for rows in twin:
-                twin_out.write(rows)
-                censored_n += int(np.count_nonzero(rows["censored"]))
-                tau_sum += int(rows["tau"].sum())
-    files = {_SAMPLES_FILE: text_out.record(), _TWIN_FILE: twin_out.record()}
-    return {"columns": list(dtype.names), "files": files}, censored_n, tau_sum
+                out[_SAMPLES_FILE].write(chunk)
+            for col in columns[1:]:
+                out[_column_file(col)].write(np.ascontiguousarray(getattr(batch, col), _COLUMN_DTYPES[col]))
+            censored_n += batch.censored_n
+            tau_sum += int(batch.tau.sum())
+    files = {name: writer.record() for name, writer in out.items()}
+    return {"columns": columns, "files": files}, censored_n, tau_sum
 
 
 def _in_order(fn, tasks, workers: int):
@@ -302,71 +312,67 @@ def _sha256_rest(fh) -> str:
     return sha.hexdigest()
 
 
-def _read_twin(fh, dtype: np.dtype, start: int, count: int) -> tuple[dict, str]:
-    """The columns of `samples.npy` but the stream ids, read once through
-    `fh` in blocks of `_SLICE_ROWS` rows, and the sha256 of the bytes read.
-    Anything but the .npy 1.0 header of a C-order array of `dtype` and shape
-    `(count,)` followed by exactly its rows, one per stream id `start,
-    start + 1, ...` in order, is a ValueError."""
-    sha = hashlib.sha256()
-    head = fh.read(10)  # magic string, version, little-endian uint16 header length
-    if len(head) < 10 or head[:8] != np.lib.format.MAGIC_PREFIX + bytes([1, 0]):
-        raise ValueError(f"{_TWIN_FILE} is not an .npy version 1.0 file")
-    head += fh.read(int.from_bytes(head[8:], "little"))
-    sha.update(head)
-    shape, fortran_order, found = np.lib.format.read_array_header_1_0(io.BytesIO(head[8:]))
-    if found != dtype or fortran_order or shape != (count,):
-        raise ValueError(
-            f"{_TWIN_FILE} holds a {'Fortran' if fortran_order else 'C'}-order array of "
-            f"{found.names} and shape {shape}, not of the manifest's columns and {count} rows"
-        )
+def _read_column(fh, name: str, dtype: np.dtype, count: int) -> tuple[np.ndarray, str]:
+    """The `count` values of `dtype` in the .npy file `name` open as `fh`, and
+    the sha256 of the bytes read.  The values are read straight into a new
+    array, `_HASH_BLOCK` bytes at a time, and each piece is hashed as it
+    lands.  Anything but `_npy_header(dtype, count)` followed by exactly
+    those values is a ValueError."""
+    head = _npy_header(dtype, count)
+    found = fh.read(len(head))
+    if found != head:
+        raise ValueError(f"{name} is not the .npy 1.0 header of a C-order {dtype.str} array of shape ({count},)")
     if os.fstat(fh.fileno()).st_size != len(head) + count * dtype.itemsize:
-        raise ValueError(f"{_TWIN_FILE} is not {count} rows of {dtype.itemsize} bytes after its header")
-    cols = {name: np.empty(count, bool if name == "censored" else dtype[name]) for name in dtype.names[1:]}
-    buf = np.empty(_SLICE_ROWS, dtype)
-    raw = buf.view(np.uint8)
-    for a in range(0, count, _SLICE_ROWS):
-        rows = buf[: min(_SLICE_ROWS, count - a)]
-        block = raw[: rows.nbytes]
-        if fh.readinto(block) != block.size:
-            raise ValueError(f"{_TWIN_FILE} ends before its last row")
-        sha.update(block)
-        if not np.array_equal(rows["stream_id"], np.arange(start + a, start + a + rows.size)):
-            raise ValueError(f"{_TWIN_FILE} stream ids are not {start}..{start + count - 1} in order")
-        for name, col in cols.items():
-            col[a : a + rows.size] = rows[name] if name != "censored" else rows[name] != 0
-    return cols, sha.hexdigest()
+        raise ValueError(f"{name} is not {count} values of {dtype.itemsize} bytes after its header")
+    sha, col = hashlib.sha256(found), np.empty(count, dtype)
+    raw = memoryview(col.view(np.uint8))
+    for a in range(0, raw.nbytes, _HASH_BLOCK):
+        piece = raw[a : a + _HASH_BLOCK]
+        if fh.readinto(piece) != piece.nbytes:
+            raise ValueError(f"{name} ends before its last value")
+        sha.update(piece)
+    return col, sha.hexdigest()
 
 
-def _read_samples(out_dir: Path, manifest: dict) -> SampleBatch:
-    """The samples of `manifest`, read from `samples.npy` while `samples.csv`
-    is hashed on a helper thread; a samples file that disagrees with the
-    manifest is a ValueError.  The twin is read once, through one handle, so
-    the bytes that are hashed are the bytes that are loaded."""
+def _load_file(path: Path, record: dict, dtype: np.dtype | None = None, count: int = 0) -> np.ndarray | None:
+    """Check the samples file `path` against its manifest `record`, its size
+    and sha256, through one handle, and return the column it holds (see
+    `_read_column`); with no `dtype` the file is only hashed.  A mismatch is
+    a ValueError."""
+    with _open_samples_file(path) as fh:
+        if os.fstat(fh.fileno()).st_size != record["bytes"]:
+            raise _mismatch(path.name)
+        col, sha = _read_column(fh, path.name, dtype, count) if dtype is not None else (None, _sha256_rest(fh))
+    if sha != record["sha256"]:
+        raise _mismatch(path.name)
+    return col
+
+
+def _read_samples(out_dir: Path, manifest: dict, workers: int) -> SampleBatch:
+    """The samples of `manifest`: one job per file on `workers` threads reads
+    each column file into its column while `samples.csv` is hashed, so the
+    bytes that are hashed are the bytes that are loaded.  A samples file that
+    disagrees with the manifest is a ValueError."""
+    shift = float(manifest["shift"])
+    columns = _sample_columns(shift)
+    names = [_SAMPLES_FILE] + [_column_file(col) for col in columns[1:]]
     files = manifest.get("files")
     if not (
         isinstance(files, dict)
-        and set(files) == {_SAMPLES_FILE, _TWIN_FILE}
+        and set(files) == set(names)
         and all(isinstance(record, dict) for record in files.values())
     ):
-        raise ValueError(f"{_MANIFEST_FILE} has no sha256 of {_SAMPLES_FILE} and {_TWIN_FILE}; re-run simulate")
-    dtype = _sample_dtype(float(manifest["shift"]))
-    if manifest.get("columns") != list(dtype.names):
-        raise ValueError(f"{_MANIFEST_FILE} columns are not {list(dtype.names)}")
-    start, count = manifest["stream_ids"]["start"], manifest["stream_ids"]["count"]
-    with _open_samples_file(out_dir / _SAMPLES_FILE) as text, _open_samples_file(out_dir / _TWIN_FILE) as twin:
-        for name, fh in ((_SAMPLES_FILE, text), (_TWIN_FILE, twin)):
-            if os.fstat(fh.fileno()).st_size != files[name]["bytes"]:
-                raise _mismatch(name)
-        with ThreadPoolExecutor(max_workers=1) as helper:
-            text_sha = helper.submit(_sha256_rest, text)
-            cols, twin_sha = _read_twin(twin, dtype, start, count)
-    for name, sha in ((_SAMPLES_FILE, text_sha.result()), (_TWIN_FILE, twin_sha)):
-        if sha != files[name]["sha256"]:
-            raise _mismatch(name)
+        raise ValueError(f"{_MANIFEST_FILE} does not list the sha256 of exactly {names}; re-run simulate")
+    if manifest.get("columns") != columns:
+        raise ValueError(f"{_MANIFEST_FILE} columns are not {columns}")
+    count, dtypes = manifest["stream_ids"]["count"], [None] + [_COLUMN_DTYPES[col] for col in columns[1:]]
+    with ThreadPoolExecutor(max_workers=workers) as pool:  # samples.csv, the largest file, first
+        jobs = [pool.submit(_load_file, out_dir / name, files[name], dt, count) for name, dt in zip(names, dtypes)]
+        _, *loaded = [job.result() for job in jobs]  # samples.csv is only hashed
+    cols = dict(zip(columns[1:], loaded))
     return SampleBatch(
-        shift=float(manifest["shift"]),
-        first_stream=start,
+        shift=shift,
+        first_stream=manifest["stream_ids"]["start"],
         tau=cols["tau"],
         s_tau=cols["s_tau"],
         m_tau=cols["m_tau"],
@@ -379,6 +385,7 @@ def _load_samples(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, SampleBat
     """The manifest in `out_dir` and its samples.  A manifest of another config
     is a ConfigError, refused before any sample is hashed or loaded; one of
     the wrong shape is a ValueError."""
+    workers = _worker_count()
     manifest = json.loads((out_dir / _MANIFEST_FILE).read_text())
     if not isinstance(manifest, dict):
         raise ValueError(f"{_MANIFEST_FILE} is not a JSON object")
@@ -387,14 +394,20 @@ def _load_samples(cfg: ExperimentConfig, out_dir: Path) -> tuple[dict, SampleBat
     ids = manifest.get("stream_ids")
     if not (isinstance(ids, dict) and all(type(ids.get(key)) is int for key in ("start", "count"))):
         raise ValueError(f"{_MANIFEST_FILE} stream_ids is not an object with integer start and count")
-    return manifest, _read_samples(out_dir, manifest)
+    return manifest, _read_samples(out_dir, manifest, workers)
 
 
 def _worker_count() -> int:
-    """`LADDERLAB_THREADS` if it is set, else the number of CPUs this process may run on."""
-    env = os.environ.get("LADDERLAB_THREADS", "").strip()
-    usable = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
-    return max(1, int(env)) if env else len(usable)
+    """`LADDERLAB_THREADS` if it is set and not blank, else the number of CPUs
+    this process may run on.  A value that is not a positive integer is a
+    ConfigError."""
+    env = os.environ.get("LADDERLAB_THREADS", "")
+    digits = env.strip()
+    if not digits:
+        return len(os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1))
+    if not (digits.isascii() and digits.isdigit() and int(digits) > 0):
+        raise ConfigError(f"LADDERLAB_THREADS must be a positive integer, got {env!r}")
+    return int(digits)
 
 
 def _require(cfg_field, name: str):
@@ -489,18 +502,22 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, replay: int | None = None
             f"censored={path['censored']} -> {target}"
         )
         return EXIT_OK
-    dtype, n = _sample_dtype(cfg.shift), cfg.n_samples
+    columns, n = _sample_columns(cfg.shift), cfg.n_samples
+    workers = _worker_count()  # a bad value is refused before anything is removed
 
     def task(lo, hi):  # at most walk._CHUNK walks, so simulate_batch runs one chunk
         batch = simulate_batch(spec, cfg.seed, hi - lo, step_cap=cfg.step_cap, shift=cfg.shift, first_stream=lo)
-        return _encode(batch, dtype)
+        return batch, _encode(batch, columns)
 
     # the old manifest goes first: a run killed before the new one is written
-    # leaves samples without a manifest, never new samples with an old one
-    (out_dir / _MANIFEST_FILE).unlink(missing_ok=True)
+    # leaves samples without a manifest, never new samples with an old one;
+    # then the sample files that the new manifest will not list
+    stale = [_LEGACY_TWIN] + [_column_file(col) for col in _COLUMN_DTYPES if col not in columns]
+    for name in [_MANIFEST_FILE, *stale]:
+        (out_dir / name).unlink(missing_ok=True)
     tasks = ((lo, min(lo + _TASK_WALKS, n)) for lo in range(0, n, _TASK_WALKS))
-    with closing(_in_order(task, tasks, _worker_count())) as encoded:
-        written, censored_n, tau_sum = _write_samples(out_dir, dtype, n, encoded)
+    with closing(_in_order(task, tasks, workers)) as encoded:
+        written, censored_n, tau_sum = _write_samples(out_dir, columns, n, encoded)
     manifest = {
         "config_hash": cfg.config_hash,
         "seed": cfg.seed,

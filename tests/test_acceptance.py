@@ -319,13 +319,19 @@ def test_criterion_10_reproducibility(tmp_path):
     files = [
         "condition_report.json",
         "chain.json",
+        "tail_tables.csv",
         "samples.csv",
-        "samples.npy",
+        "samples.tau.npy",
+        "samples.s_tau.npy",
+        "samples.m_tau.npy",
+        "samples.censored.npy",
         "manifest.json",
         "estimates.json",
         "verify_report.json",
         "ratio_curve.csv",
         "stability_curve.csv",
     ]
-    identical = all((outs[0] / f).read_bytes() == (outs[1] / f).read_bytes() for f in files)
+    identical = sorted(p.name for p in outs[0].iterdir()) == sorted(files) and all(
+        (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes() for f in files
+    )
     _report(10, "full pipeline re-run reproduces every CSV/JSON artifact byte for byte", identical)

@@ -1,4 +1,5 @@
 import csv
+import fnmatch
 import hashlib
 import importlib
 import io
@@ -6,6 +7,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -24,6 +26,8 @@ from ladderlab.walk import SampleBatch
 from oracles import write_samples_csv_rowwise
 
 SEED = 20260810
+# what simulate writes without a shift: the text table and one .npy file per column but the stream id
+SAMPLE_FILES = sorted(["samples.csv"] + [f"samples.{name}.npy" for name in ("tau", "s_tau", "m_tau", "censored")])
 
 
 def _write_config(path: Path, **overrides) -> Path:
@@ -100,7 +104,7 @@ def test_thread_env_does_not_change_bytes(tmp_path, cfg_path, monkeypatch):
     for out, threads in ((out2, "1"), (out3, "3")):
         monkeypatch.setenv("LADDERLAB_THREADS", threads)
         assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
-    for name in ["samples.csv", "samples.npy", "manifest.json"]:
+    for name in SAMPLE_FILES + ["manifest.json"]:
         assert (out1 / name).read_bytes() == (out3 / name).read_bytes(), name
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
@@ -108,9 +112,49 @@ def test_thread_env_does_not_change_bytes(tmp_path, cfg_path, monkeypatch):
 def test_worker_count_is_the_env_else_the_usable_cpus(monkeypatch):
     monkeypatch.delenv("LADDERLAB_THREADS", raising=False)
     assert cli._worker_count() == len(os.sched_getaffinity(0))
-    for env, count in (("3", 3), (" 1 ", 1), ("0", 1), ("", len(os.sched_getaffinity(0)))):
+    for env, count in (("3", 3), (" 1 ", 1), ("007", 7), ("", len(os.sched_getaffinity(0)))):
         monkeypatch.setenv("LADDERLAB_THREADS", env)
         assert cli._worker_count() == count
+    for env in ("0", "-3", "abc", "1.5", "+2", "1_0", "٣"):
+        monkeypatch.setenv("LADDERLAB_THREADS", env)
+        message = f"LADDERLAB_THREADS must be a positive integer, got {env!r}"
+        with pytest.raises(cli.ConfigError, match=re.escape(message)):
+            cli._worker_count()
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-3"])
+def test_bad_thread_count_keeps_the_old_run(tmp_path, cfg_path, monkeypatch, capsys, threads):
+    """A LADDERLAB_THREADS that is not a positive integer is a config error in
+    simulate, estimate and verify alike, refused before any file is removed
+    or written."""
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    monkeypatch.setenv("LADDERLAB_THREADS", threads)
+    capsys.readouterr()
+    for command in ("simulate", "estimate", "verify"):
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: LADDERLAB_THREADS must be a positive integer, got {threads!r}\n", command
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    monkeypatch.delenv("LADDERLAB_THREADS")
+    assert main(["estimate", "--config", str(cfg_path), "--out", str(out)]) == 0
+
+
+def test_simulate_removes_stale_sample_files(tmp_path, cfg_path):
+    """simulate removes every sample file that its manifest will not list: a
+    samples.npy of the layout before the column files, and the psi_max column
+    of an earlier run with a shift."""
+    out = tmp_path / "run"
+    shifted = _write_config(tmp_path / "shifted.yaml", shift=0.25)
+    assert main(["simulate", "--config", str(shifted), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(SAMPLE_FILES + ["manifest.json", "samples.psi_max.npy"])
+    (out / "samples.npy").write_bytes(b"a twin of the old layout")
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(SAMPLE_FILES + ["manifest.json"])
+    assert sorted(json.loads((out / "manifest.json").read_text())["files"]) == SAMPLE_FILES
+    assert main(["simulate", "--config", str(shifted), "--out", str(out)]) == 0
+    assert (out / "samples.psi_max.npy").exists()
 
 
 def test_seed_override_applies_before_hashing(tmp_path, cfg_path):
@@ -144,9 +188,9 @@ def test_twin_replaced_after_its_check_is_not_read(tmp_path, cfg_path, monkeypat
     checked = (out / "estimates.json").read_bytes()
     open_samples_file, replaced = cli._open_samples_file, []
 
-    def open_then_replace(path):  # a new twin lands once the reader holds the old one open
+    def open_then_replace(path):  # a new column file lands once the reader holds the old one open
         fh = open_samples_file(path)
-        if path.name == "samples.npy":
+        if path.name == "samples.tau.npy":
             np.save(tmp_path / "other.npy", np.zeros(3))
             os.replace(tmp_path / "other.npy", path)
             replaced.append(path)
@@ -154,38 +198,51 @@ def test_twin_replaced_after_its_check_is_not_read(tmp_path, cfg_path, monkeypat
 
     monkeypatch.setattr(cli, "_open_samples_file", open_then_replace)
     assert main(["estimate", "--config", str(cfg_path), "--out", str(out)]) == 0
-    assert replaced and np.load(out / "samples.npy").shape == (3,)
+    assert replaced and np.load(out / "samples.tau.npy").shape == (3,)
     assert (out / "estimates.json").read_bytes() == checked
 
 
-@pytest.mark.parametrize("damage", ["trailing_bytes", "fortran_order", "version_2"])
+@pytest.mark.parametrize("damage", ["trailing_bytes", "fortran_order", "version_2", "other_dtype", "other_shape"])
 def test_twin_of_another_layout_rejected(tmp_path, cfg_path, damage, capsys):
-    """A twin whose digests are recorded but which is not exactly a C-order
-    .npy 1.0 array of the manifest's rows is refused."""
+    """A column file whose digests are recorded but which is not exactly a
+    C-order .npy 1.0 array of the column's dtype and the manifest's row
+    count is refused."""
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
-    twin, manifest_path = out / "samples.npy", out / "manifest.json"
-    table = np.load(twin, allow_pickle=False)
+    column, manifest_path = out / "samples.s_tau.npy", out / "manifest.json"
+    table = np.load(column, allow_pickle=False)
     header = {"descr": np.lib.format.dtype_to_descr(table.dtype), "fortran_order": False, "shape": table.shape}
     data = io.BytesIO()
     if damage == "trailing_bytes":  # np.load would ignore them
-        data.write(twin.read_bytes() + b"\0")
+        data.write(column.read_bytes() + b"\0")
     elif damage == "fortran_order":  # the same bytes as C order for one dimension
         np.lib.format.write_array_header_1_0(data, {**header, "fortran_order": True})
         data.write(table.tobytes())
-    else:
+    elif damage == "version_2":
         np.lib.format.write_array_header_2_0(data, header)
         data.write(table.tobytes())
+    elif damage == "other_dtype":  # the same size; a reader of the header alone would load ints
+        table = table.view("<i8")
+        np.lib.format.write_array_header_1_0(data, {**header, "descr": "<i8"})
+        data.write(table.tobytes())
+    else:  # the same bytes as one row per walk
+        table = table.reshape(-1, 1)
+        np.lib.format.write_array_header_1_0(data, {**header, "shape": table.shape})
+        data.write(table.tobytes())
     data = data.getvalue()
-    twin.write_bytes(data)
+    column.write_bytes(data)
     assert np.array_equal(np.load(io.BytesIO(data), allow_pickle=False), table)
     manifest = json.loads(manifest_path.read_text())
-    manifest["files"]["samples.npy"] = {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+    manifest["files"][column.name] = {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
     manifest_path.write_text(json.dumps(manifest))
+    if damage == "trailing_bytes":  # refused before a column is allocated for the count
+        message = "samples.s_tau.npy is not 3000 values of 8 bytes after its header"
+    else:
+        message = "samples.s_tau.npy is not the .npy 1.0 header of a C-order <f8 array of shape (3000,)"
     capsys.readouterr()
     assert main(["estimate", "--config", str(cfg_path), "--out", str(out)]) == 1
     assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 1
-    assert capsys.readouterr().err.count("invalid input: ") == 2
+    assert capsys.readouterr().err == f"invalid input: {message}\n" * 2
 
 
 def test_corrupted_samples_rejected(tmp_path, cfg_path):
@@ -205,7 +262,7 @@ def test_corrupted_samples_rejected(tmp_path, cfg_path):
 def test_damaged_samples_rejected(tmp_path, cfg_path, damage, capsys):
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
-    path, twin, manifest_path = out / "samples.csv", out / "samples.npy", out / "manifest.json"
+    path, column, manifest_path = out / "samples.csv", out / "samples.s_tau.npy", out / "manifest.json"
     data = path.read_bytes()
     lines = data.split(b"\r\n")[:-1]
     if damage == "mid_row":
@@ -225,13 +282,13 @@ def test_damaged_samples_rejected(tmp_path, cfg_path, damage, capsys):
         assert len(edited) == len(data)
         data = edited
     elif damage == "npy_truncated":
-        twin.write_bytes(twin.read_bytes()[:-1])
+        column.write_bytes(column.read_bytes()[:-1])
     elif damage == "npy_bit_flip":
-        flipped = bytearray(twin.read_bytes())
+        flipped = bytearray(column.read_bytes())
         flipped[len(flipped) // 2] ^= 1
-        twin.write_bytes(flipped)
+        column.write_bytes(flipped)
     elif damage == "npy_missing":
-        twin.unlink()
+        column.unlink()
     else:
         manifest = json.loads(manifest_path.read_text())
         if damage == "no_digests":  # a manifest written before simulate recorded them
@@ -250,10 +307,70 @@ def test_damaged_samples_rejected(tmp_path, cfg_path, damage, capsys):
     assert capsys.readouterr().err.count("invalid input: ") == 2
 
 
+@pytest.mark.parametrize(
+    "damage",
+    ["swapped", "reordered", "truncated", "trailing_byte", "other_dtype", "missing", "legacy_manifest"],
+)
+def test_tampered_column_rejected(tmp_path, cfg_path, damage, capsys):
+    """A column file that is swapped with another, reordered, cut short,
+    extended, relabelled or missing, and an output directory of the layout
+    before the column files, are refused by estimate and verify before they
+    write anything."""
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    s_tau, m_tau = out / "samples.s_tau.npy", out / "samples.m_tau.npy"
+    data = s_tau.read_bytes()
+    header = len(data) - 3000 * 8
+    message = "samples.s_tau.npy does not match its sha256 in manifest.json; re-run simulate"
+    if damage == "swapped":  # the same header and size: only the digests tell them apart
+        assert m_tau.read_bytes()[:header] == data[:header]
+        s_tau.write_bytes(m_tau.read_bytes())
+        m_tau.write_bytes(data)
+    elif damage == "reordered":
+        values = np.load(s_tau)
+        assert values[10] != values[11]
+        values[[10, 11]] = values[[11, 10]]
+        s_tau.write_bytes(data[:header] + values.tobytes())
+    elif damage == "truncated":
+        s_tau.write_bytes(data[:-8])
+    elif damage == "trailing_byte":
+        s_tau.write_bytes(data + b"\0")
+    elif damage == "other_dtype":
+        relabelled = data.replace(b"'descr': '<f8'", b"'descr': '<i8'")
+        assert len(relabelled) == len(data) and relabelled != data
+        s_tau.write_bytes(relabelled)
+        message = "samples.s_tau.npy is not the .npy 1.0 header of a C-order <f8 array of shape (3000,)"
+    elif damage == "missing":
+        s_tau.unlink()
+        message = "samples.s_tau.npy is missing; re-run simulate"
+    else:  # samples.npy, all columns in one structured array, and a manifest that names it
+        manifest = json.loads((out / "manifest.json").read_text())
+        fields = [("stream_id", "i8"), ("tau", "i8"), ("s_tau", "f8"), ("m_tau", "f8"), ("censored", "i1")]
+        twin = np.empty(3000, fields)
+        twin["stream_id"] = np.arange(3000)
+        for name in twin.dtype.names[1:]:
+            twin[name] = np.load(out / f"samples.{name}.npy")
+            (out / f"samples.{name}.npy").unlink()
+        np.save(out / "samples.npy", twin)
+        legacy = (out / "samples.npy").read_bytes()
+        manifest["files"] = {
+            "samples.csv": manifest["files"]["samples.csv"],
+            "samples.npy": {"bytes": len(legacy), "sha256": hashlib.sha256(legacy).hexdigest()},
+        }
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        message = "re-run simulate"
+    capsys.readouterr()
+    for command in ("estimate", "verify"):
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: ") and message in err, (command, err)
+    assert not (out / "estimates.json").exists() and not (out / "verify_report.json").exists()
+
+
 def test_failed_simulate_leaves_no_half_file(tmp_path, cfg_path, monkeypatch):
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
-    names = ["samples.csv", "samples.npy"]
+    names = SAMPLE_FILES
     before = [(out / name).read_bytes() for name in names]
     format_rows, calls = cli._format_rows, []
 
@@ -285,12 +402,12 @@ def test_streamed_tasks_do_not_change_bytes(tmp_path, cfg_path, monkeypatch):
     sizes = []
     encode = cli._encode
 
-    def encode_and_count(batch, dtype):
+    def encode_and_count(batch, columns):
         sizes.append(batch.n)
-        return encode(batch, dtype)
+        return encode(batch, columns)
 
     monkeypatch.setattr(cli, "_encode", encode_and_count)
-    names = ["samples.csv", "samples.npy", "manifest.json"]
+    names = SAMPLE_FILES + ["manifest.json"]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -310,7 +427,7 @@ def test_streamed_tasks_do_not_change_bytes(tmp_path, cfg_path, monkeypatch):
 def test_failed_task_leaves_old_samples_and_no_temp_file(tmp_path, cfg_path, monkeypatch):
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
-    names = ["samples.csv", "samples.npy"]
+    names = SAMPLE_FILES
     before = [(out / name).read_bytes() for name in names]
     simulate_batch, starts = cli.simulate_batch, []
 
@@ -363,27 +480,26 @@ def test_samples_csv_round_trip(rows, n, start, shift):
     )
     fields = [("stream_id", "i8"), ("tau", "i8"), ("s_tau", "f8"), ("m_tau", "f8"), ("censored", "i1")]
     fields += [("psi_max", "f8")] * (shift != 0.0)
+    columns = [name for name, _ in fields]
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         write_samples_csv_rowwise(out / "oracle.csv", batch)
-        dtype = np.dtype(fields)
-        written, censored_n, _ = cli._write_samples(out, dtype, n, [cli._encode(batch, dtype)])
+        written, censored_n, _ = cli._write_samples(out, columns, n, [(batch, cli._encode(batch, columns))])
         assert censored_n == batch.censored_n
         assert (out / "samples.csv").read_bytes() == (out / "oracle.csv").read_bytes()
         # the text reads back to the same bits; the package itself no longer parses it
         text = np.loadtxt(out / "samples.csv", delimiter=",", skiprows=1, comments=None, ndmin=1, dtype=fields)
-        # the twin is what np.save writes for the whole table
-        table = np.empty(n, fields)
-        columns = [batch.stream_ids, batch.tau, batch.s_tau, batch.m_tau, batch.censored, batch.psi_max]
-        for name, col in zip(table.dtype.names, columns):
-            table[name] = col
-        saved = io.BytesIO()
-        np.save(saved, table)
-        assert (out / "samples.npy").read_bytes() == saved.getvalue()
-        assert text.tobytes() == table.tobytes()
+        assert np.array_equal(text["stream_id"], batch.stream_ids)
+        # each column file is what np.save writes for that batch column
+        for name in columns[1:]:
+            saved = io.BytesIO()
+            np.save(saved, getattr(batch, name))
+            assert (out / f"samples.{name}.npy").read_bytes() == saved.getvalue(), name
+            assert text[name].tobytes() == getattr(batch, name).astype(text[name].dtype).tobytes(), name
+        assert sorted(written["files"]) == sorted(["samples.csv"] + [f"samples.{name}.npy" for name in columns[1:]])
+        assert written["columns"] == columns
         manifest = {"seed": 1, "step_cap": 10, "shift": shift, "stream_ids": {"start": start, "count": n}, **written}
-        assert written["columns"] == list(table.dtype.names)
-        read = cli._read_samples(out, manifest)
+        read = cli._read_samples(out, manifest, 2)
     expected_psi = batch.psi_max if shift else batch.m_tau
     for field in ("stream_ids", "tau", "s_tau", "m_tau", "censored"):
         got, want = getattr(read, field), getattr(batch, field)
@@ -446,6 +562,23 @@ def test_no_module_binds_the_csv_module():
         if any(value is b for value in vars(module).values() for b in banned):
             binders.add(info.name)
     assert binders == set()
+
+
+@pytest.mark.parametrize("shift", [None, 0.25])
+def test_readme_names_every_output_file(tmp_path, shift):
+    """Every file that a stage writes to the output directory is named in
+    README's "File formats" section (a name there may hold a `*`)."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## File formats\n", 1)[1].split("\n## ", 1)[0]
+    named = re.findall(r"`([^`\s]+)`", section)
+    cfg = _write_config(tmp_path / "exp.yaml", shift=shift, n_samples=400)
+    out = tmp_path / "run"
+    for stage in (["check"], ["construct"], ["simulate"], ["estimate", "--format", "csv"], ["verify"],
+                  ["simulate", "--replay", "5"]):
+        assert main([stage[0], "--config", str(cfg), "--out", str(out), *stage[1:]]) == 0, stage
+    written = sorted(p.name for p in out.iterdir())
+    assert ("samples.psi_max.npy" in written) == (shift is not None)
+    assert [name for name in written if not any(fnmatch.fnmatchcase(name, pattern) for pattern in named)] == []
 
 
 def test_check_failure_exit_code(tmp_path):
