@@ -7,8 +7,8 @@ The package splits into five layers:
 * :mod:`ladderlab.tails` / :mod:`ladderlab.construct` /
   :mod:`ladderlab.diagnostics` - tail-function distributions, the
   dominating-increment construction (majorant, splice, truncation) and the
-  heavy-tail class diagnostics, all integrating through
-  :mod:`ladderlab.numerics`,
+  heavy-tail class diagnostics, every integral on the one batched
+  Gauss-Kronrod kernel of :mod:`ladderlab.numerics`,
 * :mod:`ladderlab.walk` - reproducible walk simulation: descent epochs and
   running maxima,
 * :mod:`ladderlab.estimate` - moment estimates and the check suites,
@@ -46,7 +46,6 @@ from .growth import (
     check_slope_decay,
     check_tail_integral,
     default_condition_grid,
-    make_builtin,
     make_growth,
 )
 from .tails import (

@@ -22,7 +22,7 @@ file `samples.<column>.npy`: a plain 1-D .npy 1.0 array, as `np.save` writes
 it, of the column's values in row order.
 
 `simulate` streams: the stream ids are split into tasks of at most
-`_TASK_WALKS` walks, and each task is simulated (one `simulate_batch` chunk)
+`walk._CHUNK` walks, and each task is simulated (one `simulate_batch` chunk)
 and encoded into its CSV text on one of `LADDERLAB_THREADS` worker threads
 (else one per usable CPU).  The main thread takes the results strictly in
 task order, with at most workers + 1 tasks in flight, and writes the CSV
@@ -67,7 +67,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import diagnostics, estimate as est
+from . import diagnostics, estimate as est, walk
 from .config import ConfigError, ExperimentConfig, jsonify, load_config
 from .construct import ConstructionError, build_chain
 from .growth import GrowthFunction, certify, make_growth
@@ -83,7 +83,6 @@ _SAMPLES_FILE = "samples.csv"
 _LEGACY_TWIN = "samples.npy"  # all columns in one structured array, the layout before the column files
 _MANIFEST_FILE = "manifest.json"
 _SLICE_ROWS = 1 << 16  # rows formatted and written at a time
-_TASK_WALKS = 250_000  # walks simulated and encoded per worker task
 _HASH_BLOCK = 1 << 18  # bytes read at a time to check a digest or load a column
 _SAMPLE_COLUMNS = ["stream_id", "tau", "s_tau", "m_tau", "censored"]  # of samples.csv; psi_max follows with a shift
 # each column but the stream id is also its own samples.<column>.npy of this dtype; float cells are written by repr
@@ -366,9 +365,9 @@ def _read_samples(out_dir: Path, manifest: dict, workers: int) -> SampleBatch:
     if manifest.get("columns") != columns:
         raise ValueError(f"{_MANIFEST_FILE} columns are not {columns}")
     count, dtypes = manifest["stream_ids"]["count"], [None] + [_COLUMN_DTYPES[col] for col in columns[1:]]
-    with ThreadPoolExecutor(max_workers=workers) as pool:  # samples.csv, the largest file, first
-        jobs = [pool.submit(_load_file, out_dir / name, files[name], dt, count) for name, dt in zip(names, dtypes)]
-        _, *loaded = [job.result() for job in jobs]  # samples.csv is only hashed
+    jobs = ((out_dir / name, files[name], dt, count) for name, dt in zip(names, dtypes))
+    with closing(_in_order(_load_file, jobs, workers)) as results:  # samples.csv, the largest file, first
+        _, *loaded = results  # samples.csv is only hashed
     cols = dict(zip(columns[1:], loaded))
     return SampleBatch(
         shift=shift,
@@ -515,7 +514,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, replay: int | None = None
     stale = [_LEGACY_TWIN] + [_column_file(col) for col in _COLUMN_DTYPES if col not in columns]
     for name in [_MANIFEST_FILE, *stale]:
         (out_dir / name).unlink(missing_ok=True)
-    tasks = ((lo, min(lo + _TASK_WALKS, n)) for lo in range(0, n, _TASK_WALKS))
+    tasks = ((lo, min(lo + walk._CHUNK, n)) for lo in range(0, n, walk._CHUNK))
     with closing(_in_order(task, tasks, workers)) as encoded:
         written, censored_n, tau_sum = _write_samples(out_dir, columns, n, encoded)
     manifest = {

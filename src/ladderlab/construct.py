@@ -27,8 +27,8 @@ import numpy as np
 
 from .config import Report
 from .growth import ConditionReport, GrowthFunction
-from .numerics import doubling_integral
-from .tails import MajorantIncrement, SplicedTail, TailSpec, TruncatedBelow
+from .numerics import integrate
+from .tails import MajorantIncrement, SplicedTail, TailError, TailSpec, TruncatedBelow, integrals_above
 
 __all__ = [
     "ConstructionError",
@@ -44,6 +44,7 @@ __all__ = [
 
 _LOG_TAIL_FLOOR = math.log(1e-300)
 _LEVEL_CAP = 1e10  # largest splice level V and truncation level L tried
+_SPLICE_ROUND = 16  # splice levels whose means are computed together
 
 
 class ConstructionError(ValueError):
@@ -66,10 +67,9 @@ def _find_log_tail_horizon(base: TailSpec, g: GrowthFunction) -> float:
     if math.isfinite(hi):
         return float(g(hi))
     # expand x until the log-tail dips below the floor, then map through g
-    log_tail = base.scalar_log_tail()
     x = max(1.0, base.support[0] + 1.0, abs(base.support[0]))
     for _ in range(200):
-        if log_tail(x) < _LOG_TAIL_FLOOR:
+        if base.log_tail(x) < _LOG_TAIL_FLOOR:
             return float(g(x))
         x *= 2.0
     raise UndeterminedError("tail does not decay: cannot place the majorant grid")
@@ -83,15 +83,12 @@ def _exp_growth_moment(base: TailSpec, g: GrowthFunction, t_hi: float) -> float 
     recorded rather than raised; the fit gates on sup stabilization instead.
     """
 
-    log_tail, inverse = base.scalar_log_tail(), g.scalar_inverse
-
     def integrand(t):
-        v = t + log_tail(inverse(t))  # _transformed_log_product at one abscissa
-        return float(np.exp(700.0 if v >= 700.0 else v))
+        return np.exp(np.minimum(_transformed_log_product(base, g, t), 700.0))
 
     # the region s in (0, 1] contributes at most one, tail = 1 there
-    total, converged = doubling_integral(
-        integrand, 0.0, reach=max(4.0 * t_hi, 64.0), rel_tol=1e-12, total=1.0
+    (total,), (converged,) = integrate(
+        [(integrand, [0.0], 1)], reach=max(4.0 * t_hi, 64.0), rel_tol=1e-12, total=1.0
     )
     return total if converged else None
 
@@ -173,19 +170,27 @@ def splice_at(base: TailSpec, hat: MajorantIncrement, v: float) -> tuple[float, 
     stretch contributes tail(V) * (V' - V) and the majorant its own integral.
     This avoids re-integrating the base body for every candidate V.
     """
-    q_v = float(base.tail(v))
-    if q_v <= 0.0:
-        spliced = SplicedTail(base, hat, v, math.inf)
-        return math.inf, spliced, base.mean
-    v_prime = float(hat.tail_quantile(q_v))
-    v_prime = max(v_prime, v)
-    mean = (
-        base.mean
-        - base.tail_integral_above(v)
-        + q_v * (v_prime - v)
-        + hat.tail_integral_above(v_prime)
-    )
+    (v_prime, mean), = _splice_means(base, hat, [v])
     return v_prime, SplicedTail(base, hat, v, v_prime), mean
+
+
+def _splice_means(base: TailSpec, hat: MajorantIncrement, levels: list[float]):
+    """Yield (V', mean) of `splice_at` at each level in order, their tail
+    integrals all computed in one `tails.integrals_above` call; TailError on
+    reaching a level whose integral does not converge."""
+    q = [float(base.tail(v)) for v in levels]
+    v_primes = [max(float(hat.tail_quantile(q_v)), v) if q_v > 0.0 else math.inf for v, q_v in zip(levels, q)]
+    pairs = [pair for v, v_prime, q_v in zip(levels, v_primes, q) if q_v > 0.0 for pair in ((base, v), (hat, v_prime))]
+    values, converged = integrals_above(pairs)
+    per_level = iter(zip(values[0::2], values[1::2], converged[0::2], converged[1::2]))
+    for v, v_prime, q_v in zip(levels, v_primes, q):
+        if q_v <= 0.0:
+            yield math.inf, base.mean
+            continue
+        base_above, hat_above, base_ok, hat_ok = next(per_level)
+        if not (base_ok and hat_ok):
+            raise TailError("tail integral did not converge (non-integrable tail?)")
+        yield v_prime, base.mean - base_above + q_v * (v_prime - v) + hat_above
 
 
 def splice(base: TailSpec, hat: MajorantIncrement, delta: float) -> tuple[float, float, SplicedTail]:
@@ -193,9 +198,10 @@ def splice(base: TailSpec, hat: MajorantIncrement, delta: float) -> tuple[float,
 
     The candidate levels grow geometrically (ratio 1.25) from the base median;
     the spliced mean is monotone in V, so the first level passing the target
-    is returned.  Raises ConstructionError when no level up to ``_LEVEL_CAP``
-    (1e10) works, which signals an infinite exp-growth moment or a mis-fitted
-    coefficient.
+    is returned.  The levels are tried `_SPLICE_ROUND` at a time, their means
+    computed together.  Raises ConstructionError when no level up to
+    ``_LEVEL_CAP`` (1e10) works, which signals an infinite exp-growth moment
+    or a mis-fitted coefficient.
     """
     a = -base.mean
     if not a > 0:
@@ -204,12 +210,15 @@ def splice(base: TailSpec, hat: MajorantIncrement, delta: float) -> tuple[float,
         raise ConstructionError(f"delta must lie in (0, {a}), got {delta}")
     target = -a + delta
 
-    v = max(float(base.tail_quantile(0.5)), 1e-6)
+    levels, v = [], max(float(base.tail_quantile(0.5)), 1e-6)
     while v <= _LEVEL_CAP:
-        v_prime, spliced, mean = splice_at(base, hat, v)
-        if mean < target:
-            return v, v_prime, spliced
+        levels.append(v)
         v *= 1.25
+    for lo in range(0, len(levels), _SPLICE_ROUND):
+        round_levels = levels[lo : lo + _SPLICE_ROUND]
+        for v, (v_prime, mean) in zip(round_levels, _splice_means(base, hat, round_levels)):
+            if mean < target:
+                return v, v_prime, SplicedTail(base, hat, v, v_prime)
     raise ConstructionError(
         "no splice level below the cap reaches the mean target; "
         "the exp-growth moment may be infinite or the majorant coefficient mis-fitted"

@@ -73,10 +73,9 @@ def usable_tail_horizon(spec: TailSpec, log_floor: float = _LOG_FLOOR) -> float:
     hi = spec.support[1]
     if math.isfinite(hi):
         return hi
-    log_tail = spec.scalar_log_tail()
     x = max(1.0, spec.support[0] + 1.0, abs(spec.support[0]))
     while x < cap:
-        if log_tail(x) < log_floor:
+        if spec.log_tail(x) < log_floor:
             break
         x *= 1.5
     else:
@@ -85,7 +84,7 @@ def usable_tail_horizon(spec: TailSpec, log_floor: float = _LOG_FLOOR) -> float:
     lo = x / 1.5
     for _ in range(80):
         mid = 0.5 * (lo + x)
-        if log_tail(mid) < log_floor:
+        if spec.log_tail(mid) < log_floor:
             x = mid
         else:
             lo = mid

@@ -30,13 +30,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import Report, build_record
-from .numerics import doubling_integral, scalar_power, stabilized_running_max
+from .numerics import integrate, stabilized_running_max
 
 __all__ = [
     "GrowthFunction",
     "GrowthEvalError",
     "ConditionReport",
-    "make_builtin",
     "make_growth",
     "default_condition_grid",
     "check_shape",
@@ -88,34 +87,14 @@ def _bisect_increasing(fn, targets, lo, atol=1e-12):
     return float(out[0]) if scalar else out
 
 
-def _bisect_increasing_scalar(fn, target, lo, atol=1e-12):
-    """`_bisect_increasing` for one float target and a float -> float fn, step for step."""
-    hi = max(lo * 2.0, lo + 1.0)
-    for _ in range(200):
-        if not fn(hi) <= target:
-            break
-        hi = hi * 4.0 if hi > 0.0 else 1.0
-    else:
-        raise GrowthEvalError("could not bracket inverse: target too large")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if fn(mid) > target else (mid, hi)
-        if hi - lo <= max(atol, 4.0 * np.spacing(hi)):  # np.spacing is negative below zero, math.ulp is not
-            break
-    return 0.5 * (lo + hi)
-
-
 @dataclass(frozen=True)
 class GrowthFunction:
     """A growth function with derivative and generalized inverse.
 
     The inverse follows the convention inf{x : g(x) > t}, so it is defined for
-    every t >= 0 even where g has flat stretches.  The first three callables
-    take and return numpy arrays; `scalar_eval` and `scalar_inverse` are g and
-    its inverse from float to float for quadrature integrands, with the array
-    code's bits under the rule of the ``tails`` module docstring.  `params`
-    holds the keyword arguments of the family's factory, so `family` and
-    `params` are its config record.
+    every t >= 0 even where g has flat stretches.  The callables take and
+    return numpy arrays.  `params` holds the keyword arguments of the family's
+    factory, so `family` and `params` are its config record.
     """
 
     family: str
@@ -123,8 +102,6 @@ class GrowthFunction:
     _eval: Callable
     _deriv: Callable
     _inverse: Callable
-    scalar_eval: Callable
-    scalar_inverse: Callable
 
     def __call__(self, x):
         return self._eval(np.asarray(x, dtype=float))
@@ -157,13 +134,7 @@ def _make_g1(param: float) -> GrowthFunction:
         t = np.maximum(t, 0.0)
         return np.exp(t ** (1.0 / alpha))
 
-    def ev_scalar(x):
-        return scalar_power(float(np.log(1.0 if x <= 1.0 else x)), alpha)
-
-    def inv_scalar(t):
-        return float(np.exp(scalar_power(0.0 if t <= 0.0 else t, 1.0 / alpha)))
-
-    return GrowthFunction("g1", {"param": alpha}, ev, dv, inv, ev_scalar, inv_scalar)
+    return GrowthFunction("g1", {"param": alpha}, ev, dv, inv)
 
 
 def _make_g2(param: float) -> GrowthFunction:
@@ -183,13 +154,7 @@ def _make_g2(param: float) -> GrowthFunction:
     def inv(t):
         return np.maximum(t, 0.0) ** (1.0 / beta)
 
-    def ev_scalar(x):
-        return scalar_power(0.0 if x <= 0.0 else x, beta)
-
-    def inv_scalar(t):
-        return scalar_power(0.0 if t <= 0.0 else t, 1.0 / beta)
-
-    return GrowthFunction("g2", {"param": beta}, ev, dv, inv, ev_scalar, inv_scalar)
+    return GrowthFunction("g2", {"param": beta}, ev, dv, inv)
 
 
 def _make_g3(param: float) -> GrowthFunction:
@@ -210,16 +175,7 @@ def _make_g3(param: float) -> GrowthFunction:
         # No closed form: bracketed bisection above the flat region [., 1].
         return _bisect_increasing(ev, t, lo=1.0)
 
-    def ev_scalar(x):
-        return scalar_power(0.0 if x <= 0.0 else x, beta) * float(np.log(1.0 if x <= 1.0 else x))
-
-    def ev_loop(x):  # ev as inv bisects it, on a one-element array: numpy's vectorized pow, not libm's
-        return float(np.power(0.0 if x <= 0.0 else x, beta)) * float(np.log(1.0 if x <= 1.0 else x))
-
-    def inv_scalar(t):
-        return _bisect_increasing_scalar(ev_loop, t, lo=1.0)
-
-    return GrowthFunction("g3", {"param": beta}, ev, dv, inv, ev_scalar, inv_scalar)
+    return GrowthFunction("g3", {"param": beta}, ev, dv, inv)
 
 
 def _make_table(points: Sequence[Sequence[float]]) -> GrowthFunction:
@@ -251,25 +207,10 @@ def _make_table(points: Sequence[Sequence[float]]) -> GrowthFunction:
     def inv(t):
         return _bisect_increasing(ev, t, lo=lo)
 
-    def ev_scalar(x):
-        if x < xs[0]:
-            return float(ys[0] + (x - xs[0]) * slopes[0])
-        if x > xs[-1]:
-            return float(ys[-1] + (x - xs[-1]) * slopes[-1])
-        return float(np.interp(x, xs, ys))
-
-    def inv_scalar(t):
-        return _bisect_increasing_scalar(ev_scalar, t, lo=lo)
-
-    return GrowthFunction("table", {"points": [list(p) for p in pts]}, ev, dv, inv, ev_scalar, inv_scalar)
+    return GrowthFunction("table", {"points": [list(p) for p in pts]}, ev, dv, inv)
 
 
 _FAMILIES = {"g1": _make_g1, "g2": _make_g2, "g3": _make_g3, "table": _make_table}  # by config tag
-
-
-def make_builtin(family: str, param: float) -> GrowthFunction:
-    """Build one of the closed-form families g1/g2/g3."""
-    return make_growth({"family": family, "param": param})
 
 
 def make_growth(spec: dict, where: str = "growth") -> GrowthFunction:
@@ -441,12 +382,10 @@ def check_tail_integral(g: GrowthFunction, gamma: float) -> tuple[str, float]:
     coef = 1.0 - gamma
 
     def integrand(x):
-        return float(np.exp(-coef * g.scalar_eval(x)))
+        return np.exp(-coef * g(x))
 
     try:
-        total, converged = doubling_integral(
-            integrand, 1.0, reach=INTEGRAL_X_MAX, rel_tol=1e-10, epsabs=0.0
-        )
+        (total,), (converged,) = integrate([(integrand, [1.0], 1)], reach=INTEGRAL_X_MAX, rel_tol=1e-10, epsabs=0.0)
     except Exception:
         return "undetermined", math.nan
     if not math.isfinite(total):

@@ -1,40 +1,20 @@
 """Numerical kernels shared by the certification, construction and diagnostics.
 
-The only ladderlab module that calls ``scipy.integrate``.  Callers pass their
-own tolerances and decide for themselves what a non-converged result means.
-
-Two quadratures: ``quad`` is QUADPACK on a scalar integrand, for the means
-and growth moments; ``adaptive_gk21`` is QUADPACK's 21-point Gauss-Kronrod
-rule and error estimate applied to many intervals at once, on an array
-integrand, for the S* convolution profiles of ``diagnostics``.
+One quadrature serves every integral: ``adaptive_gk21``, QUADPACK's 21-point
+Gauss-Kronrod rule and error estimate (Piessens et al., 1983) applied to many
+intervals at once, on an array integrand.  ``diagnostics`` calls it for the
+S* convolution profiles; ``integrate`` builds on it the means, the splice and
+truncation integrals and the growth integrals, finite pieces and doubling
+half-lines, many of them per call.  Callers pass their own tolerances and
+decide for themselves what a non-converged result means.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
+from functools import reduce
 
 import numpy as np
-from scipy import integrate
-
-
-def quad(f, a: float, b: float, epsabs: float = 1e-15) -> float:
-    """Integral of f over [a, b] by QUADPACK (Piessens et al., 1983), to
-    relative error 1e-10 with at most 200 subintervals.
-
-    QUADPACK calls f once per abscissa, so f maps a Python float to a Python
-    float, built from the ``scalar_tail``/``scalar_log_tail`` closures of
-    ``tails`` and the ``scalar_eval``/``scalar_inverse`` fields of ``growth``:
-    no array fallback and its 0-d overhead (one exception, named in ``tails``).
-
-    Far-tail integrands sit at rounding-noise level by design; convergence is
-    governed by the callers' own decay criteria and the closed-form checks in
-    the test suite, so the library's roundoff warning carries no signal here.
-    """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        value, _ = integrate.quad(f, a, b, epsabs=epsabs, epsrel=1e-10, limit=200)
-    return value
 
 
 # QUADPACK's qk21: the 21-point Kronrod abscissae in [0, 1) from the outside
@@ -61,6 +41,7 @@ _WG = np.array([
     0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
     0.295524224714752870173892994651338,
 ])
+_QK21_ORDER = [1, 3, 5, 7, 9, 0, 2, 4, 6, 8]  # qk21 adds the Gauss nodes first
 _EPMACH, _UFLOW = float(np.finfo(float).eps), float(np.finfo(float).tiny)
 _SLICE_NODES = 1 << 16  # integrand nodes per call of f
 
@@ -84,23 +65,25 @@ def _qk21(f, group: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarra
 
 def _qk21_slice(f, group, a, b):
     centr, hlgth = 0.5 * (a + b), 0.5 * (b - a)
-    absc = hlgth[:, None] * _XGK[:10]
-    y = np.concatenate([centr[:, None] - absc, centr[:, None], centr[:, None] + absc], axis=1)
-    fv = f(np.repeat(group, 21), y.ravel()).reshape(-1, 21)
-    fv1, fc, fv2 = fv[:, :10], fv[:, 10], fv[:, 11:]
-    resg = np.zeros(a.size)
-    resk = _WGK[10] * fc
-    resabs = np.abs(resk)
-    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):  # the Gauss nodes first, as qk21 adds them
-        fsum = fv1[:, j] + fv2[:, j]
-        if j % 2:
-            resg += _WG[j // 2] * fsum
-        resk += _WGK[j] * fsum
-        resabs += _WGK[j] * (np.abs(fv1[:, j]) + np.abs(fv2[:, j]))
+    absc = _XGK[:10, None] * hlgth
+    y = np.concatenate([centr - absc, centr[None], centr + absc])  # node k of interval i at [k, i]
+    fv = f(np.tile(group, 21), y.ravel()).reshape(21, -1)
+    fv1, fc, fv2 = fv[:10], fv[10], fv[11:]
+    fsum = fv1 + fv2
+    # each sum adds its terms one row at a time in qk21's order:
+    # the centre, then the Gauss nodes, then the other Kronrod nodes
+    terms = np.empty((11, a.size))
+    terms[0] = _WGK[10] * fc
+    terms[1:] = (_WGK[:10, None] * fsum)[_QK21_ORDER]
+    resk = reduce(np.add, terms)
+    resg = reduce(np.add, _WG[:, None] * fsum[1::2])
+    terms[0] = np.abs(terms[0])
+    terms[1:] = (_WGK[:10, None] * (np.abs(fv1) + np.abs(fv2)))[_QK21_ORDER]
+    resabs = reduce(np.add, terms)
     reskh = resk * 0.5
-    resasc = _WGK[10] * np.abs(fc - reskh)
-    for j in range(10):
-        resasc += _WGK[j] * (np.abs(fv1[:, j] - reskh) + np.abs(fv2[:, j] - reskh))
+    terms[0] = _WGK[10] * np.abs(fc - reskh)
+    terms[1:] = _WGK[:10, None] * (np.abs(fv1 - reskh) + np.abs(fv2 - reskh))
+    resasc = reduce(np.add, terms)
     dhlgth = np.abs(hlgth)
     resabs *= dhlgth
     resasc *= dhlgth
@@ -113,7 +96,7 @@ def _qk21_slice(f, group, a, b):
 
 
 def adaptive_gk21(
-    f, group: np.ndarray, a: np.ndarray, b: np.ndarray, epsrel: float, limit: int
+    f, group: np.ndarray, a: np.ndarray, b: np.ndarray, epsrel: float, limit: int, epsabs: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrals of f over the union of each group's intervals, all groups at once.
 
@@ -121,10 +104,11 @@ def adaptive_gk21(
     0, 1, ..., and each group's intervals come in increasing order.  f(group,
     y) is an array integrand (see `_qk21`).  Every interval gets QUADPACK's
     21-point Gauss-Kronrod rule and error estimate (Piessens et al., 1983).
-    A group is done once its summed error is at most epsrel times its summed
-    result; until then each pass bisects in place every interval of the group
-    whose error exceeds its share epsrel |result| / intervals, the worst
-    first, up to `limit` intervals in the group.  A group at the limit stops.
+    A group is done once its summed error is at most max(epsabs, epsrel
+    |result|), QUADPACK's stop rule; until then each pass bisects in place
+    every interval of the group whose error exceeds that bound over the
+    group's interval count, the worst first, up to `limit` intervals in the
+    group.  A group at the limit stops.
 
     Returns (integral, capped): per group, the interval results added in
     order of their left ends, and whether the group stopped at the limit
@@ -140,12 +124,13 @@ def adaptive_gk21(
     while True:
         total = np.bincount(group, res, n_groups)  # adds each group's results in array order
         count = np.bincount(group, minlength=n_groups)
-        live &= np.bincount(group, err, n_groups) > epsrel * np.abs(total)
+        bound = np.maximum(epsabs, epsrel * np.abs(total))
+        live &= np.bincount(group, err, n_groups) > bound
         capped |= live & (count >= limit)
         live &= count < limit
         if not live.any():
             return total, capped
-        pick = np.flatnonzero(live[group] & (err > (epsrel * np.abs(total) / count)[group]))
+        pick = np.flatnonzero(live[group] & (err > (bound / count)[group]))
         order = np.lexsort((-err[pick], group[pick]))  # worst first within each group
         pick, by_group = pick[order], group[pick[order]]
         rank = np.arange(pick.size) - np.searchsorted(by_group, by_group)
@@ -162,39 +147,89 @@ def adaptive_gk21(
         res[new], err[new] = _qk21(f, group[new], a[new], b[new])
 
 
-def scalar_power(x: float, p: float) -> float:
-    """x ** p as numpy computes it on a float64 scalar: libm's pow, inf or nan
-    in place of an exception.
+def integrate(jobs, reach: float, rel_tol: float, floor: float = 0.0, total: float = 0.0, epsabs: float = 1e-15):
+    """Many integrals of array integrands, computed together on `adaptive_gk21`.
 
-    The array code's ``v ** p`` acts on such scalars, since a ufunc on a 0-d
-    array returns one; ``np.power`` on a float takes numpy's vectorized loop
-    instead and differs in the last bit.
+    Each job (f, edges, direction) integrates f over the pieces between
+    consecutive `edges`, and with direction +1 (-1) on from edges[-1] toward
+    +inf (from edges[0] toward -inf) by doubling: segments of width
+    max(|start|, 1), doubling each time, whose integrals are added to `total`
+    in order until one adds less than rel_tol * max(|total|, floor), or the
+    segments reach |x| = reach without that.  Every piece and every segment
+    is its own integral, to QUADPACK's stop rule err <= max(epsabs, 1e-10 |I|)
+    with at most 200 intervals.  The segments go in two rounds, the first
+    `_FIRST_ROUND` of each job and then the rest of the jobs still open, and
+    the sequential rule is applied to their results.  So no value depends on
+    the rounds or on the other jobs of the call, as long as f's value at a
+    point does not depend on the other points it is evaluated with.
+
+    Returns (values, converged): per job, its pieces added in order to 0.0
+    plus the doubling total, and whether the doubling stopped before `reach`
+    (True without one).  The integrands run with floating-point warnings
+    off: a segment past a job's stop is discarded, and a non-finite value is
+    the caller's to judge.
     """
-    return float(np.float64(x) ** p)
+    fns: dict = {}
+    fid = np.array([fns.setdefault(f, len(fns)) for f, _, _ in jobs], dtype=np.intp)
+    fns = list(fns)
+    pieces = [(j, lo, hi) for j, (_, edges, _) in enumerate(jobs) for lo, hi in zip(edges[:-1], edges[1:])]
+    halves = {}  # the open doubling jobs: [next segment's start, its width, running total]
+    for j, (_, edges, direction) in enumerate(jobs):
+        if direction:
+            start = edges[-1] if direction > 0 else edges[0]
+            halves[j] = [start, max(abs(start), 1.0), total]
+    values, converged = [0.0] * len(jobs), [j not in halves for j in range(len(jobs))]
+    with np.errstate(all="ignore"):
+        for take in (_FIRST_ROUND, math.inf):
+            work = [(j, *seg) for j, half in halves.items() for seg in _next_segments(half, jobs[j][2], take, reach)]
+            results = _integrals(fns, fid, pieces + work, epsabs)
+            for (j, _, _), part in zip(pieces, results):
+                values[j] += part
+            for (j, _, _), part in zip(work, results[len(pieces) :]):
+                if not converged[j]:
+                    halves[j][2] += part
+                    converged[j] = abs(part) < rel_tol * max(abs(halves[j][2]), floor)
+            for j in [j for j, half in halves.items() if converged[j] or abs(half[0]) >= reach]:
+                values[j] += halves.pop(j)[2]
+            pieces = []
+    return values, converged
 
 
-def doubling_integral(
-    f, start: float, reach: float, rel_tol: float, direction: int = 1, floor: float = 0.0,
-    total: float = 0.0, **quad_opts,
-) -> tuple[float, bool]:
-    """Integrate f from start toward +inf (direction 1) or -inf (direction -1).
+_FIRST_ROUND = 16  # doubling segments per job in the first round of `integrate`
 
-    The segments have width max(|start|, 1), doubling each time, and their
-    integrals are added to `total` in order.  Returns (total, True) once a
-    segment adds less than rel_tol * max(|total|, floor), and (total, False)
-    once the segments reach |x| = reach without that happening.
-    """
-    lo = start
-    width = max(abs(start), 1.0)
-    while abs(lo) < reach:
+
+def _next_segments(half: list, direction: int, count: float, reach: float) -> list[tuple[float, float]]:
+    """Up to `count` next segments of an open doubling of `integrate`, advancing its start and width."""
+    lo, width = half[0], half[1]
+    out = []
+    while len(out) < count and abs(lo) < reach:
         hi = lo + direction * width
-        part = quad(f, min(lo, hi), max(lo, hi), **quad_opts)
-        total += part
-        if abs(part) < rel_tol * max(abs(total), floor):
-            return total, True
+        out.append((min(lo, hi), max(lo, hi)))
         lo = hi
         width *= 2.0
-    return total, False
+    half[0], half[1] = lo, width
+    return out
+
+
+def _integrals(fns, fid, work, epsabs: float) -> list[float]:
+    """The integral of each (job, lo, hi) of `work`, each its own group of one
+    `adaptive_gk21` call; every node goes to its job's integrand fns[fid[job]]."""
+    if not work:
+        return []
+    owner = fid[np.array([j for j, _, _ in work], dtype=np.intp)]
+
+    def f(group, y):
+        ids = owner[group]
+        out = np.empty(y.size)
+        for k, fn in enumerate(fns):
+            sel = ids == k
+            if sel.any():
+                out[sel] = fn(y[sel])
+        return out
+
+    lo, hi = np.array([w[1] for w in work]), np.array([w[2] for w in work])
+    total, _ = adaptive_gk21(f, np.arange(len(work)), lo, hi, 1e-10, 200, epsabs)
+    return total.tolist()
 
 
 def stabilized_running_max(xs: np.ndarray, row_max: np.ndarray) -> tuple[float, np.ndarray, bool]:

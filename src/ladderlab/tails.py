@@ -18,37 +18,13 @@ Quantiles use the convention ``tail_quantile(q) = inf{x : tail(x) <= q}``;
 ``quantile(u) = tail_quantile(1 - u)`` so that one shared uniform applied to
 two tail-ordered distributions yields ordered samples.
 
-QUADPACK calls its integrand one abscissa at a time, so every QUADPACK
-integrand is built from ``scalar_tail()``/``scalar_log_tail()``: float -> float
-closures that return the bits of the array ``tail``/``log_tail`` on a 0-d array
-and skip numpy's per-call array overhead.  The default pair is the log of the
-tail: ``log_tail`` is ``np.log(self.tail(x))`` and ``scalar_log_tail`` is the
-log of ``scalar_tail``, so a class that overrides ``log_tail`` also overrides
-``scalar_log_tail``.  ``TailSpec.scalar_tail`` raises like ``tail``: there is
-no generic fallback, and every class writes its own under one rule, which the
-test suite checks bit for bit.  Only a ``QueuePair`` with a continuous
-interarrival calls its array tail, a BLAS dot whose summation order no scalar
-loop reproduces; no config has one.  The rule:
-
-* every transcendental is the numpy/scipy ufunc of the array code, called on
-  a Python float (``np.log``, ``np.exp``, ``special.ndtr``,
-  ``special.log_ndtr``), and its result is converted with ``float``;
-* ``v ** p`` in the array code acts on a numpy float64 scalar (a ufunc on a
-  0-d array returns one), which is libm's pow: write
-  ``numerics.scalar_power(v, p)``.  ``np.power`` on a float takes numpy's
-  vectorized loop instead, the bits of ``v ** p`` on a one-element array (as
-  in g3's bisected inverse), and Python ``**`` raises on overflow;
-* only + - * /, unary minus and comparisons run as Python float operations,
-  and no ``math`` function: ``math.log`` and ``np.log`` differ in the last
-  bit on some inputs;
-* ``np.maximum(v, c)`` and ``np.minimum(v, c)`` return their second argument
-  on a tie and propagate NaN, so they become ``c if v <= c else v`` and
-  ``c if v >= c else v``, and ``np.minimum(c, v)`` becomes ``c if v > c else v``.
+Every integral of a tail or CDF runs on ``numerics.integrate``, which
+evaluates the array ``tail`` on many abscissae at once; ``integrals_above``
+computes many tail integrals in one call, each with the bits of its own.
 """
 
 from __future__ import annotations
 
-import bisect
 import inspect
 import math
 from functools import cached_property
@@ -58,7 +34,7 @@ import numpy as np
 from scipy import special
 
 from .config import build_record
-from .numerics import doubling_integral, quad, scalar_power
+from .numerics import integrate
 
 __all__ = [
     "TailSpec",
@@ -75,6 +51,7 @@ __all__ = [
     "TruncatedBelow",
     "ShiftedTail",
     "make_builtin_dist",
+    "integrals_above",
 ]
 
 _TINY_TAIL = 1e-300
@@ -84,26 +61,28 @@ class TailError(ValueError):
     """Invalid distribution spec or non-integrable tail."""
 
 
-def _half_line_integral(f, start: float, direction: int = +1) -> float:
-    """Integrate f over [start, +inf) (or (-inf, start]) by geometric doubling.
+_TAIL_DOUBLING = {"reach": 1e18, "rel_tol": 1e-13, "floor": 1e-30}  # of every tail and CDF integral
 
-    Stops once a doubling contributes less than 1e-13 of the running total;
-    raises TailError if no decay is seen before |x| = 1e18.
-    """
-    total, converged = doubling_integral(
-        f, start, reach=1e18, rel_tol=1e-13, direction=direction, floor=1e-30
-    )
-    if not converged:
+
+def integrals_above(pairs) -> tuple[list[float], list[bool]]:
+    """``spec.tail_integral_above(level)`` of each (spec, level) pair, all in
+    one `numerics.integrate` call, each with the bits of its own call:
+    (values, converged), where `tail_integral_above` would raise for a value
+    that did not converge."""
+    return integrate([spec._above(level) for spec, level in pairs], **_TAIL_DOUBLING)
+
+
+def _checked(values: list[float], converged: list[bool]) -> list[float]:
+    if not all(converged):
         raise TailError("tail integral did not converge (non-integrable tail?)")
-    return total
+    return values
 
 
 class TailSpec:
     """Base distribution-by-tail. Subclasses fill in the family specifics.
 
     ``pos_mean`` and ``mean`` are integrals of the tail unless a subclass gives
-    a closed form.  A subclass that overrides ``log_tail`` also overrides
-    ``scalar_log_tail``, whose default is the log of ``scalar_tail``.
+    a closed form.
 
     Attributes:
         support: (lo, hi) pair, extended reals.
@@ -130,20 +109,6 @@ class TailSpec:
     def log_tail(self, x):
         with np.errstate(divide="ignore"):
             return np.log(self.tail(x))
-
-    def scalar_tail(self):
-        """float -> float tail with the bits of the array tail on one point, for integrands."""
-        raise NotImplementedError
-
-    def scalar_log_tail(self):
-        """float -> float log of scalar_tail(), the scalar twin of the default log_tail."""
-        tail = self.scalar_tail()
-
-        def log_tail(x):
-            v = tail(x)
-            return -math.inf if v == 0.0 else float(np.log(v))
-
-        return log_tail
 
     def tail_quantile(self, q):
         """inf{x : tail(x) <= q}; default is bracketed bisection on the tail."""
@@ -179,36 +144,39 @@ class TailSpec:
             pts.append(hi)
         return sorted(set(pts))
 
-    def _scalar_cdf(self):
-        tail = self.scalar_tail()
-        return lambda x: 1.0 - tail(x)
+    def _cdf(self, x):
+        return 1.0 - self.tail(x)
 
-    def _integrate(self, f, a: float, b: float) -> float:
-        """Integral of the scalar f over [a, b], split at breakpoints."""
-        knots = [p for p in self._breakpoints() if a < p < b]
-        edges = [a] + knots + [b]
-        total = 0.0
-        for left, right in zip(edges[:-1], edges[1:]):
-            total += quad(f, left, right)
-        return total
+    def _edges(self, a: float, b: float) -> list[float]:
+        return [a] + [p for p in self._breakpoints() if a < p < b] + [b]
+
+    def _above(self, level: float):
+        """The `numerics.integrate` job of the tail over [level, inf): pieces
+        split at the breakpoints, then doubling on from the larger of the last
+        breakpoint and max(level, 1)."""
+        hi = self.support[1]
+        if math.isfinite(hi):
+            return self.tail, self._edges(level, hi) if hi > level else [], 0
+        start = max([p for p in self._breakpoints() if p > level] + [max(level, 1.0)])
+        return self.tail, self._edges(level, start) if start > level else [start], 1
+
+    def _below(self, level: float):
+        """The job of the CDF over (-inf, level], the mirror image of `_above`."""
+        lo = self.support[0]
+        if math.isfinite(lo):
+            return self._cdf, self._edges(lo, level) if level > lo else [], 0
+        start = min([p for p in self._breakpoints() if p < level] + [min(level, -1.0)])
+        return self._cdf, self._edges(start, level) if level > start else [start], -1
 
     def tail_integral_above(self, level: float) -> float:
-        """Integral of the tail over [level, inf)."""
-        tail, hi = self.scalar_tail(), self.support[1]
-        if math.isfinite(hi):
-            return self._integrate(tail, level, hi) if hi > level else 0.0
-        start = max([p for p in self._breakpoints() if p > level] + [max(level, 1.0)])
-        body = self._integrate(tail, level, start) if start > level else 0.0
-        return body + _half_line_integral(tail, start)
+        """Integral of the tail over [level, inf).  A doubling half-line stops
+        once a segment adds less than 1e-13 of its total; TailError if none
+        has by |x| = 1e18."""
+        return _checked(*integrals_above([(self, level)]))[0]
 
     def mass_integral_below(self, level: float) -> float:
         """Integral of the CDF over (-inf, level] = E(X + |level|; X <= level) magnitude."""
-        cdf, lo = self._scalar_cdf(), self.support[0]
-        if math.isfinite(lo):
-            return self._integrate(cdf, lo, level) if level > lo else 0.0
-        start = min([p for p in self._breakpoints() if p < level] + [min(level, -1.0)])
-        body = self._integrate(cdf, start, level) if level > start else 0.0
-        return body + _half_line_integral(cdf, start, direction=-1)
+        return _checked(*integrate([self._below(level)], **_TAIL_DOUBLING))[0]
 
     @cached_property
     def pos_mean(self) -> float:
@@ -289,30 +257,6 @@ class WeibullShifted(TailSpec):
         out = np.minimum(0.0, self._ln_c - t**self.beta)
         return np.where(x < self.shift, 0.0, out)
 
-    def scalar_tail(self):
-        c, beta, shift = self.c, self.beta, self.shift
-
-        def tail(x):
-            if x < shift:
-                return 1.0
-            t = x - shift
-            v = c * float(np.exp(-scalar_power(0.0 if t <= 0.0 else t, beta)))
-            return 1.0 if v > 1.0 else v
-
-        return tail
-
-    def scalar_log_tail(self):
-        ln_c, beta, shift = self._ln_c, self.beta, self.shift
-
-        def log_tail(x):
-            if x < shift:
-                return 0.0
-            t = x - shift
-            v = ln_c - scalar_power(0.0 if t <= 0.0 else t, beta)
-            return 0.0 if v > 0.0 else v
-
-        return log_tail
-
     def tail_quantile(self, q):
         q = np.asarray(q, dtype=float)
         with np.errstate(divide="ignore"):
@@ -345,24 +289,6 @@ class LognormalShifted(TailSpec):
         z = (np.log(t) - self.mu) / self._sigma
         return np.where(x <= self.shift, 0.0, special.log_ndtr(-z))
 
-    def _scalar_via(self, ndtr, at_shift: float):
-        mu, sigma, shift = self.mu, self._sigma, self.shift
-
-        def f(x):
-            if x <= shift:
-                return at_shift
-            t = x - shift
-            z = (float(np.log(_TINY_TAIL if t <= _TINY_TAIL else t)) - mu) / sigma
-            return float(ndtr(-z))
-
-        return f
-
-    def scalar_tail(self):
-        return self._scalar_via(special.ndtr, 1.0)
-
-    def scalar_log_tail(self):
-        return self._scalar_via(special.log_ndtr, 0.0)
-
     def tail_quantile(self, q):
         q = np.asarray(q, dtype=float)
         return self.shift + np.exp(self.mu - self._sigma * special.ndtri(q))
@@ -389,23 +315,6 @@ class Pareto(TailSpec):
         x = np.asarray(x, dtype=float)
         t = np.maximum((x - self.shift) / self.scale, 1.0)
         return -self.index * np.log(t)
-
-    def _scalar_t(self):
-        shift, scale = self.shift, self.scale
-
-        def t(x):
-            v = (x - shift) / scale
-            return 1.0 if v <= 1.0 else v
-
-        return t
-
-    def scalar_tail(self):
-        t, neg_index = self._scalar_t(), -self.index
-        return lambda x: scalar_power(t(x), neg_index)
-
-    def scalar_log_tail(self):
-        t, neg_index = self._scalar_t(), -self.index
-        return lambda x: neg_index * float(np.log(t(x)))
 
     def tail_quantile(self, q):
         q = np.asarray(q, dtype=float)
@@ -438,10 +347,6 @@ class _AtomicTail(TailSpec):
         x = np.asarray(x, dtype=float)
         idx = np.searchsorted(self._locs, x, side="right")
         return self._tail_from[idx]
-
-    def scalar_tail(self):
-        locs, tail_from = self._locs.tolist(), self._tail_from.tolist()
-        return lambda x: tail_from[bisect.bisect_right(locs, x)]  # searchsorted's index, NaN last too
 
     def tail_quantile(self, q):
         q = np.asarray(q, dtype=float)
@@ -498,14 +403,6 @@ class Exponential(TailSpec):
         x = np.asarray(x, dtype=float)
         return np.where(x < 0, 0.0, -np.maximum(x, 0.0) / self.mean)
 
-    def scalar_tail(self):
-        log_tail = self.scalar_log_tail()
-        return lambda x: 1.0 if x < 0 else float(np.exp(log_tail(x)))
-
-    def scalar_log_tail(self):
-        mean = self.mean
-        return lambda x: 0.0 if x < 0 else -(0.0 if x <= 0.0 else x) / mean
-
     def tail_quantile(self, q):
         q = np.asarray(q, dtype=float)
         return -self.mean * np.log(q)
@@ -551,21 +448,8 @@ class QueuePair(TailSpec):
             for loc, mass in self._t_atoms:
                 out += mass * self.sigma.tail(x + loc)
             return out
-        return np.tensordot(self.sigma.tail(x[..., None] + self._tq), self._w, axes=([-1], [0]))
-
-    def scalar_tail(self):
-        if not self._t_atoms:
-            # tensordot's BLAS summation order has no scalar twin (module docstring)
-            return lambda x: float(self.tail(x))
-        sigma, t_atoms = self.sigma.scalar_tail(), self._t_atoms
-
-        def tail(x):
-            out = 0.0
-            for loc, mass in t_atoms:
-                out += mass * sigma(x + loc)
-            return out
-
-        return tail
+        # each row is summed alone, where a BLAS dot's order would depend on the rows beside it
+        return (self.sigma.tail(x[..., None] + self._tq) * self._w).sum(axis=-1)
 
     def log_tail(self, x):
         """log sum_i m_i tail_sigma(x + t_i) over the interarrival atoms t_i, m_i."""
@@ -573,21 +457,6 @@ class QueuePair(TailSpec):
             return super().log_tail(x)
         x = np.asarray(x, dtype=float)
         return np.logaddexp.reduce([np.log(mass) + self.sigma.log_tail(x + loc) for loc, mass in self._t_atoms])
-
-    def scalar_log_tail(self):
-        if not self._t_atoms:
-            return super().scalar_log_tail()
-        sigma = self.sigma.scalar_log_tail()
-        t_atoms = [(loc, float(np.log(mass))) for loc, mass in self._t_atoms]
-
-        def log_tail(x):
-            out = None
-            for loc, log_mass in t_atoms:  # np.logaddexp.reduce's order
-                term = log_mass + sigma(x + loc)
-                out = term if out is None else float(np.logaddexp(out, term))
-            return out
-
-        return log_tail
 
     def increment_from_uniforms(self, u0, u1):
         return self.sigma.quantile(u0) - self.t.quantile(u1)
@@ -623,19 +492,6 @@ class MajorantIncrement(TailSpec):
         x = np.asarray(x, dtype=float)
         return np.minimum(0.0, self._ln_k - self.g(x))
 
-    def scalar_tail(self):
-        log_tail = self.scalar_log_tail()
-        return lambda x: float(np.exp(log_tail(x)))
-
-    def scalar_log_tail(self):
-        g, ln_k = self.g.scalar_eval, self._ln_k
-
-        def log_tail(x):
-            v = ln_k - g(x)
-            return 0.0 if v > 0.0 else v
-
-        return log_tail
-
     def tail_quantile(self, q):
         q = np.asarray(q, dtype=float)
         return self.g.inverse(self._ln_k - np.log(q))
@@ -669,17 +525,6 @@ class SplicedTail(TailSpec):
         flat_or_hat = np.where(x < self.v_prime, self._q_v, self.hat.tail(x))
         return np.where(x < self.v, self.base.tail(x), flat_or_hat)
 
-    def scalar_tail(self):
-        base, hat = self.base.scalar_tail(), self.hat.scalar_tail()
-        v, v_prime, q_v = self.v, self.v_prime, self._q_v
-
-        def tail(x):
-            if x < v:
-                return base(x)
-            return q_v if x < v_prime else hat(x)
-
-        return tail
-
     def tail_quantile(self, q):
         q = np.asarray(q, dtype=float)
         return np.where(q > self._q_v, self.base.tail_quantile(q), self.hat.tail_quantile(q))
@@ -710,10 +555,6 @@ class TruncatedBelow(TailSpec):
         x = np.asarray(x, dtype=float)
         return np.where(x < self._floor, 1.0, self.base.tail(x))
 
-    def scalar_tail(self):
-        base, floor = self.base.scalar_tail(), self._floor
-        return lambda x: 1.0 if x < floor else base(x)
-
     def tail_quantile(self, q):
         return np.maximum(self.base.tail_quantile(q), self._floor)
 
@@ -738,14 +579,6 @@ class ShiftedTail(TailSpec):
 
     def log_tail(self, x):
         return self.base.log_tail(np.asarray(x, dtype=float) - self.offset)
-
-    def scalar_tail(self):
-        base, offset = self.base.scalar_tail(), self.offset
-        return lambda x: base(x - offset)
-
-    def scalar_log_tail(self):
-        base, offset = self.base.scalar_log_tail(), self.offset
-        return lambda x: base(x - offset)
 
     def tail_quantile(self, q):
         return self.base.tail_quantile(q) + self.offset

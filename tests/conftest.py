@@ -12,7 +12,7 @@ from ladderlab import (
     WeibullShifted,
     build_chain,
     certify,
-    make_builtin,
+    make_growth,
 )
 
 # Bases with strictly lighter tails than exp(-g), shifted to mean -1.
@@ -27,8 +27,9 @@ CHAIN_SPECS = {
 def numeric_build():
     """The numpy and scipy versions and the SIMD dispatch targets numpy runs
     here (its compiled targets whose CPU features are active), for the
-    message of a failed digest comparison: the last bits of QUADPACK, the
-    quantiles and the BLAS sums depend on all three."""
+    message of a failed digest comparison: the last bits of the integrands
+    that the quadrature kernel sums, of the quantiles and of numpy's sums
+    depend on all three."""
     import numpy
     import scipy
 
@@ -49,7 +50,7 @@ def certified():
     """Certification reports of the three builtin families, fitted once."""
     out = {}
     for key, (family, param, _) in CHAIN_SPECS.items():
-        g = make_builtin(family, param)
+        g = make_growth({"family": family, "param": param})
         out[key] = (g, certify(g))
     return out
 

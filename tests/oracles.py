@@ -5,7 +5,8 @@ an exhaustive level-occupation recursion for the two-point walk, a scalar
 waiting-time recursion for single-server queues, and closed forms for the
 integrals the quadrature routines must reproduce and for the D/M/1 busy
 cycle, the row-by-row `csv.writer` form of `samples.csv`, 30-digit
-`mpmath.quad` integrals of the family tails, written from their formulas,
+`mpmath.quad` integrals of the family tails, written from their formulas
+(means, the splice mean, E exp(g(X)) and the S* ratio),
 and the moment estimators and check suites over whole columns, with one
 numpy reduction per quantity.
 """
@@ -188,6 +189,63 @@ def _split_quad(f, a, b, knots=()):
             pts.add(edge)
         edge *= 4
     return mpmath.quad(f, sorted(pts))
+
+
+def pareto_log_tail_mp(index: float, scale: float, shift: float):
+    """log min(1, ((x - shift) / scale)^-index) as an mpmath function of x."""
+    index, scale, shift = mpmath.mpf(index), mpmath.mpf(scale), mpmath.mpf(shift)
+
+    def log_tail(x):
+        t = (x - shift) / scale
+        return mpmath.mpf(0) if t <= 1 else -index * mpmath.log(t)
+
+    return log_tail
+
+
+def _upper_quad(f, a, knots=()):
+    """mpmath.quad over [a, inf) split at the given knots, on a geometric grid to 4**40, and at 4**40."""
+    edge = mpmath.mpf(1)
+    pts = {mpmath.mpf(a)} | {mpmath.mpf(k) for k in knots if k > a}
+    while edge < mpmath.mpf(4) ** 40:
+        if edge > a:
+            pts.add(edge)
+        edge *= 4
+    return mpmath.quad(f, sorted(pts) + [mpmath.inf])
+
+
+def mean_from_tail(log_tail, lo: float, knots=()) -> float:
+    """E X = lo + int_lo^inf tail(x) dx of a law bounded below by lo, to 30 digits."""
+    with mpmath.workdps(_MP_DPS):
+        return float(lo + _upper_quad(lambda x: mpmath.exp(log_tail(x)), lo, knots))
+
+
+def spliced_mean(base_log_tail, hat_log_tail, lo: float, v: float, v_prime: float) -> float:
+    """Mean of the base tail below V, flat at tail(V) on [V, V') and the
+    majorant tail from V' on, for a base bounded below by lo, to 30 digits."""
+    with mpmath.workdps(_MP_DPS):
+        lo, v, v_prime = mpmath.mpf(lo), mpmath.mpf(v), mpmath.mpf(v_prime)
+        body = _split_quad(lambda x: mpmath.exp(base_log_tail(x)), lo, v, [0])
+        flat = mpmath.exp(base_log_tail(v)) * (v_prime - v)
+        return float(lo + body + flat + _upper_quad(lambda x: mpmath.exp(hat_log_tail(x)), v_prime))
+
+
+_GROWTH_SLOPE_MP = {  # g' of the g1/g2/g3 growth functions above their flat stretch, and where it starts
+    "g1": (1, lambda p: lambda x: p * mpmath.log(x) ** (p - 1) / x),
+    "g2": (0, lambda p: lambda x: p * x ** (p - 1)),
+    "g3": (1, lambda p: lambda x: x ** (p - 1) * (p * mpmath.log(x) + 1)),
+}
+
+
+def exp_growth_moment(family: str, param: float, log_tail) -> float:
+    """E exp(g(X)) = 1 + int g'(x) exp(g(x)) P{X > x} dx over the x where g
+    grows from 0, by parts in x (the library integrates in t = g(x)), for X
+    whose lower end lies where g is 0, to 30 digits."""
+    with mpmath.workdps(_MP_DPS):
+        p = mpmath.mpf(param)
+        g = _GROWTH_MP[family](p)
+        start, slope = _GROWTH_SLOPE_MP[family]
+        slope = slope(p)
+        return float(1 + _upper_quad(lambda x: slope(x) * mpmath.exp(g(x) + log_tail(x)), start))
 
 
 def lognormal_pos_mean(mu: float, sigma2: float, shift: float) -> float:

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ladderlab
-from ladderlab import cli
+from ladderlab import cli, walk
 from ladderlab.cli import main
 from ladderlab.walk import SampleBatch
 
@@ -397,7 +397,7 @@ def test_streamed_tasks_do_not_change_bytes(tmp_path, cfg_path, monkeypatch):
     whole = tmp_path / "whole"
     monkeypatch.setenv("LADDERLAB_THREADS", "1")
     assert main(["simulate", "--config", str(cfg_path), "--out", str(whole)]) == 0
-    monkeypatch.setattr(cli, "_TASK_WALKS", 700)
+    monkeypatch.setattr(walk, "_CHUNK", 700)
     monkeypatch.setattr(cli, "_SLICE_ROWS", 300)  # several slices per task, the last one partial
     sizes = []
     encode = cli._encode
@@ -437,7 +437,7 @@ def test_failed_task_leaves_old_samples_and_no_temp_file(tmp_path, cfg_path, mon
             raise RuntimeError("task 3 failed")
         return simulate_batch(spec, seed, n_samples, first_stream=first_stream, **kwargs)
 
-    monkeypatch.setattr(cli, "_TASK_WALKS", 700)
+    monkeypatch.setattr(walk, "_CHUNK", 700)
     monkeypatch.setattr(cli, "simulate_batch", fail_in_task_3)
     monkeypatch.setenv("LADDERLAB_THREADS", "2")
     with pytest.raises(RuntimeError, match="task 3 failed"):
@@ -975,7 +975,7 @@ GOLDEN_DIGESTS = {
     },
     "g1_lognormal": {
         "condition_report.json": "8e57f41cddd4f8defa211162efb8121250f118bb05365c6f49c3c2c7345e4dd8",
-        "chain.json": "2e03642754a8e4c0ffe535463e0e18e96a0e71383634a8701a1e34547069fd37",
+        "chain.json": "19c1215c955aa760d431b78230826ba885d075a16e8b92a9c3a87c4cdf4feab6",
         "tail_tables.csv": "0cac49e430c7c2d70ada9f438272347cc4b4127b120f44ec9865df4224d89e59",
         "samples.csv": "dedd44a01621dd585373c7af0f58438c78f940cca01c07388f6625d3800709fd",
         "estimates.json": "7e2b34b23bb619e3d6cc9623d6db9146088354fe0dafacdab778aa8130a1bbd0",
@@ -984,16 +984,16 @@ GOLDEN_DIGESTS = {
     },
     "g2_weibull": {
         "condition_report.json": "b48a42e664869098a858953259c39a3944c2a44d2d9d78ec51845cb796518663",
-        "chain.json": "8a16540a1aa3a16120a710077bed7a8f293152bffc829cf17ae4680686a5303f",
+        "chain.json": "5a022f8f7c66891a068857e1478a4c4f576fb77e7afc68bf882d94098687dd7e",
         "tail_tables.csv": "5b587dee95a4c1230fbd002281277f099be73cabfd880bbb5f19ec8a2dbc391e",
         "samples.csv": "66ca06aad179d7fe02e12e622a04581978f5e7b661f1acb776a5c01f59b5dd8a",
-        "estimates.json": "7aec8d0afedc07744693a43746de1d9c42d921523aec7f985d7dd5825ddff200",
-        "verify_report.json": "18c0aa708a62b88daac1c9d8ca20be79f48d17fc0c75777bc1491f7ffe8650dc",
+        "estimates.json": "9749845e7c72a9e9b76ed4275c1e1450daad1ef67b7949afd9e2f6cfa143154f",
+        "verify_report.json": "b55ca69fef7318bafe5e6d665105006d938446031ea9b6a9faafeb0dcb1968c7",
         "replay_5.csv": "431f8a3c9d7f3a715d749d37f44e295f5a64bd6fd7ad3b0ea5376f01dbd159ae",
     },
     "g3_weibull": {
         "condition_report.json": "8e3e65351ad86a263b8fb39b5e9450669693119f45c6de89493b57c296183cd8",
-        "chain.json": "d2b985d619462d7b120dd3c099e245838d43a0ec63c099be5ab7da7c01a07641",
+        "chain.json": "53e3b7570c69a31b2511c0b889815c531613120d34d01134e3afeb6fef8b93f3",
         "tail_tables.csv": "fb346a53f930c710ebe36e3ed796d0fd6b27b878492869a0a103d941a6fe5e8e",
         "samples.csv": "0cf60cf2acc1191ec4e36f84cfa550ef41bfb42755b4436d156c8b4e4865c657",
     },

@@ -19,18 +19,22 @@ from ladderlab import (
     build_chain,
     certify,
     fit_majorant_coefficient,
-    make_builtin,
+    make_growth,
     splice,
     splice_at,
     truncate_below,
 )
-from ladderlab import construct, growth
+from ladderlab import LognormalShifted, SplicedTail, construct, growth
+from ladderlab.tails import integrals_above
 from ladderlab.config import jsonify
+
+from conftest import CHAIN_SPECS
+from oracles import exp_growth_moment, lognormal_log_tail_mp, majorant_log_tail_mp, spliced_mean, weibull_log_tail_mp
 
 
 @pytest.fixture(scope="module")
 def g2():
-    g = make_builtin("g2", 0.5)
+    g = make_growth({"family": "g2", "param": 0.5})
     return g, certify(g)
 
 
@@ -97,7 +101,7 @@ def test_fit_undetermined_for_heavier_tail(g2):
 def test_fit_undetermined_when_tail_never_underflows():
     # index 1e-3: the log-tail is still about -0.14 at x = 2**200, nowhere near the 1e-300 floor
     with pytest.raises(UndeterminedError, match="tail does not decay"):
-        fit_majorant_coefficient(Pareto(1e-3, 1.0, -3.0), make_builtin("g1", 2.0), 1.0)
+        fit_majorant_coefficient(Pareto(1e-3, 1.0, -3.0), make_growth({"family": "g1", "param": 2.0}), 1.0)
 
 
 # -- dominating increment ------------------------------------------------------
@@ -116,7 +120,7 @@ def test_majorant_tail_closed_form(g2):
 
 
 def test_majorant_boundary_g1():
-    g = make_builtin("g1", 2.0)
+    g = make_growth({"family": "g1", "param": 2.0})
     hat = MajorantIncrement(g, math.e)
     assert float(hat.tail(math.e)) == pytest.approx(1.0, rel=1e-12)
 
@@ -143,6 +147,69 @@ def test_splice_mean_formula_matches_quadrature(g2, chains):
     for v in [1.0, 5.0, 20.0]:
         _, spliced, mean_formula = splice_at(chain.base, chain.hat, v)
         assert mean_formula == pytest.approx(spliced.mean, rel=1e-7)
+
+
+def _base_log_tail_mp(spec):
+    if isinstance(spec, LognormalShifted):
+        return lognormal_log_tail_mp(spec.mu, spec.sigma2, spec.shift)
+    return weibull_log_tail_mp(spec.c, spec.beta, spec.shift)
+
+
+@pytest.mark.parametrize("key", sorted(CHAIN_SPECS))
+def test_splice_mean_at_v_matches_mpmath(chains, key):
+    """The spliced mean at the chosen V against a 30-digit integral of the
+    spliced tail, written from the family formulas."""
+    chain = chains[key]
+    family, param, _ = CHAIN_SPECS[key]
+    _, _, mean = splice_at(chain.base, chain.hat, chain.V)
+    log_tails = _base_log_tail_mp(chain.base), majorant_log_tail_mp(family, param, chain.K)
+    expect = spliced_mean(*log_tails, chain.base.support[0], chain.V, chain.V_prime)
+    assert mean == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("key", sorted(CHAIN_SPECS))
+def test_exp_growth_moment_matches_mpmath(chains, key):
+    """E exp(g(X)) of the base, integrated in t = g(x) by the library, against
+    a 30-digit integral by parts in x."""
+    family, param, _ = CHAIN_SPECS[key]
+    expect = exp_growth_moment(family, param, _base_log_tail_mp(chains[key].base))
+    assert chains[key].fit.exp_growth_moment == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("key", sorted(CHAIN_SPECS))
+def test_splice_bits_do_not_depend_on_the_round(chains, key):
+    """splice computes a round of levels together: the mean at the chosen V,
+    and at every other level of its round for g1, is splice_at's alone."""
+    chain = chains[key]
+    levels, v = [], max(float(chain.base.tail_quantile(0.5)), 1e-6)
+    while v <= construct._LEVEL_CAP:
+        levels.append(v)
+        v *= 1.25
+    at = levels.index(chain.V)
+    first = at - at % construct._SPLICE_ROUND
+    round_levels = levels[first : first + construct._SPLICE_ROUND]
+    batched = list(construct._splice_means(chain.base, chain.hat, round_levels))
+    checked = round_levels if key == "g1" else [chain.V]
+    for v in checked:
+        v_prime, _, mean = splice_at(chain.base, chain.hat, v)
+        assert batched[round_levels.index(v)] == (v_prime, mean), v
+
+
+def test_pos_mean_bits_do_not_depend_on_the_batch(chains):
+    """pos_mean of a fresh base, majorant and spliced tail equals its value
+    from one `integrals_above` call over all three and more levels."""
+    for key, (_, _, base_factory) in CHAIN_SPECS.items():
+        chain = chains[key]
+
+        def fresh():
+            base = base_factory()
+            hat = MajorantIncrement(chain.g, chain.K)
+            return base, hat, SplicedTail(base, hat, chain.V, chain.V_prime)
+
+        specs = fresh()
+        values, converged = integrals_above([(spec, 0.0) for spec in specs] + [(specs[0], 3.0), (specs[1], 40.0)])
+        assert all(converged)
+        assert [spec.pos_mean for spec in fresh()] == values[:3], key
 
 
 def test_splice_targets_mean(chains):
@@ -290,7 +357,7 @@ def test_chain_serializes_to_json(chains):
 
 def test_chain_requires_certification(chains, monkeypatch):
     monkeypatch.setattr(growth, "GAMMA_CANDIDATES", ())
-    bad_report = certify(make_builtin("g2", 0.5))  # no candidate passes
+    bad_report = certify(make_growth({"family": "g2", "param": 0.5}))  # no candidate passes
     assert not bad_report.all_ok
     with pytest.raises(ConstructionError):
         build_chain(chains["g2"].base, chains["g2"].g, bad_report)

@@ -18,7 +18,7 @@ from ladderlab import (
     estimate_growth_moment,
     estimate_power_moment,
     finiteness_diagnostic,
-    make_builtin,
+    make_growth,
     running_max_ratio_check,
     simulate_batch,
     wald_check,
@@ -35,7 +35,7 @@ SEED = 77
 
 @pytest.fixture(scope="module")
 def g2():
-    return make_builtin("g2", 0.5)
+    return make_growth({"family": "g2", "param": 0.5})
 
 
 @pytest.fixture(scope="module")

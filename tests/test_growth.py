@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from ladderlab import (
     ConfigError,
@@ -15,7 +15,6 @@ from ladderlab import (
     check_slope_decay,
     check_tail_integral,
     default_condition_grid,
-    make_builtin,
     make_growth,
 )
 from ladderlab.growth import GrowthEvalError, _bisect_increasing
@@ -24,7 +23,7 @@ from oracles import weibull_exp_tail_integral
 
 
 def from_callables(ev, deriv=None) -> GrowthFunction:
-    """Wrap raw callables as a GrowthFunction test double; its float forms wrap the array ones."""
+    """Wrap raw callables as a GrowthFunction test double."""
 
     def ev_arr(x):
         return np.asarray(ev(np.asarray(x, dtype=float)), dtype=float)
@@ -39,23 +38,23 @@ def from_callables(ev, deriv=None) -> GrowthFunction:
     def inverse(t):
         return _bisect_increasing(ev_arr, t, lo=1e-6)
 
-    return GrowthFunction("custom", {}, ev_arr, deriv, inverse, lambda x: float(ev_arr(x)), lambda t: float(inverse(t)))
+    return GrowthFunction("custom", {}, ev_arr, deriv, inverse)
 
 
 # -- builtins ---------------------------------------------------------------
 
 
 def test_builtin_values():
-    g1 = make_builtin("g1", 2.0)
+    g1 = make_growth({"family": "g1", "param": 2.0})
     assert float(g1(math.e)) == pytest.approx(1.0, rel=1e-12)
     assert float(g1(0.5)) == 0.0  # flat zero below one
 
-    g2 = make_builtin("g2", 0.5)
+    g2 = make_growth({"family": "g2", "param": 0.5})
     assert float(g2(4.0)) == pytest.approx(2.0, rel=1e-12)
     assert float(g2.inverse(3.0)) == pytest.approx(9.0, rel=1e-12)
     assert float(g2(-2.0)) == 0.0
 
-    g3 = make_builtin("g3", 0.5)
+    g3 = make_growth({"family": "g3", "param": 0.5})
     assert float(g3(0.5)) == 0.0
     assert float(g3(math.e**2)) == pytest.approx(math.e * 2.0, rel=1e-12)
 
@@ -66,12 +65,12 @@ def test_builtin_values():
 )
 def test_builtin_param_ranges(family, param):
     with pytest.raises(ValueError):
-        make_builtin(family, param)
+        make_growth({"family": family, "param": param})
 
 
 def test_unknown_family():
     with pytest.raises(ValueError):
-        make_builtin("g9", 2.0)
+        make_growth({"family": "g9", "param": 2.0})
 
 
 def test_table_growth():
@@ -98,12 +97,11 @@ def test_table_growth():
 )
 def test_table_inverse_brackets_from_non_positive_start(points):
     """A bracket whose upper end starts at or below zero grows to 1.0 first,
-    so the inverse exists above it too, on the array and the scalar path."""
+    so the inverse exists above it too."""
     g = make_growth({"family": "table", "points": points})
     for t in (0.2, 1.0, 4.5, 30.0):
         x = g.inverse(t)
         assert float(g(x)) == pytest.approx(t, rel=1e-9, abs=1e-9)
-        assert g.scalar_inverse(t) == float(x)
 
 
 def test_table_growth_record_is_checked():
@@ -117,7 +115,7 @@ def test_table_growth_record_is_checked():
 
 @pytest.mark.parametrize("family,param", [("g1", 2.0), ("g2", 0.5), ("g3", 0.5)])
 def test_inverse_round_trip_random(family, param):
-    g = make_builtin(family, param)
+    g = make_growth({"family": family, "param": param})
     x0 = 2.0  # safely above every family's flat region
     rngen = np.random.default_rng(7)
     ts = rngen.uniform(float(g(x0)), float(g(1e8)), size=1000)
@@ -133,7 +131,7 @@ def test_inverse_round_trip_random(family, param):
     family=st.sampled_from(["g1", "g2", "g3"]),
 )
 def test_inverse_round_trip_property(t, family):
-    g = make_builtin(family, {"g1": 2.0, "g2": 0.5, "g3": 0.5}[family])
+    g = make_growth({"family": family, "param": {"g1": 2.0, "g2": 0.5, "g3": 0.5}[family]})
     x = float(g.inverse(t))
     assert float(g(x)) == pytest.approx(t, rel=1e-9)
 
@@ -143,7 +141,7 @@ def test_inverse_round_trip_property(t, family):
 
 def test_shape_pass_builtin():
     for family, param in [("g1", 2.0), ("g2", 0.5), ("g3", 0.5)]:
-        res = check_shape(make_builtin(family, param))
+        res = check_shape(make_growth({"family": family, "param": param}))
         assert res.ok, res.witnesses
 
 
@@ -165,8 +163,7 @@ def test_shape_non_monotone_fails():
 
 def test_shape_derivative_mismatch_fails():
     sqrt, square = lambda x: np.sqrt(np.maximum(x, 0.0)), lambda t: np.maximum(t, 0.0) ** 2
-    bad = GrowthFunction("custom", {}, sqrt, lambda x: np.ones_like(np.asarray(x, dtype=float)), square,
-                         lambda x: float(sqrt(x)), lambda t: float(square(t)))
+    bad = GrowthFunction("custom", {}, sqrt, lambda x: np.ones_like(np.asarray(x, dtype=float)), square)
     res = check_shape(bad)
     assert not res.ok
     assert any(w["kind"] == "derivative_mismatch" for w in res.witnesses)
@@ -181,7 +178,7 @@ def test_shape_nonfinite_raises():
 
 
 def test_slope_decay_g1():
-    g = make_builtin("g1", 2.0)
+    g = make_growth({"family": "g1", "param": 2.0})
     res = check_slope_decay(g)
     assert res.ok
     assert res.detail["x0"] > 0 and res.detail["B"] > 0
@@ -191,7 +188,7 @@ def test_slope_decay_g1():
 
 
 def test_slope_decay_g2():
-    res = check_slope_decay(make_builtin("g2", 0.5))
+    res = check_slope_decay(make_growth({"family": "g2", "param": 0.5}))
     assert res.ok
 
 
@@ -205,7 +202,7 @@ def test_slope_decay_linear_fails():
 
 
 def test_tail_integral_weibull_closed_form():
-    verdict, value = check_tail_integral(make_builtin("g2", 0.5), gamma=0.75)
+    verdict, value = check_tail_integral(make_growth({"family": "g2", "param": 0.5}), gamma=0.75)
     assert verdict == "finite"
     assert value == pytest.approx(weibull_exp_tail_integral(0.25), rel=1e-6)
     assert value == pytest.approx(31.15, rel=1e-3)
@@ -218,22 +215,32 @@ def test_tail_integral_log_divergent():
 
 
 def test_tail_integral_g1_vs_quadrature():
-    verdict, value = check_tail_integral(make_builtin("g1", 2.0), gamma=0.5)
+    verdict, value = check_tail_integral(make_growth({"family": "g1", "param": 2.0}), gamma=0.5)
     assert verdict == "finite"
     oracle, _ = integrate.quad(lambda x: math.exp(-0.5 * math.log(x) ** 2), 1.0, np.inf)
     assert value == pytest.approx(oracle, rel=1e-8)
 
 
+def test_tail_integral_matches_closed_forms():
+    """The growth tail integral on the quadrature kernel, held to 1e-12 of
+    closed forms: int_1^inf exp(-sqrt(x) / 4) dx, and int_1^inf
+    exp(-log(x)^2 / 2) dx = sqrt(2 pi) e^(1/2) Phi(1) (u = log x)."""
+    _, value = check_tail_integral(make_growth({"family": "g2", "param": 0.5}), gamma=0.75)
+    assert value == pytest.approx(weibull_exp_tail_integral(0.25), rel=1e-12)
+    _, value = check_tail_integral(make_growth({"family": "g1", "param": 2.0}), gamma=0.5)
+    assert value == pytest.approx(math.sqrt(2.0 * math.pi) * math.exp(0.5) * special.ndtr(1.0), rel=1e-12)
+
+
 def test_tail_integral_gamma_range():
     with pytest.raises(ValueError):
-        check_tail_integral(make_builtin("g2", 0.5), gamma=1.0)
+        check_tail_integral(make_growth({"family": "g2", "param": 0.5}), gamma=1.0)
 
 
 # -- increment slack ---------------------------------------------------------
 
 
 def test_increment_slack_g2_concavity_gamma():
-    g = make_builtin("g2", 0.5)
+    g = make_growth({"family": "g2", "param": 0.5})
     gamma = 0.5 * 2**0.5  # concavity bound for y <= x/2
     res, slack = check_increment_slack(g, gamma, x0=1e-3)
     assert res.ok
@@ -248,7 +255,7 @@ def test_increment_slack_linear_fails():
 
 
 def test_increment_slack_g1():
-    res, slack = check_increment_slack(make_builtin("g1", 2.0), gamma=0.5, x0=2.8)
+    res, slack = check_increment_slack(make_growth({"family": "g1", "param": 2.0}), gamma=0.5, x0=2.8)
     assert res.ok
     assert slack >= 0.0
 
@@ -302,7 +309,7 @@ def test_certify_linear_fails_slope_stage():
 def test_certify_serializes():
     import json
 
-    report = certify(make_builtin("g2", 0.5))
+    report = certify(make_growth({"family": "g2", "param": 0.5}))
     payload = json.dumps(report.to_dict())
     assert "gamma" in payload
 
@@ -335,5 +342,5 @@ def test_shape_tolerates_kink_exactly_on_grid():
     # the two-sided difference is meaningless across it and must be skipped
     grid = np.unique(np.concatenate([default_condition_grid(), [1.0]]))
     for family, param in [("g1", 2.0), ("g3", 0.5)]:
-        res = check_shape(make_builtin(family, param), grid)
+        res = check_shape(make_growth({"family": family, "param": param}), grid)
         assert res.ok, (family, res.witnesses)

@@ -1,6 +1,5 @@
-import importlib
+import math
 import os
-import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,12 +10,10 @@ import yaml
 from scipy import integrate
 
 import ladderlab
-from ladderlab import GrowthFunction, ShiftedTail, build_chain, certify, make_builtin, numerics, sstar_ratio, tails
-from ladderlab.cli import main
-
-from conftest import CHAIN_SPECS
+from ladderlab import diagnostics, numerics, sstar_ratio, tails
 
 SRC = Path(ladderlab.__file__).resolve().parents[1]
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_import_leaves_scipy_stats_unloaded():
@@ -27,98 +24,25 @@ def test_import_leaves_scipy_stats_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def test_only_numerics_binds_scipy_integrate():
-    binders = set()
-    for info in pkgutil.iter_modules(ladderlab.__path__):
-        module = importlib.import_module(f"ladderlab.{info.name}")
-        if any(value is integrate or value is integrate.quad for value in vars(module).values()):
-            binders.add(info.name)
-    assert binders == {"numerics"}
-
-
-class _IntegrandTypes:
-    """Stands in for scipy.integrate inside numerics; records each integrand's
-    return type at its interval midpoint, then runs the real quad."""
-
-    IntegrationWarning = integrate.IntegrationWarning
-
-    def __init__(self):
-        self.types, self.calls = set(), 0
-
-    def quad(self, f, a, b, **opts):
-        self.calls += 1
-        self.types.add(type(f(0.5 * (a + b))))
-        return integrate.quad(f, a, b, **opts)
-
-
-@pytest.mark.parametrize("key", sorted(CHAIN_SPECS))
-def test_quad_integrands_return_python_floats(monkeypatch, key):
-    # QUADPACK calls the integrand once per abscissa: a 0-d array or numpy
-    # scalar there costs numpy's per-call overhead many thousand times
-    spy = _IntegrandTypes()
-    monkeypatch.setattr(numerics, "integrate", spy)
-    family, param, base_factory = CHAIN_SPECS[key]
-    g = make_builtin(family, param)
-    chain = build_chain(base_factory(), g, certify(g))
-    ShiftedTail(chain.trunc, chain.shift).pos_mean
-    chain.hat.pos_mean
-    assert spy.calls > 0 and spy.types == {float}
-
-
-class _ArrayPathGuard:
-    """Stands in for scipy.integrate inside numerics; counts the array tail,
-    log-tail, g and inverse calls made while an integrand runs."""
-
-    IntegrationWarning = integrate.IntegrationWarning
-
-    def __init__(self, monkeypatch):
-        self.depth, self.calls, self.quads = 0, {}, 0
-        classes, todo = [], [tails.TailSpec]
-        while todo:
-            classes.append(todo.pop())
-            todo.extend(classes[-1].__subclasses__())
-        targets = [(cls, name) for cls in classes for name in ("tail", "log_tail") if name in vars(cls)]
-        for owner, name in targets + [(GrowthFunction, "__call__"), (GrowthFunction, "inverse")]:
-            monkeypatch.setattr(owner, name, self._counted(f"{owner.__name__}.{name}", vars(owner)[name]))
-
-    def _counted(self, key, fn):
-        def wrapper(*args, **kwargs):
-            if self.depth:
-                self.calls[key] = self.calls.get(key, 0) + 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    def quad(self, f, a, b, **opts):
-        self.quads += 1
-
-        def integrand(x):
-            self.depth += 1
-            try:
-                return f(x)
-            finally:
-                self.depth -= 1
-
-        return integrate.quad(integrand, a, b, **opts)
-
-
-def test_no_integrand_reaches_the_array_code(monkeypatch, tmp_path):
-    """Every integrand the CLI stages build on every config is float -> float
-    all the way down: inside one, no TailSpec tail or log_tail and no
-    GrowthFunction call or inverse runs."""
-    guard = _ArrayPathGuard(monkeypatch)
-    monkeypatch.setattr(numerics, "integrate", guard)
-    flagged = {}
-    for path in sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml")):
-        raw, cfg = yaml.safe_load(path.read_text()), tmp_path / path.name
-        cfg.write_text(yaml.safe_dump({**raw, "n_samples": 2000}))
-        stages = ["check", "construct"] if "growth" in raw else []
-        for stage in stages + ["simulate", "verify"]:
-            guard.calls = {}
-            assert main([stage, "--config", str(cfg), "--out", str(tmp_path / path.stem)]) == 0, (path.stem, stage)
-            if guard.calls:
-                flagged[f"{path.stem} {stage}"] = guard.calls
-    assert guard.quads > 0 and flagged == {}
+def test_cli_stages_leave_scipy_integrate_unloaded(tmp_path):
+    """ladderlab integrates on its own kernel: a fresh process that imports
+    the CLI and runs a small bernoulli_oracle simulate and estimate never
+    loads scipy.integrate."""
+    raw = yaml.safe_load((CONFIGS / "bernoulli_oracle.yaml").read_text())
+    cfg = tmp_path / "bernoulli.yaml"
+    cfg.write_text(yaml.safe_dump({**raw, "n_samples": 2000}))
+    code = (
+        "import sys\n"
+        "from ladderlab.cli import main\n"
+        "for stage in ('simulate', 'estimate'):\n"
+        "    assert main([stage, '--config', sys.argv[1], '--out', sys.argv[2]]) == 0, stage\n"
+        "print('scipy.integrate' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(cfg), str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip().splitlines()[-1] == "False"
 
 
 def test_gk21_rule_is_quadpacks():
@@ -132,6 +56,51 @@ def test_gk21_rule_is_quadpacks():
     for degree in range(32):
         exact = 0.0 if degree % 2 else 2.0 / (degree + 1)
         assert float(ws @ xs**degree) == pytest.approx(exact, abs=1e-15), degree
+
+
+def _qk21_loop(f, a, b):
+    """QUADPACK's dqk21 sums for one interval, node by node in its order, in Python floats."""
+    centr, hlgth = 0.5 * (a + b), 0.5 * (b - a)
+    fc = float(f(np.array([centr]))[0])
+    resg, resk = 0.0, numerics._WGK[10] * fc
+    resabs = abs(resk)
+    fv1, fv2 = [], []
+    for j in range(10):
+        absc = hlgth * numerics._XGK[j]
+        fv1.append(float(f(np.array([centr - absc]))[0]))
+        fv2.append(float(f(np.array([centr + absc]))[0]))
+    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):
+        fsum = fv1[j] + fv2[j]
+        if j % 2:
+            resg += numerics._WG[j // 2] * fsum
+        resk += numerics._WGK[j] * fsum
+        resabs += numerics._WGK[j] * (abs(fv1[j]) + abs(fv2[j]))
+    reskh = resk * 0.5
+    resasc = numerics._WGK[10] * abs(fc - reskh)
+    for j in range(10):
+        resasc += numerics._WGK[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
+    return resk, resg, resabs, resasc, hlgth
+
+
+def test_qk21_sums_in_quadpacks_order():
+    """The vectorised rule keeps dqk21's summation order: on random intervals
+    its results and error estimates have the bits of sums taken node by node
+    in that order."""
+    rng = np.random.default_rng(5)
+    a = rng.uniform(-3.0, 3.0, 200)
+    b = a + rng.exponential(2.0, 200)
+    for f in (lambda y: np.exp(-y * y), lambda y: np.sin(7.0 * y) * np.exp(y), lambda y: _poly(y)):
+        res, err = numerics._qk21(lambda g, y: f(y), np.arange(a.size), a, b)
+        for i in range(a.size):
+            resk, resg, resabs, resasc, hlgth = _qk21_loop(f, a[i], b[i])
+            # dqk21's error estimate from those sums, on one-element arrays as the kernel computes it
+            resabs, resasc = np.array([resabs * abs(hlgth)]), np.array([resasc * abs(hlgth)])
+            abserr = np.abs((np.array([resk]) - resg) * hlgth)
+            if resasc[0] != 0.0 and abserr[0] != 0.0:
+                abserr = resasc * np.minimum(1.0, (200.0 * abserr / resasc) ** 1.5)
+            if resabs[0] > numerics._UFLOW / (50.0 * numerics._EPMACH):
+                abserr = np.maximum(50.0 * numerics._EPMACH * resabs, abserr)
+            assert (res[i], err[i]) == (resk * hlgth, abserr[0]), i
 
 
 def test_adaptive_gk21_integrates_each_group():
@@ -150,10 +119,89 @@ def test_adaptive_gk21_integrates_each_group():
     assert not capped.any()
 
 
+def _poly(y):
+    return 1.0 + y * (0.5 + y * (0.25 - y * 0.125))  # + and * only: the same bits on floats and arrays
+
+
+def test_one_interval_is_quadpacks_bits():
+    """An integral that QUADPACK settles on its first 21-point rule comes out
+    of the kernel with QUADPACK's bits; one that needs bisection agrees with
+    it to the requested accuracy."""
+    for lo, hi in [(0.0, 1.0), (-2.5, 0.75), (3.0, 40.0)]:
+        expect, _ = integrate.quad(_poly, lo, hi, epsabs=1e-15, epsrel=1e-10, limit=200)
+        (value,), (converged,) = numerics.integrate([(_poly, [lo, hi], 0)], reach=math.inf, rel_tol=0.0)
+        assert value == expect and converged
+    expect, _ = integrate.quad(lambda y: y**0.3, 0.0, 2.0, epsabs=1e-15, epsrel=1e-10, limit=200)
+    (value,), _ = numerics.integrate([(lambda y: y**0.3, [0.0, 2.0], 0)], reach=math.inf, rel_tol=0.0)
+    assert value == pytest.approx(expect, rel=1e-10)
+
+
+def test_adaptive_gk21_stops_at_quadpacks_bound():
+    """A group stops once its error is at most max(epsabs, epsrel |result|):
+    a generous epsabs stops an endpoint singularity after one rule, epsabs 0
+    bisects it to epsrel."""
+    group, a, b = np.array([0]), np.array([0.0]), np.array([1.0])
+    calls = []
+
+    def f(g, y):
+        calls.append(y.size)
+        return y**-0.5
+
+    coarse, _ = numerics.adaptive_gk21(f, group, a, b, epsrel=1e-10, limit=200, epsabs=1.0)
+    assert calls == [21] and abs(coarse[0] - 2.0) > 1e-3
+    fine, capped = numerics.adaptive_gk21(f, group, a, b, epsrel=1e-10, limit=200, epsabs=0.0)
+    assert len(calls) > 2 and not capped[0]
+    assert fine[0] == pytest.approx(2.0, rel=1e-6)  # the singular end is resolved to the bisection's reach
+
+
+def test_integrate_pieces_and_half_lines():
+    """Pieces between edges plus a doubling half-line each way, against closed
+    forms; a tail that never decays does not converge by `reach`."""
+    jobs = [
+        (lambda x: np.exp(-x), [0.0, 0.5, 3.0], 1),  # int_0^inf e^-x = 1
+        (lambda x: np.exp(x), [-2.0, 0.0], -1),  # int_-inf^0 e^x = 1
+        (lambda x: 1.0 / (1.0 + x * x), [-1.0, 1.0], 0),  # pi / 2
+        (lambda x: 1.0 / x, [1.0], 1),  # log diverges
+    ]
+    values, converged = numerics.integrate(jobs, reach=1e18, rel_tol=1e-13, floor=1e-30)
+    np.testing.assert_allclose(values[:3], [1.0, 1.0, math.pi / 2], rtol=1e-13)
+    assert converged == [True, True, True, False]
+    (total,), (done,) = numerics.integrate([(lambda x: np.exp(-x), [0.0], 1)], reach=1e3, rel_tol=1e-12, total=1.0)
+    assert done and total == pytest.approx(2.0, rel=1e-13)
+
+
+def test_integrate_bits_do_not_depend_on_the_batch_or_the_rounds(monkeypatch):
+    """A job's value is the same alone, beside other jobs, and with the first
+    doubling round cut to one segment or grown past the reach."""
+    jobs = [
+        (lambda x: (x + 3.0) ** -2.0, [0.0, 1.0], 1),
+        (lambda x: np.exp(-np.sqrt(x)), [0.25, 2.0], 1),
+        (lambda x: 1.0 - np.exp(x), [-7.0, -1.0], -1),
+    ]
+    opts = {"reach": 1e18, "rel_tol": 1e-13, "floor": 1e-30}
+    together = numerics.integrate(jobs, **opts)
+    for size in (1, 100):
+        monkeypatch.setattr(numerics, "_FIRST_ROUND", size)
+        assert numerics.integrate(jobs, **opts) == together
+        for j, job in enumerate(jobs):
+            assert numerics.integrate([job], **opts) == ([together[0][j]], [together[1][j]])
+
+
 def test_sstar_ratio_calls_no_quadpack(monkeypatch, chains):
-    """The S* profile runs on the batched kernel alone: QUADPACK is not called."""
+    """The S* profile integrates all its grid points in one call of the
+    batched kernel and runs no other integral."""
     hat = chains["g1"].hat
-    hat.pos_mean  # a quadrature of its own, cached
-    spy = _IntegrandTypes()
-    monkeypatch.setattr(numerics, "integrate", spy)
-    assert sstar_ratio(hat).ok and spy.calls == 0
+    hat.pos_mean  # an integral of its own, cached
+    calls = []
+    kernel = numerics.adaptive_gk21
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tail integral was computed")
+
+    monkeypatch.setattr(diagnostics, "adaptive_gk21", counted)
+    monkeypatch.setattr(tails, "integrate", refuse)
+    assert sstar_ratio(hat).ok and len(calls) == 1

@@ -21,13 +21,12 @@ from ladderlab import (
     TailError,
     TruncatedBelow,
     WeibullShifted,
-    make_builtin,
     make_builtin_dist,
     make_growth,
 )
-from ladderlab import numerics, tails
+from ladderlab import tails
 
-from oracles import lognormal_pos_mean
+from oracles import lognormal_pos_mean, mean_from_tail, pareto_log_tail_mp, weibull_log_tail_mp
 
 
 def test_family_parameter_validation():
@@ -118,14 +117,13 @@ def test_weibull_subprobability_atom():
 def test_means_are_cached(monkeypatch):
     """The first .mean integrates; later .mean and .pos_mean reads reuse its floats."""
     calls = []
-    quad = numerics.quad
+    integrate = tails.integrate
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return quad(*args, **kwargs)
+        return integrate(*args, **kwargs)
 
-    monkeypatch.setattr(numerics, "quad", counted)  # the doubling segments of a half-line integral
-    monkeypatch.setattr(tails, "quad", counted)  # the pieces between breakpoints
+    monkeypatch.setattr(tails, "integrate", counted)  # every tail and CDF integral
     p = Pareto(2.0, 1.0, -3.0)
     mean = p.mean
     assert calls
@@ -260,7 +258,7 @@ def test_spec_dict_round_trip():
         assert np.allclose(rebuilt.tail(xs), spec.tail(xs), atol=1e-12)
 
 
-# -- float -> float integrands ---------------------------------------------------
+# -- integrand bits that do not depend on the batch -------------------------------
 
 FAMILIES = {
     "weibull": WeibullShifted(1.0, 0.6, -2.5045754882515565),
@@ -274,13 +272,12 @@ FAMILIES = {
     "bernoulli": BernoulliPM1(0.25),
     "constant": Constant(-1.0),
     "queue_atomic": QueuePair(Exponential(1.0), Constant(2.0)),
-    # three atoms, so the order of the scalar sum shows in its bits
+    # three atoms, so the order of the sum over them shows in its bits
     "queue_atoms": QueuePair(WeibullShifted(1.0, 0.6), tails._AtomicTail([(0.5, 0.25), (1.25, 0.35), (2.0, 0.4)])),
     "queue_continuous": QueuePair(Exponential(1.0), Exponential(2.0)),
 }
-GROWTH = {"g1": make_builtin("g1", 2.0), "g1_frac": make_builtin("g1", 1.7), "g2": make_builtin("g2", 0.5),
-          "g2_frac": make_builtin("g2", 0.6), "g3": make_builtin("g3", 0.5),
-          "g3_frac": make_builtin("g3", 0.3),
+GROWTH = {**{name: make_growth({"family": name[:2], "param": param}) for name, param in
+             [("g1", 2.0), ("g1_frac", 1.7), ("g2", 0.5), ("g2_frac", 0.6), ("g3", 0.5), ("g3_frac", 0.3)]},
           "table": make_growth({"family": "table", "points": [[0.5, 0.1], [2.0, 0.7], [30.0, 3.0], [1e3, 6.5]]}),
           "table_flat_first": make_growth({"family": "table", "points": [[0.5, 0.0], [3.0, 0.0], [10.0, 2.0], [80.0, 5.0]]}),
           "table_negative_x": make_growth({"family": "table", "points": [[-0.75, 0.0], [-0.25, 0.4], [4.0, 2.5], [60.0, 7.0]]}),
@@ -288,7 +285,7 @@ GROWTH = {"g1": make_builtin("g1", 2.0), "g1_frac": make_builtin("g1", 1.7), "g2
           "table_far_negative_x": make_growth({"family": "table", "points": [[-5e3, 0.0], [-4e3, 1.0], [0.0, 2.0], [1e2, 4.0]]})}
 SPECIAL_X = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1.0, -1.0, 1e300, -1e300,
              math.inf, -math.inf, math.nan]
-# 4e4 points: math.log and np.log disagree on about 2 in 1e4 of them
+# 4e4 points over the bodies and far into the tails
 DENSE_X = np.concatenate([np.linspace(-12.0, 80.0, 20_001), np.geomspace(1e-6, 1e12, 20_001)]).tolist()
 
 
@@ -312,7 +309,7 @@ def _constructed(chains):
         out[f"{key}_trunc"] = chain.trunc
         out[f"{key}_psi"] = ShiftedTail(chain.trunc, chain.shift)
     lognormal, weibull = FAMILIES["lognormal"], FAMILIES["weibull"]
-    hat = MajorantIncrement(make_builtin("g2", 0.5), 1.5)
+    hat = MajorantIncrement(make_growth({"family": "g2", "param": 0.5}), 1.5)
     out["spliced_flat_to_inf"] = SplicedTail(weibull, hat, 4.0, math.inf)
     out["truncated_lognormal"] = TruncatedBelow(lognormal, 1.0)
     out["shifted_truncated"] = ShiftedTail(TruncatedBelow(FAMILIES["exponential"], 0.5), -0.75)
@@ -326,29 +323,52 @@ def _edges(spec):
     return [q for p in pts for q in (np.nextafter(p, -math.inf), p, np.nextafter(p, math.inf))]
 
 
-def _assert_scalar_paths_match(spec, xs):
-    """scalar_tail/scalar_log_tail against the 0-d call QUADPACK saw, bit for bit."""
-    tail, log_tail = spec.scalar_tail(), spec.scalar_log_tail()
-    for x in xs:
-        x = float(x)
-        assert _outcome(tail, x) == _outcome(lambda v: spec.tail(np.float64(v)), x), ("tail", x)
-        assert _outcome(log_tail, x) == _outcome(lambda v: spec.log_tail(np.float64(v)), x), ("log_tail", x)
+def _same_bits(got, want):
+    return np.array_equal(np.asarray(got, dtype=float).view(np.int64), np.asarray(want, dtype=float).view(np.int64))
 
 
-def _assert_growth_paths_match(g, ts):
-    ev, inv = g.scalar_eval, g.scalar_inverse
-    for t in ts:
-        t = float(t)
-        assert _outcome(ev, t) == _outcome(lambda v: g(np.float64(v)), t), ("eval", t)
-        assert _outcome(inv, t) == _outcome(lambda v: g.inverse(np.float64(v)), t), ("inverse", t)
+def _assert_batch_free(fn, xs, small=2100):
+    """fn on all of xs at once, shuffled, and in slices of 1, 2, 7 and 21
+    points (the first `small` points for the shorter slices) gives each point
+    the same bits: the quadrature kernel evaluates an integral's nodes
+    together with those of the other integrals of its call."""
+    xs = np.asarray(xs, dtype=float)
+    with np.errstate(all="ignore"):
+        whole = np.asarray(fn(xs), dtype=float)
+        perm = np.random.default_rng(0).permutation(xs.size)
+        assert _same_bits(fn(xs[perm]), whole[perm]), "shuffled"
+        for size in (1, 2, 7, 21):
+            part = xs if size == 21 else xs[:small]
+            pieces = np.concatenate([fn(part[i : i + size]) for i in range(0, part.size, size)])
+            assert _same_bits(pieces, whole[: part.size]), size
+
+
+def _assert_tail_batch_free(spec, xs):
+    _assert_batch_free(spec.tail, xs)
+    _assert_batch_free(spec.log_tail, xs)
+
+
+def _assert_growth_batch_free(g, ts):
+    """g and, for the closed-form families, its inverse.  The g3 and table
+    inverses bisect a whole batch until its widest bracket closes, so their
+    bits depend on the batch; they agree to the bisection's tolerance."""
+    _assert_batch_free(g, ts)
+    if g.family in ("g1", "g2"):
+        _assert_batch_free(g.inverse, ts)
+        return
+    ts = np.asarray(ts, dtype=float)[::97]
+    ts = ts[np.isfinite(ts) & (ts < 1e3)]
+    with np.errstate(all="ignore"):
+        alone = np.array([g.inverse(np.array([t]))[0] for t in ts])
+        np.testing.assert_allclose(g.inverse(ts), alone, rtol=1e-12, atol=1e-12)
 
 
 @settings(max_examples=150, deadline=None)
 @given(x=st.one_of(st.floats(), st.floats(min_value=-20.0, max_value=200.0)))
-def test_scalar_tail_bit_identical(chains, x):
+def test_tail_bits_do_not_depend_on_the_batch(chains, x):
     specs = {**FAMILIES, **_constructed(chains)}
     for spec in specs.values():
-        _assert_scalar_paths_match(spec, [x])
+        _assert_tail_batch_free(spec, SPECIAL_X + [x])
 
 
 def test_means_are_the_half_line_integrals(chains):
@@ -365,39 +385,24 @@ def test_means_are_the_half_line_integrals(chains):
     assert checked == 26
 
 
-def test_default_scalar_log_tail_needs_no_array_path(chains, monkeypatch):
-    """The default scalar log-tail is the log of scalar_tail, so the spliced and
-    truncated tails evaluate it without their array tail or log_tail."""
-    specs = [spec for spec in _constructed(chains).values() if isinstance(spec, (SplicedTail, TruncatedBelow))]
-    xs = [-20.0, -1.0, 0.0, 0.5, 3.0, 40.0, 1e3, 1e8]
-    expected = [[_outcome(lambda v: spec.log_tail(np.float64(v)), x) for x in xs] for spec in specs]
-
-    def refuse(self, x):
-        raise AssertionError("array path called")
-
-    for cls in (SplicedTail, TruncatedBelow):
-        monkeypatch.setattr(cls, "tail", refuse)
-        monkeypatch.setattr(cls, "log_tail", refuse)
-    for spec, want in zip(specs, expected):
-        log_tail = spec.scalar_log_tail()
-        assert [_outcome(log_tail, x) for x in xs] == want
-
-
-def test_scalar_tail_bit_identical_at_edges(chains):
+def test_tail_bits_do_not_depend_on_the_batch_at_edges(chains):
     for spec in {**FAMILIES, **_constructed(chains)}.values():
-        _assert_scalar_paths_match(spec, SPECIAL_X + _edges(spec))
+        _assert_tail_batch_free(spec, SPECIAL_X + _edges(spec))
 
 
-@pytest.mark.parametrize("name", ["weibull", "weibull_atom", "lognormal", "pareto", "pareto_one", "exponential"])
-def test_scalar_tail_bit_identical_dense(name):
-    _assert_scalar_paths_match(FAMILIES[name], DENSE_X)
+@pytest.mark.parametrize(
+    "name", ["weibull", "weibull_atom", "lognormal", "pareto", "pareto_one", "exponential", "queue_continuous"]
+)
+def test_tail_bits_do_not_depend_on_the_batch_dense(name):
+    # the continuous queue pair evaluates a plane of 256 service tails per point
+    _assert_tail_batch_free(FAMILIES[name], DENSE_X[::10] if name == "queue_continuous" else DENSE_X)
 
 
 @pytest.mark.parametrize("name", ["queue_atomic", "queue_atoms"])
 def test_queue_pair_log_tail_is_the_log_sum_exp(name):
     """With an atomic interarrival the log-tail is the log-sum-exp of the
     service log-tails: the log of the tail where that is representable, and
-    finite where the tail underflows; its scalar twin keeps its bits."""
+    finite where the tail underflows; its bits do not depend on the batch."""
     spec = FAMILIES[name]
     xs = np.linspace(-3.0, 600.0, 4001)
     tail, log_tail = spec.tail(xs), spec.log_tail(xs)
@@ -407,21 +412,19 @@ def test_queue_pair_log_tail_is_the_log_sum_exp(name):
     assert spec.tail(deep).tolist() == [0.0, 0.0, 0.0] and np.isfinite(spec.log_tail(deep)).all()
     if name == "queue_atomic":  # tail exp(-(x + 2))
         assert spec.log_tail(deep).tolist() == (-(deep + 2.0)).tolist()
-    _assert_scalar_paths_match(spec, DENSE_X[::20])
+    _assert_tail_batch_free(spec, DENSE_X[::20])
 
 
 @settings(max_examples=150, deadline=None)
 @given(t=st.one_of(st.floats(), st.floats(min_value=-2.0, max_value=60.0)))
-def test_scalar_growth_bit_identical(t):
+def test_growth_bits_do_not_depend_on_the_batch(t):
     for g in GROWTH.values():
-        _assert_growth_paths_match(g, [t])
+        _assert_growth_batch_free(g, SPECIAL_X + [t])
 
 
 @pytest.mark.parametrize("name", sorted(GROWTH))
-def test_scalar_growth_bit_identical_dense(name):
-    g = GROWTH[name]
-    xs = DENSE_X if g.family in ("g1", "g2") else DENSE_X[::40]  # the array inverse bisects, about 1 ms a call
-    _assert_growth_paths_match(g, SPECIAL_X + xs)
+def test_growth_bits_do_not_depend_on_the_batch_dense(name):
+    _assert_growth_batch_free(GROWTH[name], SPECIAL_X + DENSE_X)
 
 
 # sha256 of the little-endian float64 bytes of QueuePair.tail on
@@ -430,7 +433,7 @@ def test_scalar_growth_bit_identical_dense(name):
 # recorded with
 QUEUE_TAIL_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
 QUEUE_TAIL_DIGESTS = {
-    "continuous": "f9444c092115765416d898c28b46a14dc63bca6309372aaa4378525567a438ed",
+    "continuous": "9afbd5d3d6ba200822a56151b08933b99bf5d98dbf286e6cb1f02494de2a4d59",
     "atomic": "dc6205e3ade32c0866e967db371bb7c40ddb6b4bc82cadb9381046d992b6ffd6",
 }
 
@@ -456,3 +459,24 @@ def test_lognormal_pos_mean_matches_mpmath():
     spec = LognormalShifted(0.0, 0.25, -2.1331484530668263)
     expect = lognormal_pos_mean(0.0, 0.25, -2.1331484530668263)
     assert spec.pos_mean == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        WeibullShifted(1.0, 0.6, -1.0 - special.gamma(1 + 1 / 0.6)),  # the g2 test base
+        WeibullShifted(1.0, 0.8, -1.0 - special.gamma(1 + 1 / 0.8)),  # the g3 test base
+        WeibullShifted(0.5, 0.3, 1.0),  # an atom of 1/2 at the shift
+        Pareto(2.0, 1.0, -3.0),  # the pareto_ratio increments
+        Pareto(3.0, 2.0, 0.5),
+    ],
+    ids=["weibull_g2", "weibull_g3", "weibull_atom", "pareto_ratio", "pareto_3"],
+)
+def test_weibull_and_pareto_means_match_mpmath(spec):
+    """mean, the two half-line integrals, against E X = lo + int_lo^inf
+    tail(x) dx by 30-digit mpmath, written from the family formula."""
+    if isinstance(spec, Pareto):
+        log_tail = pareto_log_tail_mp(spec.index, spec.scale, spec.shift)
+    else:
+        log_tail = weibull_log_tail_mp(spec.c, spec.beta, spec.shift)
+    assert spec.mean == pytest.approx(mean_from_tail(log_tail, spec.support[0]), rel=1e-12)
