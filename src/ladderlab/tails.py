@@ -21,6 +21,13 @@ two tail-ordered distributions yields ordered samples.
 Every integral of a tail or CDF runs on ``numerics.integrate``, which
 evaluates the array ``tail`` on many abscissae at once; ``integrals_above``
 computes many tail integrals in one call, each with the bits of its own.
+
+scipy is imported in one place, ``LognormalShifted.__init__``, for the
+``scipy.special`` functions ``ndtr``, ``log_ndtr`` and ``ndtri``.  It costs
+about 0.2 s, more than the rest of ``import ladderlab``, so only a process
+that builds a lognormal pays it.  It runs at construction, so a
+distribution's tail and quantile calls, timed or on worker threads, never
+import anything.
 """
 
 from __future__ import annotations
@@ -31,7 +38,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
 from .config import build_record
 from .numerics import integrate
@@ -272,6 +278,9 @@ class LognormalShifted(TailSpec):
             raise TailError("lognormal_shifted needs sigma2 > 0")
         self.mu, self.sigma2, self.shift = float(mu), float(sigma2), float(shift)
         self._sigma = math.sqrt(self.sigma2)
+        from scipy import special  # the package's one scipy import; see the module docstring
+
+        self._ndtr, self._log_ndtr, self._ndtri = special.ndtr, special.log_ndtr, special.ndtri
 
     @property
     def support(self):
@@ -281,17 +290,17 @@ class LognormalShifted(TailSpec):
         x = np.asarray(x, dtype=float)
         t = np.maximum(x - self.shift, _TINY_TAIL)
         z = (np.log(t) - self.mu) / self._sigma
-        return np.where(x <= self.shift, 1.0, special.ndtr(-z))
+        return np.where(x <= self.shift, 1.0, self._ndtr(-z))
 
     def log_tail(self, x):
         x = np.asarray(x, dtype=float)
         t = np.maximum(x - self.shift, _TINY_TAIL)
         z = (np.log(t) - self.mu) / self._sigma
-        return np.where(x <= self.shift, 0.0, special.log_ndtr(-z))
+        return np.where(x <= self.shift, 0.0, self._log_ndtr(-z))
 
     def tail_quantile(self, q):
         q = np.asarray(q, dtype=float)
-        return self.shift + np.exp(self.mu - self._sigma * special.ndtri(q))
+        return self.shift + np.exp(self.mu - self._sigma * self._ndtri(q))
 
 
 class Pareto(TailSpec):
@@ -427,13 +436,13 @@ class QueuePair(TailSpec):
         if sigma.support[0] < 0 or t.support[0] < 0:
             raise TailError("queue_pair components must be non-negative")
         self.sigma, self.t = sigma, t
-        nodes, weights = np.polynomial.legendre.leggauss(self._GL_NODES)
-        self._v = 0.5 * (nodes + 1.0)
-        self._w = 0.5 * weights
         # an atomic interarrival gives the exact finite sum, otherwise the
-        # quadrature runs over these fixed interarrival quantiles
+        # quadrature runs over fixed interarrival quantiles
         self._t_atoms = t.atoms if abs(sum(m for _, m in t.atoms) - 1.0) < 1e-12 else []
-        self._tq = None if self._t_atoms else t.quantile(self._v)
+        if not self._t_atoms:
+            nodes, weights = np.polynomial.legendre.leggauss(self._GL_NODES)
+            self._tq = t.quantile(0.5 * (nodes + 1.0))
+            self._w = 0.5 * weights
 
     @property
     def support(self):

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -16,33 +17,46 @@ SRC = Path(ladderlab.__file__).resolve().parents[1]
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    code = "import sys, ladderlab; print('scipy.stats' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "False"
+_IMPORT_GRAPH_SCRIPT = """
+import json, sys
+loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
+import ladderlab
+record = [['import ladderlab', 0, loaded()]]
+from ladderlab.cli import main
+record.append(['import ladderlab.cli', 0, loaded()])
+for cfg, stage in json.loads(sys.argv[1]):
+    rc = main([stage, '--config', cfg, '--out', cfg + '.out'])
+    record.append([cfg + ' ' + stage, rc, loaded()])
+print(json.dumps(record))
+"""
 
 
-def test_cli_stages_leave_scipy_integrate_unloaded(tmp_path):
-    """ladderlab integrates on its own kernel: a fresh process that imports
-    the CLI and runs a small bernoulli_oracle simulate and estimate never
-    loads scipy.integrate."""
-    raw = yaml.safe_load((CONFIGS / "bernoulli_oracle.yaml").read_text())
-    cfg = tmp_path / "bernoulli.yaml"
-    cfg.write_text(yaml.safe_dump({**raw, "n_samples": 2000}))
-    code = (
-        "import sys\n"
-        "from ladderlab.cli import main\n"
-        "for stage in ('simulate', 'estimate'):\n"
-        "    assert main([stage, '--config', sys.argv[1], '--out', sys.argv[2]]) == 0, stage\n"
-        "print('scipy.integrate' in sys.modules)\n"
-    )
+def test_import_graph_loads_scipy_for_the_lognormal_family_alone(tmp_path):
+    """A fresh process that imports ladderlab and its CLI, then runs small
+    stages of every config family but the lognormal one, and g1's `check`,
+    loads no scipy module at all.  A g1_lognormal `simulate` builds the
+    lognormal increment, which loads scipy.special, and still never
+    scipy.stats or scipy.integrate."""
+    runs = []
+    for name, stages in [
+        ("bernoulli_oracle", ("simulate", "estimate", "verify")),
+        ("pareto_ratio", ("simulate", "estimate", "verify")),
+        ("queue_busy_cycle", ("simulate", "estimate", "verify")),
+        ("g1_lognormal", ("check", "simulate")),
+    ]:
+        cfg = tmp_path / f"{name}.yaml"
+        cfg.write_text(yaml.safe_dump({**yaml.safe_load((CONFIGS / f"{name}.yaml").read_text()), "n_samples": 2000}))
+        runs += [(str(cfg), stage) for stage in stages]
     out = subprocess.run(
-        [sys.executable, "-c", code, str(cfg), str(tmp_path / "out")],
+        [sys.executable, "-c", _IMPORT_GRAPH_SCRIPT, json.dumps(runs)],
         env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip().splitlines()[-1] == "False"
+    record = json.loads(out.stdout.strip().splitlines()[-1])
+    *scipy_free, (step, rc, lognormal) = record
+    assert [entry for entry in scipy_free if entry[1] != 0 or entry[2]] == []
+    assert step.endswith("g1_lognormal.yaml simulate") and rc == 0
+    assert "scipy.special" in lognormal
+    assert not [m for m in lognormal if m.startswith(("scipy.stats", "scipy.integrate"))]
 
 
 def test_gk21_rule_is_quadpacks():
@@ -117,6 +131,22 @@ def test_adaptive_gk21_integrates_each_group():
     exact = [-np.expm1(-3.0), -np.expm1(-2000.0), -np.expm1(-4.5)]
     np.testing.assert_allclose(total, exact, rtol=1e-12)
     assert not capped.any()
+
+
+@pytest.mark.parametrize("limit", [7, 10, 50])
+def test_adaptive_gk21_caps_each_group_at_exactly_limit_intervals(monkeypatch, limit):
+    """Groups that cannot reach epsrel, starting from 1, 2 and 3 intervals,
+    stop at exactly `limit` intervals each, never one more.  The count is
+    each group's initial intervals plus half the new ones of each later pass,
+    where every bisection replaces one interval by two."""
+    passes, qk21 = [], numerics._qk21
+    monkeypatch.setattr(numerics, "_qk21", lambda f, g, a, b: passes.append(np.bincount(g, minlength=3)) or qk21(f, g, a, b))
+    group = np.array([0, 1, 1, 2, 2, 2])
+    a = np.array([0.0, 0.0, 0.5, 0.0, 0.25, 0.5])
+    b = np.array([1.0, 0.5, 1.0, 0.25, 0.5, 1.0])
+    _, capped = numerics.adaptive_gk21(lambda g, y: np.sin(1e4 * (g + 1) * y), group, a, b, epsrel=1e-12, limit=limit)
+    intervals = passes[0] + sum(passes[1:]) // 2
+    assert intervals.tolist() == [limit] * 3 and capped.all()
 
 
 def _poly(y):

@@ -78,6 +78,20 @@ def test_queue_pair_continuous_interarrival_tail():
         assert float(qp.tail(x)) == pytest.approx(0.5 * math.exp(-x), rel=1e-8)
 
 
+def test_atomic_queue_pair_builds_without_gauss_legendre_nodes(monkeypatch):
+    """The Gauss-Legendre nodes serve only a continuous interarrival: an
+    atomic one builds and evaluates with `leggauss` unavailable."""
+
+    def refuse(n):
+        raise AssertionError("leggauss called")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    qp = QueuePair(Exponential(1.0), Constant(2.0))
+    assert float(qp.tail(0.0)) == pytest.approx(math.exp(-2.0), rel=1e-12)
+    with pytest.raises(AssertionError, match="leggauss called"):
+        QueuePair(Exponential(1.0), Exponential(2.0))
+
+
 def test_queue_pair_rejects_negative_support():
     with pytest.raises(TailError):
         QueuePair(Constant(-1.0), Exponential(1.0))
