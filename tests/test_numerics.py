@@ -31,12 +31,13 @@ print(json.dumps(record))
 """
 
 
-def test_import_graph_loads_scipy_for_the_lognormal_family_alone(tmp_path):
-    """A fresh process that imports ladderlab and its CLI, then runs small
-    stages of every config family but the lognormal one, and g1's `check`,
-    loads no scipy module at all.  A g1_lognormal `simulate` builds the
-    lognormal increment, which loads scipy.special, and still never
-    scipy.stats or scipy.integrate."""
+@pytest.fixture(scope="module")
+def import_graph(tmp_path_factory):
+    """One fresh process imports ladderlab and its CLI, then runs small
+    stages of every config family but the lognormal one, g1's `check`, and
+    last a g1_lognormal `simulate`.  Returns [step, exit code, scipy modules
+    loaded so far] after each step."""
+    tmp_path = tmp_path_factory.mktemp("import_graph")
     runs = []
     for name, stages in [
         ("bernoulli_oracle", ("simulate", "estimate", "verify")),
@@ -51,8 +52,29 @@ def test_import_graph_loads_scipy_for_the_lognormal_family_alone(tmp_path):
         [sys.executable, "-c", _IMPORT_GRAPH_SCRIPT, json.dumps(runs)],
         env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, check=True,
     )
-    record = json.loads(out.stdout.strip().splitlines()[-1])
-    *scipy_free, (step, rc, lognormal) = record
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_import_leaves_scipy_stats_unloaded(import_graph):
+    """`import ladderlab` and `import ladderlab.cli` load no scipy module,
+    scipy.stats included."""
+    assert [step for step, _, _ in import_graph[:2]] == ["import ladderlab", "import ladderlab.cli"]
+    assert [entry for entry in import_graph[:2] if entry[2]] == []
+
+
+def test_cli_stages_leave_scipy_integrate_unloaded(import_graph):
+    """ladderlab integrates on its own kernel: every stage exits 0 and none,
+    the lognormal `simulate` included, loads scipy.integrate."""
+    stages = import_graph[2:]
+    assert len(stages) == 11 and [entry for entry in stages if entry[1] != 0] == []
+    assert [entry for entry in stages if "scipy.integrate" in entry[2]] == []
+
+
+def test_import_graph_loads_scipy_for_the_lognormal_family_alone(import_graph):
+    """Every step before the g1_lognormal `simulate` loads no scipy module at
+    all.  That `simulate` builds the lognormal increment, which loads
+    scipy.special, and still never scipy.stats or scipy.integrate."""
+    *scipy_free, (step, rc, lognormal) = import_graph
     assert [entry for entry in scipy_free if entry[1] != 0 or entry[2]] == []
     assert step.endswith("g1_lognormal.yaml simulate") and rc == 0
     assert "scipy.special" in lognormal
