@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import Report
 from .growth import ConditionReport, GrowthFunction
-from .numerics import integrate
+from .numerics import bracket_root, integrate
 from .tails import MajorantIncrement, SplicedTail, TailError, TailSpec, TruncatedBelow, integrals_above
 
 __all__ = [
@@ -62,17 +62,17 @@ def _transformed_log_product(base: TailSpec, g: GrowthFunction, t):
 
 
 def _find_log_tail_horizon(base: TailSpec, g: GrowthFunction) -> float:
-    """Largest useful t = log s: where the base tail underflows through g."""
+    """Largest useful t = log s: g where the base log-tail drops below the
+    floor, the upper end of the `numerics.bracket_root` bracket of the crossing."""
     hi = base.support[1]
     if math.isfinite(hi):
         return float(g(hi))
-    # expand x until the log-tail dips below the floor, then map through g
-    x = max(1.0, base.support[0] + 1.0, abs(base.support[0]))
-    for _ in range(200):
-        if base.log_tail(x) < _LOG_TAIL_FLOOR:
-            return float(g(x))
-        x *= 2.0
-    raise UndeterminedError("tail does not decay: cannot place the majorant grid")
+    start = max(1.0, base.support[0] + 1.0, abs(base.support[0]))
+    try:
+        _, x = bracket_root(lambda x, i: base.log_tail(x) < _LOG_TAIL_FLOOR, start, 2.0 * start)
+    except ValueError:
+        raise UndeterminedError("tail does not decay: cannot place the majorant grid") from None
+    return float(g(x))
 
 
 def _exp_growth_moment(base: TailSpec, g: GrowthFunction, t_hi: float) -> float | None:

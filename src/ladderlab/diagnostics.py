@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import Report
-from .numerics import adaptive_gk21, stabilized_running_max
+from .numerics import adaptive_gk21, bracket_root, stabilized_running_max
 from .tails import TailSpec
 
 __all__ = [
@@ -68,27 +68,15 @@ class IncrementFitReport(Report):
 
 
 def usable_tail_horizon(spec: TailSpec, log_floor: float = _LOG_FLOOR) -> float:
-    """Largest x where the log-tail still clears the given floor, capped at 1e13."""
-    cap = 1e13
-    hi = spec.support[1]
+    """Largest x where the log-tail still clears the given floor, capped at 1e13:
+    the lower end of the `numerics.bracket_root` bracket of its crossing."""
+    cap, hi = 1e13, spec.support[1]
     if math.isfinite(hi):
         return hi
-    x = max(1.0, spec.support[0] + 1.0, abs(spec.support[0]))
-    while x < cap:
-        if spec.log_tail(x) < log_floor:
-            break
-        x *= 1.5
-    else:
+    start = max(1.0, spec.support[0] + 1.0, abs(spec.support[0]))
+    if start >= cap or spec.log_tail(np.array([cap]))[0] >= log_floor:
         return cap
-    # bisect back to the crossing for a tight horizon
-    lo = x / 1.5
-    for _ in range(80):
-        mid = 0.5 * (lo + x)
-        if spec.log_tail(mid) < log_floor:
-            x = mid
-        else:
-            lo = mid
-    return lo
+    return float(bracket_root(lambda x, i: spec.log_tail(x) < log_floor, start, cap)[0])
 
 
 def _default_x_grid(spec: TailSpec, per_decade: int = 16, hi: float | None = None) -> np.ndarray:
@@ -163,7 +151,7 @@ def sstar_ratio(spec: TailSpec, x_grid=None) -> TailRatioReport:
     if not xs.size:
         return TailRatioReport("sstar", [], [], False, tol, 0.0, ["no usable grid"])
 
-    quantiles = [float(spec.tail_quantile(level)) for level in _DECAY_KNOT_LEVELS]
+    quantiles = spec.tail_quantile(np.array(_DECAY_KNOT_LEVELS)).tolist()
     atoms, lo = [loc for loc, _ in spec.atoms], spec.support[0]
     group, a, b = [], [], []
     for i, x in enumerate(xs.tolist()):

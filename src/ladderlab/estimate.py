@@ -402,8 +402,7 @@ def running_max_ratio_check(batch: SampleBatch, f_psi: TailSpec, x_grid=None) ->
         if hi_level >= lo_level:
             x_grid = [float(f_psi.tail_quantile(lo_level))]
         else:
-            levels = np.geomspace(lo_level, hi_level, 12)
-            x_grid = [float(f_psi.tail_quantile(q)) for q in levels]
+            x_grid = f_psi.tail_quantile(np.geomspace(lo_level, hi_level, 12))
     xs = np.asarray(x_grid, dtype=float)
     counts = [0] * xs.size
     for m_vals in uncensored(batch.psi_max):

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import Report, build_record
-from .numerics import integrate, stabilized_running_max
+from .numerics import bracket_root, integrate, stabilized_running_max
 
 __all__ = [
     "GrowthFunction",
@@ -54,37 +54,19 @@ class GrowthEvalError(ValueError):
     """A growth function produced a non-finite value."""
 
 
-def _bisect_increasing(fn, targets, lo, atol=1e-12):
-    """Generalized inverse of an increasing fn by bracketed bisection.
+def _bracketed_inverse(ev, lo: float):
+    """The inverse t -> inf{x > lo : ev(x) > t} of an increasing ev, the upper
+    end of its `numerics.bracket_root` bracket from [lo, lo + 1];
+    GrowthEvalError where no bracket is found (a target too large)."""
 
-    Returns x with fn(x) ~= target; targets may be an array.  The bracket is
-    grown geometrically from `lo`, a non-positive upper end first to 1.0; the
-    iteration stops when the bracket width falls below `atol` or below a few
-    ulps of the abscissa, whichever is larger.
-    """
-    t = np.asarray(targets, dtype=float)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    lo_arr = np.full_like(t, float(lo))
-    hi = np.maximum(lo_arr * 2.0, lo_arr + 1.0)
-    for _ in range(200):
-        need = fn(hi) <= t
-        if not need.any():
-            break
-        hi = np.where(need, np.where(hi > 0.0, hi * 4.0, 1.0), hi)
-    else:
-        raise GrowthEvalError("could not bracket inverse: target too large")
-    lo_arr = lo_arr.copy()
-    for _ in range(200):
-        mid = 0.5 * (lo_arr + hi)
-        high_side = fn(mid) > t
-        hi = np.where(high_side, mid, hi)
-        lo_arr = np.where(high_side, lo_arr, mid)
-        width = hi - lo_arr
-        if np.all(width <= np.maximum(atol, 4.0 * np.spacing(hi))):
-            break
-    out = 0.5 * (lo_arr + hi)
-    return float(out[0]) if scalar else out
+    def inv(t):
+        flat = t.ravel()
+        try:
+            return bracket_root(lambda x, i: (x > lo) & (ev(x) > flat[i]), np.full(t.shape, lo), lo + 1.0)[1]
+        except ValueError:
+            raise GrowthEvalError("could not bracket inverse: target too large") from None
+
+    return inv
 
 
 @dataclass(frozen=True)
@@ -171,11 +153,8 @@ def _make_g3(param: float) -> GrowthFunction:
         out = xg ** (beta - 1.0) * (beta * np.log(xg) + 1.0)
         return np.where(np.asarray(x, dtype=float) > 1.0, out, 0.0)
 
-    def inv(t):
-        # No closed form: bracketed bisection above the flat region [., 1].
-        return _bisect_increasing(ev, t, lo=1.0)
-
-    return GrowthFunction("g3", {"param": beta}, ev, dv, inv)
+    # no closed form: a bracketed search above the flat region [., 1]
+    return GrowthFunction("g3", {"param": beta}, ev, dv, _bracketed_inverse(ev, 1.0))
 
 
 def _make_table(points: Sequence[Sequence[float]]) -> GrowthFunction:
@@ -203,11 +182,7 @@ def _make_table(points: Sequence[Sequence[float]]) -> GrowthFunction:
         return slopes[idx]
 
     lo = float(min(xs[0] if slopes[0] > 0 else xs[0] - 1.0, 1e-6))
-
-    def inv(t):
-        return _bisect_increasing(ev, t, lo=lo)
-
-    return GrowthFunction("table", {"points": [list(p) for p in pts]}, ev, dv, inv)
+    return GrowthFunction("table", {"points": [list(p) for p in pts]}, ev, dv, _bracketed_inverse(ev, lo))
 
 
 _FAMILIES = {"g1": _make_g1, "g2": _make_g2, "g3": _make_g3, "table": _make_table}  # by config tag

@@ -7,6 +7,11 @@ S* convolution profiles; ``integrate`` builds on it the means, the splice and
 truncation integrals and the growth integrals, finite pieces and doubling
 half-lines, many of them per call.  Callers pass their own tolerances and
 decide for themselves what a non-converged result means.
+
+One search serves every monotone crossing: ``bracket_root``, growth of a
+bracket then bisection, each element on its own bracket and stop.  It
+computes the g3 and table growth inverses, the generic tail quantile and
+the depths at which a tail underflows.
 """
 
 from __future__ import annotations
@@ -230,6 +235,57 @@ def _integrals(fns, fid, work, epsabs: float) -> list[float]:
     lo, hi = np.array([w[1] for w in work]), np.array([w[2] for w in work])
     total, _ = adaptive_gk21(f, np.arange(len(work)), lo, hi, 1e-10, 200, epsabs)
     return total.tolist()
+
+
+def bracket_root(pred, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Bracket, element by element, the point where a monotone predicate turns True.
+
+    pred(x, i) tells for each point x[k] of element i[k] (1-d arrays; i
+    indexes the flattened broadcast of lo and hi) whether it lies above that
+    element's boundary: False below it, True above, and its value at a point
+    must not depend on the other points of the call.  Each element starts
+    from its bracket [lo, hi], lo < hi.  An end on the wrong side moves
+    outward, the bracket becoming [hi, hi + 4 w] while pred(hi) is False and
+    [lo - 4 w, lo] while pred(lo) is True, w = hi - lo; ValueError if some
+    element has no bracket after 200 steps, or one with an end at or past
+    +-1e307, where the sum of two ends could overflow.  Then each element is
+    bisected until its own bracket has hi - lo <= max(1e-12, 4 ulp(hi)).  No
+    step of an element reads another element, so its bits are those of its
+    call alone.
+
+    Returns (lo, hi), pred(lo) False and pred(hi) True, in the broadcast shape.
+    """
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    shape = lo.shape
+    lo, hi = lo.ravel().copy(), hi.ravel().copy()
+    i = np.arange(lo.size)
+    held = np.zeros(lo.size, dtype=bool)  # pred(lo) is False: probe hi
+    for _ in range(200):
+        x = np.where(held, hi, lo)
+        p = pred(x, i)
+        if (p & held).all():
+            break
+        moved = p ^ held  # a True lo or a False hi becomes the bracket's other end
+        step = 4.0 * (hi - lo)
+        lo, hi = np.where(moved, np.where(p, x - step, x), lo), np.where(moved, np.where(p, x, x + step), hi)
+        held |= ~p
+    if not ((p & held).all() and (np.abs([lo, hi]) < 1e307).all()):
+        raise ValueError("no bracket inside +-1e307 within 200 steps")
+    live = hi - lo > _stop_width(hi)
+    while live.any():
+        mid = 0.5 * (lo + hi)
+        up = pred(mid, i) & live
+        hi, lo = np.where(up, mid, hi), np.where(up ^ live, mid, lo)
+        live &= hi - lo > _stop_width(hi)
+    return lo.reshape(shape), hi.reshape(shape)
+
+
+def _stop_width(x: np.ndarray) -> np.ndarray:
+    """max(1e-12, 4 ulp(x)): a normal x's exponent bits give 2^floor(log2 |x|) = 2^52 ulp(x)."""
+    return np.maximum(1e-12, (x.view(np.int64) & _EXPONENT_BITS).view(float) * 2.0**-50)
+
+
+_EXPONENT_BITS = np.int64(0x7FF0000000000000)
 
 
 def stabilized_running_max(xs: np.ndarray, row_max: np.ndarray) -> tuple[float, np.ndarray, bool]:

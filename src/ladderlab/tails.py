@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import build_record
-from .numerics import integrate
+from .numerics import bracket_root, integrate
 
 __all__ = [
     "TailSpec",
@@ -117,8 +117,13 @@ class TailSpec:
             return np.log(self.tail(x))
 
     def tail_quantile(self, q):
-        """inf{x : tail(x) <= q}; default is bracketed bisection on the tail."""
-        return self._bisect_tail_quantile(q)
+        """inf{x >= support lo : tail(x) <= q}; by default the upper end of its
+        `numerics.bracket_root` bracket, started at the support's ends."""
+        q = np.asarray(q, dtype=float)
+        flat, (lo, hi) = q.ravel(), self.support
+        start = lo if math.isfinite(lo) else min(hi, 0.0) - 1.0
+        end = hi if math.isfinite(hi) else max(lo, 0.0) + 1.0
+        return bracket_root(lambda x, i: (x >= lo) & (self.tail(x) <= flat[i]), np.full(q.shape, start), end)[1]
 
     def quantile(self, u):
         u = np.asarray(u, dtype=float)
@@ -193,37 +198,6 @@ class TailSpec:
     def mean(self) -> float:
         """E X = E X^+ - E X^-, where E X^- is the integral of the CDF over (-inf, 0)."""
         return self.pos_mean - self.mass_integral_below(0.0)
-
-    # -- generic quantile ----------------------------------------------------
-
-    def _bisect_tail_quantile(self, q):
-        q = np.asarray(q, dtype=float)
-        scalar = q.ndim == 0
-        qa = np.atleast_1d(q).astype(float)
-        lo_s, hi_s = self.support
-        lo = np.full_like(qa, lo_s if math.isfinite(lo_s) else -1.0)
-        hi = np.full_like(qa, hi_s if math.isfinite(hi_s) else 1.0)
-        if not math.isfinite(lo_s):
-            for _ in range(200):
-                need = self.tail(lo) <= qa  # lo must stay on the tail > q side
-                if not need.any():
-                    break
-                lo = np.where(need, lo * 2.0 - 1.0, lo)
-        if not math.isfinite(hi_s):
-            for _ in range(200):
-                need = self.tail(hi) > qa
-                if not need.any():
-                    break
-                hi = np.where(need, hi * 2.0 + 1.0, hi)
-        for _ in range(120):
-            mid = 0.5 * (lo + hi)
-            le = self.tail(mid) <= qa
-            hi = np.where(le, mid, hi)
-            lo = np.where(le, lo, mid)
-            if np.all((hi - lo) <= np.maximum(1e-12, 8.0 * np.spacing(np.abs(hi)))):
-                break
-        out = hi
-        return float(out[0]) if scalar else out
 
 
 # ---------------------------------------------------------------------------

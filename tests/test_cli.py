@@ -975,7 +975,7 @@ GOLDEN_DIGESTS = {
     },
     "g1_lognormal": {
         "condition_report.json": "8e57f41cddd4f8defa211162efb8121250f118bb05365c6f49c3c2c7345e4dd8",
-        "chain.json": "19c1215c955aa760d431b78230826ba885d075a16e8b92a9c3a87c4cdf4feab6",
+        "chain.json": "e2d3e02f644b35ef9b8f7cdf8a77fbd1feab3fca91ac8303dc8abd403a7769eb",
         "tail_tables.csv": "0cac49e430c7c2d70ada9f438272347cc4b4127b120f44ec9865df4224d89e59",
         "samples.csv": "dedd44a01621dd585373c7af0f58438c78f940cca01c07388f6625d3800709fd",
         "estimates.json": "7e2b34b23bb619e3d6cc9623d6db9146088354fe0dafacdab778aa8130a1bbd0",
@@ -984,17 +984,17 @@ GOLDEN_DIGESTS = {
     },
     "g2_weibull": {
         "condition_report.json": "b48a42e664869098a858953259c39a3944c2a44d2d9d78ec51845cb796518663",
-        "chain.json": "5a022f8f7c66891a068857e1478a4c4f576fb77e7afc68bf882d94098687dd7e",
+        "chain.json": "8195627d0df7daf5dd49cbe5302625d654bb8e3f9431176bde996ea2e7c4df86",
         "tail_tables.csv": "5b587dee95a4c1230fbd002281277f099be73cabfd880bbb5f19ec8a2dbc391e",
         "samples.csv": "66ca06aad179d7fe02e12e622a04581978f5e7b661f1acb776a5c01f59b5dd8a",
         "estimates.json": "9749845e7c72a9e9b76ed4275c1e1450daad1ef67b7949afd9e2f6cfa143154f",
-        "verify_report.json": "b55ca69fef7318bafe5e6d665105006d938446031ea9b6a9faafeb0dcb1968c7",
+        "verify_report.json": "d4d522929296930ea5d67f69ca1ec92579744026499663dac69464a18f0c8c42",
         "replay_5.csv": "431f8a3c9d7f3a715d749d37f44e295f5a64bd6fd7ad3b0ea5376f01dbd159ae",
     },
     "g3_weibull": {
         "condition_report.json": "8e3e65351ad86a263b8fb39b5e9450669693119f45c6de89493b57c296183cd8",
-        "chain.json": "53e3b7570c69a31b2511c0b889815c531613120d34d01134e3afeb6fef8b93f3",
-        "tail_tables.csv": "fb346a53f930c710ebe36e3ed796d0fd6b27b878492869a0a103d941a6fe5e8e",
+        "chain.json": "f85c0bc260aa87d4bcaf305fcc361c41548f947ccfbb1c175c563725e3b64a22",
+        "tail_tables.csv": "0f074b81d9e3013983d709f2a491550291a195084e8d42cc11ab2c391f298a6f",
         "samples.csv": "0cf60cf2acc1191ec4e36f84cfa550ef41bfb42755b4436d156c8b4e4865c657",
     },
     "pareto_ratio": {"samples.csv": "32d61394121fb6811dc7f8460a0454f3d7b53cc5d3c268aecfae153bb8b28f45"},
@@ -1013,8 +1013,8 @@ GOLDEN_DIGESTS = {
         "samples.csv": "d358dbd4c81c011d7a7734dcc2270333eb84913937f0bced8d9e57d0950c3778",
         "estimates.json": "19257d658e5ee3ea995e97d9cb3c93b32d1e40c42f4a53bfd4074b4bef59e682",
         "estimates.csv": "4d71705fc47dd27fed40e0536170900016fb4d3b3e8f039c21b63764fce4a26b",
-        "verify_report.json": "5d7cb10bd52515a2f402912c500b327367bbf282bacac2184f21c68114e35d67",
-        "ratio_curve.csv": "1f237d449b2fe9f1497ce3598093b16f9127606c7a5fa04f9a9445d7f088d453",
+        "verify_report.json": "ac98a5081d869a7feea50fd29e3b5f8d844fa5c6fdddde08343fcc102a3c3543",
+        "ratio_curve.csv": "24776337258f66b87162796a9e0787ac883b92e12ae7fccc7afa4d187dfb966e",
         "stability_curve.csv": "76214ea17829d07a56ca1b1329fadf2291e9c1250a5ed0eccf324e955069cb7d",
         "replay_5.csv": "a94e915346a6685642c0f5cde1206933581d3141389a8ab52eab135796a9028a",
     },

@@ -17,7 +17,7 @@ from ladderlab import (
     default_condition_grid,
     make_growth,
 )
-from ladderlab.growth import GrowthEvalError, _bisect_increasing
+from ladderlab.growth import GrowthEvalError, _bracketed_inverse
 
 from oracles import weibull_exp_tail_integral
 
@@ -35,10 +35,7 @@ def from_callables(ev, deriv=None) -> GrowthFunction:
             h = np.maximum(np.abs(x) * 1e-6, 1e-9)
             return (ev_arr(x + h) - ev_arr(x - h)) / (2.0 * h)
 
-    def inverse(t):
-        return _bisect_increasing(ev_arr, t, lo=1e-6)
-
-    return GrowthFunction("custom", {}, ev_arr, deriv, inverse)
+    return GrowthFunction("custom", {}, ev_arr, deriv, _bracketed_inverse(ev_arr, 1e-6))
 
 
 # -- builtins ---------------------------------------------------------------
@@ -96,8 +93,8 @@ def test_table_growth():
     ],
 )
 def test_table_inverse_brackets_from_non_positive_start(points):
-    """A bracket whose upper end starts at or below zero grows to 1.0 first,
-    so the inverse exists above it too."""
+    """A bracket that starts at or below zero grows past it, so the inverse
+    exists above it too."""
     g = make_growth({"family": "table", "points": points})
     for t in (0.2, 1.0, 4.5, 30.0):
         x = g.inverse(t)

@@ -239,6 +239,76 @@ def test_integrate_bits_do_not_depend_on_the_batch_or_the_rounds(monkeypatch):
             assert numerics.integrate([job], **opts) == ([together[0][j]], [together[1][j]])
 
 
+def _above(c):
+    """The predicate x > c[i] of `numerics.bracket_root`, boundary c[i] for element i."""
+    c = np.asarray(c, dtype=float)
+    return lambda x, i: x > c[i]
+
+
+def _closed(lo, hi):
+    return np.all(hi - lo <= np.maximum(1e-12, 4.0 * np.spacing(np.abs(hi))))
+
+
+def test_bracket_root_grows_either_end():
+    """A wrong upper end moves up, a wrong lower end moves down, and each
+    bracket closes around its own boundary."""
+    c = np.array([1e3, -1e3, 0.3, 7.5e9])
+    lo, hi = numerics.bracket_root(_above(c), np.zeros(4), 1.0)
+    assert lo.shape == hi.shape == (4,)
+    assert np.all((lo <= c) & (c < hi)) and _closed(lo, hi)
+    assert hi[3] - lo[3] > 1e-12  # past 2^34 the 4-ulp width governs
+
+
+def test_bracket_root_raises_without_a_bracket():
+    for value in (False, True):
+        with pytest.raises(ValueError):
+            numerics.bracket_root(lambda x, i: np.full(x.shape, value), 0.0, 1.0)
+    with pytest.raises(ValueError):  # one element whose boundary lies past the floats
+        numerics.bracket_root(_above([1.0, math.inf]), np.zeros(2), 1.0)
+    with pytest.raises(ValueError):  # one element whose bracket grows past 1e307
+        numerics.bracket_root(_above([1.0, 5e307]), np.zeros(2), np.array([1.0, 1e306]))
+    with pytest.raises(ValueError):  # an end at -1e307 itself
+        numerics.bracket_root(_above([0.0]), -1e307, 1.0)
+
+
+def test_bracket_root_flat_stretch_gives_the_infimum():
+    """g flat at 1 on [1, 4]: {x : g(x) > 1} starts at the stretch's right end."""
+    def g(x):
+        return np.clip(x, None, 1.0) + np.clip(x - 4.0, 0.0, None)
+
+    lo, hi = numerics.bracket_root(lambda x, i: g(x) > 1.0, np.array([0.0, 2.0]), np.array([0.5, 3.0]))
+    assert np.all((lo <= 4.0) & (4.0 < hi)) and _closed(lo, hi)
+
+
+def test_bracket_root_stops_at_exactly_four_ulp():
+    """4 ulp(2048) = 2^-39: a bracket below 2048 that wide is closed, and one
+    twice as wide is bisected once."""
+    hi = 2048.0
+    for c in (hi - 2.0**-41, hi - 2.0**-39 + 2.0**-41):
+        assert numerics.bracket_root(_above([c]), hi - 2.0**-39, hi) == (hi - 2.0**-39, hi)
+    assert numerics.bracket_root(_above([hi - 2.0**-41]), hi - 2.0**-38, hi) == (hi - 2.0**-39, hi)
+
+
+def test_bracket_root_floor_at_zero():
+    """At a boundary 0 the 1e-12 floor stops the search, not 4 ulp of a tiny hi."""
+    lo, hi = numerics.bracket_root(_above([0.0]), -3.0, 1.0)
+    assert lo.shape == () and lo <= 0.0 < hi and hi - lo <= 1e-12
+    assert hi - lo > 0.5e-12  # one more halving would have closed it too
+
+
+def test_bracket_root_elements_keep_their_singleton_bits():
+    """A narrow bracket beside a wide one stops at its own width, with the
+    bits of its call alone, in either order."""
+    c = np.array([0.7, 1e9 + 0.3])
+    lo, hi = numerics.bracket_root(_above(c), np.array([0.5, 0.0]), np.array([1.0, 1.0]))
+    for k, (start_lo, start_hi) in enumerate([(0.5, 1.0), (0.0, 1.0)]):
+        alone = numerics.bracket_root(_above(c[k : k + 1]), start_lo, start_hi)
+        assert (lo[k], hi[k]) == (float(alone[0]), float(alone[1]))
+    swapped = numerics.bracket_root(_above(c[::-1]), np.array([0.0, 0.5]), np.array([1.0, 1.0]))
+    assert swapped[0].tolist() == lo[::-1].tolist() and swapped[1].tolist() == hi[::-1].tolist()
+    assert hi[0] - lo[0] > 0.5e-12  # the narrow one stopped as soon as it closed
+
+
 def test_sstar_ratio_calls_no_quadpack(monkeypatch, chains):
     """The S* profile integrates all its grid points in one call of the
     batched kernel and runs no other integral."""
