@@ -12,8 +12,8 @@ records the range it actually covered):
   integrated in one call of the batched Gauss-Kronrod kernel
   ``numerics.adaptive_gk21``,
 * ``check_log_tail_increment`` - the hazard-scale increment bound
-  R(x) - R(x-y) <= gamma R(y) + A' with R = -log tail, fitted like the
-  growth-function increment slack.
+  R(x) - R(x-y) <= gamma R(y) + A' with R = -log tail, fitted on the
+  growth-function increment slack's sweep, ``numerics.increment_sweep``.
 
 Grids stop where the tail underflows (below 1e-300); the reports carry the
 usable horizon.
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import Report
-from .numerics import adaptive_gk21, bracket_root, stabilized_running_max
+from .numerics import adaptive_gk21, bracket_root, increment_residual, increment_sweep
 from .tails import TailSpec
 
 __all__ = [
@@ -126,13 +126,14 @@ def sstar_ratio(spec: TailSpec, x_grid=None) -> TailRatioReport:
     The integral int_0^x tail(x-y) tail(y) dy is folded at x/2 (the integrand
     is symmetric) and evaluated in log space, exp(clip(log tail(x-y) +
     log tail(y) - log tail(x), -745, 60)), so it stays representable where the
-    tail underflows.  Each half range is split at the atoms, the support's
-    lower end and the tail's own decay quantiles at `_DECAY_KNOT_LEVELS`
-    (computed once per call), mirrored at x, so the rule resolves the mass
-    concentrated near y = 0 even when the range spans many decades.  All
-    grid points are integrated together by `numerics.adaptive_gk21` to
-    epsrel 1e-9, at most 400 intervals per point; a point that reaches the
-    cap first keeps its last estimate and is named in the notes.
+    tail underflows.  Each half range is split at the spec's `_breakpoints`
+    (atoms, finite support ends, kinks) and their mirror images at x, and at
+    the tail's own decay quantiles at `_DECAY_KNOT_LEVELS` (computed once per
+    call), so the rule resolves the mass concentrated near y = 0 even when
+    the range spans many decades.  All grid points are integrated together
+    by `numerics.adaptive_gk21` to epsrel 1e-9, at most 400 intervals per
+    point; a point that reaches the cap first keeps its last estimate and is
+    named in the notes.
     """
     m, tol = spec.pos_mean, 0.1
     if not m > 0:
@@ -152,11 +153,11 @@ def sstar_ratio(spec: TailSpec, x_grid=None) -> TailRatioReport:
         return TailRatioReport("sstar", [], [], False, tol, 0.0, ["no usable grid"])
 
     quantiles = spec.tail_quantile(np.array(_DECAY_KNOT_LEVELS)).tolist()
-    atoms, lo = [loc for loc, _ in spec.atoms], spec.support[0]
+    kinks = spec._breakpoints()
     group, a, b = [], [], []
     for i, x in enumerate(xs.tolist()):
         half = x / 2.0
-        knots = {p for p in (*atoms, *(x - loc for loc in atoms), lo, x - lo, *quantiles) if 0.0 < p < half}
+        knots = {p for p in (*kinks, *(x - k for k in kinks), *quantiles) if 0.0 < p < half}
         edges = [0.0] + sorted(knots) + [half]
         group += [i] * (len(edges) - 1)
         a += edges[:-1]
@@ -184,44 +185,24 @@ def sstar_ratio(spec: TailSpec, x_grid=None) -> TailRatioReport:
 def check_log_tail_increment(spec: TailSpec, gamma: float, x_grid=None) -> IncrementFitReport:
     """Fit A' in R(x) - R(x-y) <= gamma R(y) + A' over y in (0, x/2].
 
-    y runs over 64 log-spaced fractions of x from 1e-4 to 0.5.  Mirrors the
-    growth-function increment fit on the hazard scale R = -log tail: the
-    per-decade running maximum of the residual must gain less than 1e-6 over
-    the last usable decade, otherwise the worst residuals are reported as
-    witnesses.
+    The growth-function increment fit on the hazard scale R = -log tail, on
+    the same `numerics.increment_sweep`: y runs over 64 log-spaced fractions
+    of x from 1e-4 to 0.5, and only the grid rows whose residuals are all
+    finite and whose tail clears 1e-290 enter the fit.  The per-decade
+    running maximum of the residual must gain less than 1e-6 over the last
+    usable decade, otherwise the worst residuals are reported as witnesses.
     """
     if not gamma < 1:
         raise ValueError("gamma must be < 1")
     if x_grid is None:
         x_grid = _default_x_grid(spec, per_decade=24)
     x_grid = np.asarray(x_grid, dtype=float)
-    y_fracs = np.geomspace(1e-4, 0.5, 64)
+    ys = x_grid[:, None] * np.geomspace(1e-4, 0.5, 64)
+    res = increment_residual(lambda v: -spec.log_tail(v), x_grid[:, None], ys, gamma)
 
-    ys = x_grid[:, None] * y_fracs[None, :]
-    r_x = -spec.log_tail(x_grid)[:, None]
-    r_xy = -spec.log_tail(x_grid[:, None] - ys)
-    r_y = -spec.log_tail(ys)
-    res = r_x - r_xy - gamma * r_y
-
-    usable_rows = np.isfinite(res).all(axis=1) & (r_x[:, 0] <= -_LOG_FLOOR)
+    usable_rows = np.isfinite(res).all(axis=1) & (spec.log_tail(x_grid) >= _LOG_FLOOR)
     if not usable_rows.any():
         return IncrementFitReport(False, gamma, math.nan, 0.0, [{"kind": "no usable grid"}])
-    res = res[usable_rows]
     xs = x_grid[usable_rows]
-    ys = ys[usable_rows]
-
-    row_max = res.max(axis=1)
-    rm_all, in_last, stabilized = stabilized_running_max(xs, row_max)
-    slack = max(rm_all, 0.0)
-
-    if stabilized:
-        return IncrementFitReport(True, gamma, slack, float(xs[-1]))
-    witnesses = []
-    order = np.argsort(row_max[in_last])[::-1][:5]
-    rows = np.nonzero(in_last)[0][order]
-    for r in rows:
-        c = int(np.argmax(res[r]))
-        witnesses.append(
-            {"kind": "growing_residual", "x": float(xs[r]), "y": float(ys[r, c]), "residual": float(res[r, c])}
-        )
-    return IncrementFitReport(False, gamma, slack, float(xs[-1]), witnesses)
+    running_max, ok, witnesses = increment_sweep(xs, ys[usable_rows], res[usable_rows], "growing_residual")
+    return IncrementFitReport(ok, gamma, max(running_max, 0.0), float(xs[-1]), witnesses)

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import Report, build_record
-from .numerics import bracket_root, integrate, stabilized_running_max
+from .numerics import bracket_root, increment_residual, increment_sweep, integrate
 
 __all__ = [
     "GrowthFunction",
@@ -371,11 +371,12 @@ def check_tail_integral(g: GrowthFunction, gamma: float) -> tuple[str, float]:
 def check_increment_slack(g: GrowthFunction, gamma: float, x0: float) -> tuple[CheckResult, float]:
     """Fit the additive slack A of the increment bound g(x)-g(x-y) <= gamma g(y) + A.
 
-    Maximizes the residual over a log-log grid with x in [2 x0, 1e8] (48
-    points per decade) and y in [x0, x/2] (64 points), polishing the grid
-    maximum by local refinement.  The fit is accepted when the running
-    per-decade maximum gains less than 1e-6 over the last decade of x;
-    otherwise the worst residuals of that decade are returned as witnesses.
+    The residual runs over a log-log grid with x in [2 x0, 1e8] (48 points
+    per decade) and y in [x0, x/2] (64 points); `numerics.increment_sweep`
+    gives the verdict (the running per-decade maximum gains less than 1e-6
+    over the last decade of x) and otherwise the worst residuals of that
+    decade as witnesses.  A is the grid maximum polished by three nested
+    local refinements; a non-finite residual leaves the fit not ok and A nan.
     """
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must be in (0,1), got {gamma}")
@@ -390,11 +391,10 @@ def check_increment_slack(g: GrowthFunction, gamma: float, x0: float) -> tuple[C
 
     def residual(x_col, f_row):
         ys = np.exp(np.log(x0) + f_row * (np.log(x_col / 2.0) - np.log(x0)))
-        return g(x_col) - g(x_col - ys) + (-gamma) * g(ys), ys
+        return increment_residual(g, x_col, ys, gamma), ys
 
     res, ys = residual(xs[:, None], frac[None, :])
-
-    rm_all, in_last, stabilized = stabilized_running_max(xs, res.max(axis=1))
+    running_max, ok, witnesses = increment_sweep(xs, ys, res, "growing_increment")
 
     # polish the raw grid maximum with three nested local refinements
     i, j = np.unravel_index(np.argmax(res), res.shape)
@@ -411,18 +411,7 @@ def check_increment_slack(g: GrowthFunction, gamma: float, x0: float) -> tuple[C
         f_lo, f_hi = fr[max(bj - 1, 0)], fr[min(bj + 1, 32)]
 
     a_fit = max(best, 0.0)
-    if stabilized:
-        return CheckResult(ok=True, detail={"A": a_fit, "running_max": rm_all}), a_fit
-
-    witnesses = []
-    last_rows = np.nonzero(in_last)[0]
-    flat = [(res[r, c], r, c) for r in last_rows for c in [int(np.argmax(res[r]))]]
-    flat.sort(reverse=True)
-    for val, r, c in flat[:5]:
-        witnesses.append(
-            {"kind": "growing_increment", "x": float(xs[r]), "y": float(ys[r, c]), "residual": float(val)}
-        )
-    return CheckResult(ok=False, witnesses=witnesses, detail={"A": a_fit}), a_fit
+    return CheckResult(ok=ok, witnesses=witnesses, detail={"A": a_fit, "running_max": running_max}), a_fit
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,12 @@ One search serves every monotone crossing: ``bracket_root``, growth of a
 bracket then bisection, each element on its own bracket and stop.  It
 computes the g3 and table growth inverses, the generic tail quantile and
 the depths at which a tail underflows.
+
+One sweep serves both increment bounds, g(x) - g(x - y) <= gamma g(y) + A
+of the growth function and its hazard-scale twin on -log tail:
+``increment_residual`` evaluates the residual on a caller's grid, and
+``increment_sweep`` fits A as its running maximum, with the last-decade
+verdict and the worst rows as witnesses.
 """
 
 from __future__ import annotations
@@ -288,15 +294,35 @@ def _stop_width(x: np.ndarray) -> np.ndarray:
 _EXPONENT_BITS = np.int64(0x7FF0000000000000)
 
 
-def stabilized_running_max(xs: np.ndarray, row_max: np.ndarray) -> tuple[float, np.ndarray, bool]:
-    """Running maximum of row_max along the increasing grid xs.
+def increment_residual(r, x, y, gamma: float) -> np.ndarray:
+    """r(x) - r(x - y) - gamma r(y), the residual of the increment bound
+    r(x) - r(x - y) <= gamma r(y) + A, on the broadcast of x and y."""
+    return r(x) - r(x - y) - gamma * r(y)
 
-    Returns the final running maximum, the mask of the last decade
-    xs >= xs[-1] / 10, and whether the running maximum gains less than 1e-6
-    over that decade.
+
+def increment_sweep(xs: np.ndarray, ys: np.ndarray, res: np.ndarray, kind: str) -> tuple[float, bool, list]:
+    """Fit the slack A of an increment bound from its residual plane.
+
+    res[i, j] is the residual at x = xs[i], y = ys[i, j], xs increasing.  The
+    fit is the running maximum of the row maxima; it is stabilized when it
+    gains less than 1e-6 over the last decade xs >= xs[-1] / 10.  A nan row
+    maximum carries into the running maximum, which then never stabilizes.
+
+    Returns (running maximum, stabilized, witnesses).  Unless stabilized, the
+    witnesses are the five last-decade rows with the largest row maxima,
+    largest first and of equal ones the larger x first, each at the first y
+    of its maximum: {"kind": kind, "x", "y", "residual"} records.
     """
+    row_max = res.max(axis=1)
     running = np.maximum.accumulate(row_max)
     in_last = xs >= xs[-1] / 10.0
     rm_all = float(running[-1])
     rm_before = float(running[~in_last][-1]) if (~in_last).any() else -math.inf
-    return rm_all, in_last, rm_all - rm_before < 1e-6
+    if rm_all - rm_before < 1e-6:
+        return rm_all, True, []
+    rows = np.flatnonzero(in_last)[np.argsort(row_max[in_last], kind="stable")[::-1][:5]]
+    cols = res[rows].argmax(axis=1)
+    witnesses = [
+        {"kind": kind, "x": float(xs[r]), "y": float(ys[r, c]), "residual": float(res[r, c])} for r, c in zip(rows, cols)
+    ]
+    return rm_all, False, witnesses

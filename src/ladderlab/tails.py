@@ -396,11 +396,13 @@ class QueuePair(TailSpec):
 
     Sampling consumes a pair of uniforms per step (one per component), which
     makes the single-server waiting-time recursion and the random-walk view
-    agree path by path under a shared random source.  The composite tail is
-    exact when the interarrival part is atomic, and so is its log-tail, a
-    log-sum-exp of the service log-tails that stays finite where the tail
-    underflows; otherwise the tail is computed by fixed-order Gauss-Legendre
-    over the interarrival quantile.
+    agree path by path under a shared random source.  The interarrival is
+    held as one finite mixture of points t_i with weights w_i: its atoms
+    when it is atomic, which makes the tail exact, otherwise the 256
+    Gauss-Legendre nodes of its quantile over (0, 1) with their weights.
+    The tail is sum_i w_i tail_sigma(x + t_i), and the log-tail the
+    log-sum-exp of log w_i + log tail_sigma(x + t_i), which stays finite
+    where the tail underflows.
     """
 
     _GL_NODES = 256
@@ -410,13 +412,11 @@ class QueuePair(TailSpec):
         if sigma.support[0] < 0 or t.support[0] < 0:
             raise TailError("queue_pair components must be non-negative")
         self.sigma, self.t = sigma, t
-        # an atomic interarrival gives the exact finite sum, otherwise the
-        # quadrature runs over fixed interarrival quantiles
-        self._t_atoms = t.atoms if abs(sum(m for _, m in t.atoms) - 1.0) < 1e-12 else []
-        if not self._t_atoms:
+        if abs(sum(m for _, m in t.atoms) - 1.0) < 1e-12:
+            self._tq, self._w = (np.array(column) for column in zip(*t.atoms))
+        else:
             nodes, weights = np.polynomial.legendre.leggauss(self._GL_NODES)
-            self._tq = t.quantile(0.5 * (nodes + 1.0))
-            self._w = 0.5 * weights
+            self._tq, self._w = t.quantile(0.5 * (nodes + 1.0)), 0.5 * weights
 
     @property
     def support(self):
@@ -426,20 +426,12 @@ class QueuePair(TailSpec):
 
     def tail(self, x):
         x = np.asarray(x, dtype=float)
-        if self._t_atoms:
-            out = np.zeros_like(x, dtype=float)
-            for loc, mass in self._t_atoms:
-                out += mass * self.sigma.tail(x + loc)
-            return out
         # each row is summed alone, where a BLAS dot's order would depend on the rows beside it
         return (self.sigma.tail(x[..., None] + self._tq) * self._w).sum(axis=-1)
 
     def log_tail(self, x):
-        """log sum_i m_i tail_sigma(x + t_i) over the interarrival atoms t_i, m_i."""
-        if not self._t_atoms:
-            return super().log_tail(x)
         x = np.asarray(x, dtype=float)
-        return np.logaddexp.reduce([np.log(mass) + self.sigma.log_tail(x + loc) for loc, mass in self._t_atoms])
+        return np.logaddexp.reduce(np.log(self._w) + self.sigma.log_tail(x[..., None] + self._tq), axis=-1)
 
     def increment_from_uniforms(self, u0, u1):
         return self.sigma.quantile(u0) - self.t.quantile(u1)
@@ -533,6 +525,9 @@ class TruncatedBelow(TailSpec):
         if self._atom_mass > 0 and self._floor >= self.base.support[0]:
             kept.append((self._floor, self._atom_mass))
         return sorted(kept)
+
+    def _breakpoints(self):
+        return sorted({*super()._breakpoints(), *(p for p in self.base._breakpoints() if p > self._floor)})
 
     def tail(self, x):
         x = np.asarray(x, dtype=float)

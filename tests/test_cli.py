@@ -975,7 +975,7 @@ GOLDEN_DIGESTS = {
     },
     "g1_lognormal": {
         "condition_report.json": "8e57f41cddd4f8defa211162efb8121250f118bb05365c6f49c3c2c7345e4dd8",
-        "chain.json": "e2d3e02f644b35ef9b8f7cdf8a77fbd1feab3fca91ac8303dc8abd403a7769eb",
+        "chain.json": "736a197348d87504499713c0b40947c62d1dd25b09fd96bbf113342ca0d75fea",
         "tail_tables.csv": "0cac49e430c7c2d70ada9f438272347cc4b4127b120f44ec9865df4224d89e59",
         "samples.csv": "dedd44a01621dd585373c7af0f58438c78f940cca01c07388f6625d3800709fd",
         "estimates.json": "7e2b34b23bb619e3d6cc9623d6db9146088354fe0dafacdab778aa8130a1bbd0",
@@ -984,7 +984,7 @@ GOLDEN_DIGESTS = {
     },
     "g2_weibull": {
         "condition_report.json": "b48a42e664869098a858953259c39a3944c2a44d2d9d78ec51845cb796518663",
-        "chain.json": "8195627d0df7daf5dd49cbe5302625d654bb8e3f9431176bde996ea2e7c4df86",
+        "chain.json": "95cd4f8646341c43baf5056071864070abb2d93ea878c33c46bbeedae5f1ce01",
         "tail_tables.csv": "5b587dee95a4c1230fbd002281277f099be73cabfd880bbb5f19ec8a2dbc391e",
         "samples.csv": "66ca06aad179d7fe02e12e622a04581978f5e7b661f1acb776a5c01f59b5dd8a",
         "estimates.json": "9749845e7c72a9e9b76ed4275c1e1450daad1ef67b7949afd9e2f6cfa143154f",
@@ -993,7 +993,7 @@ GOLDEN_DIGESTS = {
     },
     "g3_weibull": {
         "condition_report.json": "8e3e65351ad86a263b8fb39b5e9450669693119f45c6de89493b57c296183cd8",
-        "chain.json": "f85c0bc260aa87d4bcaf305fcc361c41548f947ccfbb1c175c563725e3b64a22",
+        "chain.json": "5b34ef2708a06d720611ef0a855ed7a28425d8b083279bb5b730f52c772408c6",
         "tail_tables.csv": "0f074b81d9e3013983d709f2a491550291a195084e8d42cc11ab2c391f298a6f",
         "samples.csv": "0cf60cf2acc1191ec4e36f84cfa550ef41bfb42755b4436d156c8b4e4865c657",
     },

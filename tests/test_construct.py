@@ -338,6 +338,16 @@ def test_chain_constants_consistent(chains):
         assert psi.mean == pytest.approx(-(chain.a_trunc - chain.shift), rel=1e-9)
 
 
+def test_truncation_at_the_support_keeps_the_spliced_mean(chains):
+    """L is the spliced tail's lower support end on these chains, so the
+    truncation changes nothing and integrates over the same pieces, split at
+    the splice kinks V and V'."""
+    for key, chain in chains.items():
+        assert -chain.L == chain.tilde.support[0], key
+        assert chain.a_trunc == chain.a_tilde, key
+        assert {chain.V, chain.V_prime} <= set(chain.trunc._breakpoints()), key
+
+
 def test_chain_mean_quadrature_cross_check(chains):
     # independent re-integration of the spliced tail (module-external oracle)
     chain = chains["g2"]

@@ -251,6 +251,16 @@ def test_increment_slack_linear_fails():
     assert res.witnesses and res.witnesses[0]["residual"] > 0
 
 
+def test_increment_slack_infinite_growth_is_not_ok():
+    """A residual that is not finite, here where g is +inf beyond 1e7, leaves
+    the fit not ok with A = nan: the rows past 1e7 are not dropped."""
+    g = from_callables(lambda x: np.where(x > 1e7, np.inf, np.sqrt(np.maximum(x, 0.0))))
+    with np.errstate(invalid="ignore"):
+        res, slack = check_increment_slack(g, gamma=0.75, x0=1e-3)
+    assert not res.ok
+    assert math.isnan(slack) and math.isnan(res.detail["A"])
+
+
 def test_increment_slack_g1():
     res, slack = check_increment_slack(make_growth({"family": "g1", "param": 2.0}), gamma=0.5, x0=2.8)
     assert res.ok

@@ -327,3 +327,78 @@ def test_sstar_ratio_calls_no_quadpack(monkeypatch, chains):
     monkeypatch.setattr(diagnostics, "adaptive_gk21", counted)
     monkeypatch.setattr(tails, "integrate", refuse)
     assert sstar_ratio(hat).ok and len(calls) == 1
+
+
+def _sweep_plane(last_decade_gain):
+    """An increment residual plane on x = 1..1e3 whose running maximum is 0
+    before the last decade [100, 1e3] and `last_decade_gain` at its end."""
+    xs = 10.0 ** (np.arange(31) / 10.0)
+    ys = xs[:, None] * np.array([0.1, 0.2, 0.3])
+    res = np.zeros(ys.shape)
+    res[-1, 1] = last_decade_gain
+    return xs, ys, res
+
+
+def test_increment_sweep_gain_of_exactly_1e_6_is_not_stabilized():
+    xs, ys, res = _sweep_plane(1e-6)
+    running_max, ok, witnesses = numerics.increment_sweep(xs, ys, res, "k")
+    assert (running_max, ok) == (1e-6, False)
+    assert witnesses[0] == {"kind": "k", "x": float(xs[-1]), "y": float(ys[-1, 1]), "residual": 1e-6}
+    below = math.nextafter(1e-6, 0.0)
+    running_max, ok, witnesses = numerics.increment_sweep(*_sweep_plane(below), "k")
+    assert (running_max, ok, witnesses) == (below, True, [])
+
+
+def test_increment_sweep_ranks_ties_to_the_larger_x():
+    """The five worst last-decade rows, largest first, equal row maxima with
+    the larger x first, each at the first column of its maximum.  The last
+    decade has 21 rows, more than numpy's default sort keeps in order."""
+    xs = 10.0 ** (np.arange(61) / 20.0)  # the last decade is rows 40..60
+    ys = xs[:, None] * np.array([0.1, 0.2, 0.3])
+    res = np.zeros(ys.shape)
+    res[:, 0] = -1.0
+    row_max = {41: 2.0, 44: 5.0, 45: 2.0, 47: 3.0, 50: 2.0, 53: 2.0, 58: 2.0, 60: 1.0}
+    for row, value in row_max.items():
+        res[row, 1:] = value  # a tie inside the row too: the first column counts
+    res[5, 2] = 9.0  # outside the last decade: it sets the running maximum, never a witness
+    running_max, ok, witnesses = numerics.increment_sweep(xs, ys, res, "k")
+    assert (running_max, ok) == (9.0, True)  # the last decade gained nothing
+    res[5, 2] = 0.0
+    running_max, ok, witnesses = numerics.increment_sweep(xs, ys, res, "k")
+    assert (running_max, ok) == (5.0, False)
+    assert [(w["x"], w["y"], w["residual"]) for w in witnesses] == [
+        (float(xs[r]), float(ys[r, 1]), row_max[r]) for r in (44, 47, 58, 53, 50)
+    ]
+
+
+def test_increment_sweep_last_decade_includes_its_lower_end():
+    """A gain at exactly x = xs[-1] / 10 is a last-decade gain."""
+    xs, ys, res = _sweep_plane(0.0)
+    assert xs[20] == xs[-1] / 10.0
+    res[20, 0] = 1.0
+    running_max, ok, witnesses = numerics.increment_sweep(xs, ys, res, "k")
+    assert (running_max, ok) == (1.0, False)
+    assert witnesses[0] == {"kind": "k", "x": 100.0, "y": float(ys[20, 0]), "residual": 1.0}
+
+
+def test_increment_sweep_carries_nan_into_the_verdict():
+    xs, ys, res = _sweep_plane(0.0)
+    res[3, 2] = np.nan
+    running_max, ok, witnesses = numerics.increment_sweep(xs, ys, res, "k")
+    assert math.isnan(running_max) and not ok and len(witnesses) == 5
+
+
+def test_layertrace_names_exist():
+    """Every function the benchmark's layer trace wraps is a callable of its
+    ladderlab module; `Tracer.install` looks each one up by name."""
+    import importlib
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+    spec = importlib.util.spec_from_file_location("_layertrace_under_test", path)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    for layer, names in layertrace.FUNCTIONS.items():
+        module = importlib.import_module(f"ladderlab.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"ladderlab.{layer}.{name}"

@@ -78,6 +78,28 @@ def test_queue_pair_continuous_interarrival_tail():
         assert float(qp.tail(x)) == pytest.approx(0.5 * math.exp(-x), rel=1e-8)
 
 
+def test_queue_pair_continuous_log_tail_survives_underflow():
+    """P{sigma - t > x} = exp(-x)/3 for x >= 0 with sigma ~ Exp(1) and t ~
+    Exp(mean 2); the log-tail is a log-sum-exp over the interarrival nodes,
+    finite where the tail itself underflows (x >= 745)."""
+    x = np.array([0.0, 5.0, 50.0, 700.0, 800.0, 1e4])
+    got = QueuePair(Exponential(1.0), Exponential(2.0)).log_tail(x)
+    np.testing.assert_allclose(got, -x - math.log(3.0), rtol=1e-13, atol=0.0)
+
+
+def test_queue_pair_atomic_sums_keep_the_loop_order():
+    """Below 8 atoms, the mixture's row sum and log-sum-exp add the atoms in
+    their order, with the bits of a loop over them."""
+    spec = FAMILIES["queue_atoms"]
+    x = np.linspace(-6.0, 12.0, 181)
+    loop = np.zeros_like(x)
+    for loc, mass in spec.t.atoms:
+        loop += mass * spec.sigma.tail(x + loc)
+    assert spec.tail(x).tobytes() == loop.tobytes()
+    log_loop = np.logaddexp.reduce([math.log(mass) + spec.sigma.log_tail(x + loc) for loc, mass in spec.t.atoms])
+    assert spec.log_tail(x).tobytes() == log_loop.tobytes()
+
+
 def test_atomic_queue_pair_builds_without_gauss_legendre_nodes(monkeypatch):
     """The Gauss-Legendre nodes serve only a continuous interarrival: an
     atomic one builds and evaluates with `leggauss` unavailable."""
