@@ -28,7 +28,7 @@ import numpy as np
 from .config import Report
 from .growth import ConditionReport, GrowthFunction
 from .numerics import bracket_root, integrate
-from .tails import MajorantIncrement, SplicedTail, TailError, TailSpec, TruncatedBelow, integrals_above
+from .tails import MajorantIncrement, SplicedTail, TailSpec, TruncatedBelow, integrals_above
 
 __all__ = [
     "ConstructionError",
@@ -170,33 +170,27 @@ def splice_at(base: TailSpec, hat: MajorantIncrement, v: float) -> tuple[float, 
     stretch contributes tail(V) * (V' - V) and the majorant its own integral.
     This avoids re-integrating the base body for every candidate V.
     """
-    (v_prime, mean), = _splice_means(base, hat, [v])
+    (v_prime,), (mean,) = _splice_means(base, hat, [v])
     return v_prime, SplicedTail(base, hat, v, v_prime), mean
 
 
-def _splice_means(base: TailSpec, hat: MajorantIncrement, levels: list[float]):
-    """Yield (V', mean) of `splice_at` at each level in order, their tail
-    integrals all computed in one `tails.integrals_above` call; TailError on
-    reaching a level whose integral does not converge."""
-    q = [float(base.tail(v)) for v in levels]
-    v_primes = [max(float(hat.tail_quantile(q_v)), v) if q_v > 0.0 else math.inf for v, q_v in zip(levels, q)]
-    pairs = [pair for v, v_prime, q_v in zip(levels, v_primes, q) if q_v > 0.0 for pair in ((base, v), (hat, v_prime))]
-    values, converged = integrals_above(pairs)
-    per_level = iter(zip(values[0::2], values[1::2], converged[0::2], converged[1::2]))
-    for v, v_prime, q_v in zip(levels, v_primes, q):
-        if q_v <= 0.0:
-            yield math.inf, base.mean
-            continue
-        base_above, hat_above, base_ok, hat_ok = next(per_level)
-        if not (base_ok and hat_ok):
-            raise TailError("tail integral did not converge (non-integrable tail?)")
-        yield v_prime, base.mean - base_above + q_v * (v_prime - v) + hat_above
+def _splice_means(base: TailSpec, hat: MajorantIncrement, levels: list[float]) -> tuple[list[float], list[float]]:
+    """V' and mean of `splice_at` at each level: q read per level for `SplicedTail`'s bits,
+    V' from one `hat.tail_quantile` call, integrals from one `integrals_above` call."""
+    v, q = np.array(levels), np.array([float(base.tail(x)) for x in levels])
+    live = q > 0.0
+    v_prime = np.maximum(hat.tail_quantile(np.where(live, q, 1.0)), v)
+    pairs = [(base, x) for x in v[live].tolist()] + [(hat, x) for x in v_prime[live].tolist()]
+    above = np.zeros((2, len(levels)))
+    above[:, live] = np.reshape(integrals_above(pairs), (2, -1))
+    mean = np.where(live, base.mean - above[0] + q * (v_prime - v) + above[1], base.mean)
+    return np.where(live, v_prime, math.inf).tolist(), mean.tolist()
 
 
 def splice(base: TailSpec, hat: MajorantIncrement, delta: float) -> tuple[float, float, SplicedTail]:
     """Find the smallest grid V whose splice keeps the mean below mean+delta.
 
-    The candidate levels grow geometrically (ratio 1.25) from the base median;
+    The candidate levels grow geometrically (ratio 1.25) from max(base median, 1e-6);
     the spliced mean is monotone in V, so the first level passing the target
     is returned.  The levels are tried `_SPLICE_ROUND` at a time, their means
     computed together.  Raises ConstructionError when no level up to
@@ -216,7 +210,7 @@ def splice(base: TailSpec, hat: MajorantIncrement, delta: float) -> tuple[float,
         v *= 1.25
     for lo in range(0, len(levels), _SPLICE_ROUND):
         round_levels = levels[lo : lo + _SPLICE_ROUND]
-        for v, (v_prime, mean) in zip(round_levels, _splice_means(base, hat, round_levels)):
+        for v, v_prime, mean in zip(round_levels, *_splice_means(base, hat, round_levels)):
             if mean < target:
                 return v, v_prime, SplicedTail(base, hat, v, v_prime)
     raise ConstructionError(

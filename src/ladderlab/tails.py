@@ -70,12 +70,11 @@ class TailError(ValueError):
 _TAIL_DOUBLING = {"reach": 1e18, "rel_tol": 1e-13, "floor": 1e-30}  # of every tail and CDF integral
 
 
-def integrals_above(pairs) -> tuple[list[float], list[bool]]:
+def integrals_above(pairs) -> list[float]:
     """``spec.tail_integral_above(level)`` of each (spec, level) pair, all in
-    one `numerics.integrate` call, each with the bits of its own call:
-    (values, converged), where `tail_integral_above` would raise for a value
-    that did not converge."""
-    return integrate([spec._above(level) for spec, level in pairs], **_TAIL_DOUBLING)
+    one `numerics.integrate` call, each with the bits of its own call;
+    TailError if any of them did not converge."""
+    return _checked(*integrate([spec._above(level) for spec, level in pairs], **_TAIL_DOUBLING))
 
 
 def _checked(values: list[float], converged: list[bool]) -> list[float]:
@@ -183,7 +182,7 @@ class TailSpec:
         """Integral of the tail over [level, inf).  A doubling half-line stops
         once a segment adds less than 1e-13 of its total; TailError if none
         has by |x| = 1e18."""
-        return _checked(*integrals_above([(self, level)]))[0]
+        return integrals_above([(self, level)])[0]
 
     def mass_integral_below(self, level: float) -> float:
         """Integral of the CDF over (-inf, level] = E(X + |level|; X <= level) magnitude."""

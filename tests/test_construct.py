@@ -24,7 +24,7 @@ from ladderlab import (
     splice_at,
     truncate_below,
 )
-from ladderlab import LognormalShifted, SplicedTail, construct, growth
+from ladderlab import LognormalShifted, SplicedTail, TailError, construct, growth, tails
 from ladderlab.tails import integrals_above
 from ladderlab.config import jsonify
 
@@ -188,11 +188,59 @@ def test_splice_bits_do_not_depend_on_the_round(chains, key):
     at = levels.index(chain.V)
     first = at - at % construct._SPLICE_ROUND
     round_levels = levels[first : first + construct._SPLICE_ROUND]
-    batched = list(construct._splice_means(chain.base, chain.hat, round_levels))
+    batched = list(zip(*construct._splice_means(chain.base, chain.hat, round_levels)))
     checked = round_levels if key == "g1" else [chain.V]
     for v in checked:
         v_prime, _, mean = splice_at(chain.base, chain.hat, v)
         assert batched[round_levels.index(v)] == (v_prime, mean), v
+
+
+@pytest.mark.parametrize("key", ["g1", "g3"])
+def test_splice_reads_each_round_of_v_prime_in_one_quantile_call(chains, key, monkeypatch):
+    """splice takes the V' of a round of `_SPLICE_ROUND` levels from one
+    majorant `tail_quantile` call, not one call per level."""
+    chain = chains[key]
+    sizes = []
+    quantile = MajorantIncrement.tail_quantile
+
+    def counted(self, q):
+        sizes.append(np.size(q))
+        return quantile(self, q)
+
+    monkeypatch.setattr(MajorantIncrement, "tail_quantile", counted)
+    assert splice(chain.base, chain.hat, chain.delta)[:2] == (chain.V, chain.V_prime)
+    at, v = 0, max(float(chain.base.tail_quantile(0.5)), 1e-6)
+    while v != chain.V:
+        at, v = at + 1, v * 1.25
+    assert sizes == [construct._SPLICE_ROUND] * (at // construct._SPLICE_ROUND + 1)
+
+
+def test_splice_raises_on_a_round_integral_that_did_not_converge(chains, monkeypatch):
+    """The splice has the convergence policy of `tail_integral_above`: one
+    integral of a round reported as not converged raises TailError."""
+    chain = chains["g1"]
+    assert chain.base.mean < 0  # cached before the patch: only the round's integrals see it
+    integrate = tails.integrate
+
+    def last_unconverged(jobs, **kwargs):
+        values, converged = integrate(jobs, **kwargs)
+        return values, converged[:-1] + [False]
+
+    monkeypatch.setattr(tails, "integrate", last_unconverged)
+    with pytest.raises(TailError, match="did not converge"):
+        splice(chain.base, chain.hat, chain.delta)
+
+
+def test_splice_passes_a_level_whose_mean_only_meets_the_target(chains):
+    """The spliced mean must stay strictly below -a + delta, as `build_chain`
+    then checks: a level whose mean equals the target is passed over."""
+    chain = chains["g1"]
+    a, mean_at_v = -chain.base.mean, splice_at(chain.base, chain.hat, chain.V)[2]
+    near = mean_at_v + a
+    delta = next(d for d in (np.nextafter(near, 0.0), near, np.nextafter(near, a)) if -a + d == mean_at_v)
+    v, _, spliced = splice(chain.base, chain.hat, delta)
+    assert v == chain.V * 1.25
+    assert spliced.mean < -a + delta
 
 
 def test_pos_mean_bits_do_not_depend_on_the_batch(chains):
@@ -207,8 +255,7 @@ def test_pos_mean_bits_do_not_depend_on_the_batch(chains):
             return base, hat, SplicedTail(base, hat, chain.V, chain.V_prime)
 
         specs = fresh()
-        values, converged = integrals_above([(spec, 0.0) for spec in specs] + [(specs[0], 3.0), (specs[1], 40.0)])
-        assert all(converged)
+        values = integrals_above([(spec, 0.0) for spec in specs] + [(specs[0], 3.0), (specs[1], 40.0)])
         assert [spec.pos_mean for spec in fresh()] == values[:3], key
 
 
@@ -246,6 +293,18 @@ def test_splice_mean_monotone_toward_base(chains):
     means = [splice_at(chain.base, chain.hat, v)[2] for v in vs]
     assert all(b <= a + 1e-12 for a, b in zip(means[:-1], means[1:]))
     assert means[-1] == pytest.approx(chain.base.mean, abs=1e-6)
+
+
+def test_splice_at_keeps_v_prime_at_least_v_under_a_lighter_majorant(g2):
+    """Where the majorant's tail lies below the base's at V, its quantile at
+    tail(V) falls below V. V' is then V, the flat stretch is empty, and the
+    mean still matches the spliced tail's own quadrature."""
+    g, _ = g2
+    base, hat = Exponential(100.0), MajorantIncrement(g, 1.0)
+    assert float(hat.tail_quantile(float(base.tail(100.0)))) < 100.0
+    v_prime, spliced, mean = splice_at(base, hat, 100.0)
+    assert v_prime == 100.0
+    assert mean == pytest.approx(spliced.mean, rel=1e-12)
 
 
 def test_splice_degenerate_nonpositive_base(g2):

@@ -114,6 +114,13 @@ def test_atomic_queue_pair_builds_without_gauss_legendre_nodes(monkeypatch):
         QueuePair(Exponential(1.0), Exponential(2.0))
 
 
+def test_integrals_above_raises_on_a_non_integrable_tail():
+    """`integrals_above` checks convergence itself: the tail of Pareto(0.5)
+    is not integrable, so it raises rather than returning a value."""
+    with pytest.raises(TailError, match="did not converge"):
+        tails.integrals_above([(Pareto(0.5, 1.0), 1.0)])
+
+
 def test_queue_pair_rejects_negative_support():
     with pytest.raises(TailError):
         QueuePair(Constant(-1.0), Exponential(1.0))
