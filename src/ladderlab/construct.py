@@ -9,9 +9,10 @@ g, the pipeline builds, in order:
    (``tails.MajorantIncrement``),
 3. a splice that keeps the original tail up to a level V, stays flat to V',
    and continues with the dominating tail, tuned so the spliced mean stays
-   below ``mean + delta`` (``splice``),
+   below ``mean + delta`` (``splice``, one ``splice_at`` call per round),
 4. a lower truncation max(X, -L) that bounds the increments below while
-   moving the mean by at most a prescribed margin (``truncate_below``).
+   moving the mean by at most a prescribed margin (``truncate_below``; a
+   tail bounded below is its own truncation).
 
 ``build_chain`` runs all four steps and records every fitted constant, so the
 whole construction can be serialized, re-checked on grids, and used to drive
@@ -162,21 +163,15 @@ def fit_majorant_coefficient(base: TailSpec, g: GrowthFunction, x0: float) -> Ma
 # ---------------------------------------------------------------------------
 
 
-def splice_at(base: TailSpec, hat: MajorantIncrement, v: float) -> tuple[float, SplicedTail, float]:
-    """Splice with the crossover fixed at V; returns (V', spliced, mean).
+def splice_at(base: TailSpec, hat: MajorantIncrement, levels: list[float]) -> tuple[list[float], list[float]]:
+    """V' and spliced mean with the crossover fixed at each level V; V' = inf where tail(V) = 0.
 
     Splicing only rewrites the tail above V, so the mean is the base mean with
     the base tail integral over [V, inf) swapped for the spliced one: the flat
-    stretch contributes tail(V) * (V' - V) and the majorant its own integral.
-    This avoids re-integrating the base body for every candidate V.
+    stretch contributes tail(V) * (V' - V) and the majorant its own integral,
+    all from one `integrals_above` call, and V' from one `hat.tail_quantile`
+    call.  q is read per level for `SplicedTail`'s bits.
     """
-    (v_prime,), (mean,) = _splice_means(base, hat, [v])
-    return v_prime, SplicedTail(base, hat, v, v_prime), mean
-
-
-def _splice_means(base: TailSpec, hat: MajorantIncrement, levels: list[float]) -> tuple[list[float], list[float]]:
-    """V' and mean of `splice_at` at each level: q read per level for `SplicedTail`'s bits,
-    V' from one `hat.tail_quantile` call, integrals from one `integrals_above` call."""
     v, q = np.array(levels), np.array([float(base.tail(x)) for x in levels])
     live = q > 0.0
     v_prime = np.maximum(hat.tail_quantile(np.where(live, q, 1.0)), v)
@@ -187,13 +182,22 @@ def _splice_means(base: TailSpec, hat: MajorantIncrement, levels: list[float]) -
     return np.where(live, v_prime, math.inf).tolist(), mean.tolist()
 
 
+def _ladder(start: float) -> list[float]:
+    """The search grid start, 1.25 start, 1.25^2 start, ... up to `_LEVEL_CAP`."""
+    levels = []
+    while start <= _LEVEL_CAP:
+        levels.append(start)
+        start *= 1.25
+    return levels
+
+
 def splice(base: TailSpec, hat: MajorantIncrement, delta: float) -> tuple[float, float, SplicedTail]:
     """Find the smallest grid V whose splice keeps the mean below mean+delta.
 
     The candidate levels grow geometrically (ratio 1.25) from max(base median, 1e-6);
     the spliced mean is monotone in V, so the first level passing the target
-    is returned.  The levels are tried `_SPLICE_ROUND` at a time, their means
-    computed together.  Raises ConstructionError when no level up to
+    is returned.  The levels are tried `_SPLICE_ROUND` at a time, one
+    `splice_at` call per round.  Raises ConstructionError when no level up to
     ``_LEVEL_CAP`` (1e10) works, which signals an infinite exp-growth moment
     or a mis-fitted coefficient.
     """
@@ -204,13 +208,10 @@ def splice(base: TailSpec, hat: MajorantIncrement, delta: float) -> tuple[float,
         raise ConstructionError(f"delta must lie in (0, {a}), got {delta}")
     target = -a + delta
 
-    levels, v = [], max(float(base.tail_quantile(0.5)), 1e-6)
-    while v <= _LEVEL_CAP:
-        levels.append(v)
-        v *= 1.25
+    levels = _ladder(max(float(base.tail_quantile(0.5)), 1e-6))
     for lo in range(0, len(levels), _SPLICE_ROUND):
         round_levels = levels[lo : lo + _SPLICE_ROUND]
-        for v, v_prime, mean in zip(round_levels, *_splice_means(base, hat, round_levels)):
+        for v, v_prime, mean in zip(round_levels, *splice_at(base, hat, round_levels)):
             if mean < target:
                 return v, v_prime, SplicedTail(base, hat, v, v_prime)
     raise ConstructionError(
@@ -224,10 +225,10 @@ def splice(base: TailSpec, hat: MajorantIncrement, delta: float) -> tuple[float,
 # ---------------------------------------------------------------------------
 
 
-def truncate_below(base: TailSpec, target_mean_margin: float) -> tuple[float, TruncatedBelow]:
+def truncate_below(base: TailSpec, target_mean_margin: float) -> tuple[float, TailSpec]:
     """Pick the smallest grid L so that max(X, -L) moves the mean by <= margin.
 
-    A base bounded below is returned unchanged with L at its lower support
+    A base bounded below is returned itself, with L at its lower support
     edge.  Otherwise L grows geometrically from 1 until the removed lower-tail
     mass integral drops under the margin; it always does, by dominated
     convergence, but a level past ``_LEVEL_CAP`` (1e10) raises
@@ -238,18 +239,14 @@ def truncate_below(base: TailSpec, target_mean_margin: float) -> tuple[float, Tr
         raise ConstructionError("truncation needs a negative-mean increment")
     lo = base.support[0]
     if math.isfinite(lo):
-        level = -lo
-        return level, TruncatedBelow(base, level)
+        return -lo, base
     if not 0 < target_mean_margin < a_tilde:
         raise ConstructionError(
             f"target mean margin must lie in (0, {a_tilde}) for an unbounded lower tail"
         )
-    level = 1.0
-    while level <= _LEVEL_CAP:
-        gain = base.mass_integral_below(-level)
-        if gain <= target_mean_margin:
+    for level in _ladder(1.0):
+        if base.mass_integral_below(-level) <= target_mean_margin:
             return level, TruncatedBelow(base, level)
-        level *= 1.25
     raise ConstructionError("lower truncation level search exceeded its cap")
 
 
@@ -272,7 +269,7 @@ class ConstructionChain:
     V_prime: float
     tilde: SplicedTail
     L: float
-    trunc: TruncatedBelow
+    trunc: TailSpec  # the spliced tail itself where it is bounded below
     a: float
     a_tilde: float
     a_trunc: float

@@ -19,9 +19,9 @@ SIAM J. Sci. Comput. 1993): a run of more than 128 values splits at
 n//2 - (n//2) % 8, so the tree depends on the run's length alone.  The blocks
 are the nodes of that tree holding at most `_LEAF` values; `np.sum` over each
 gives its node's bits, and `_TreeSum` adds the node sums along the tree.  A
-mean is that sum over n, a sample variance numpy's two passes (the mean, then
-the sum of squared deviations from it), and the top-1% sum adds the same
-largest values in the same descending order as a sort of the whole column.
+mean is that sum over n, a moment's variance (sum of squares - n mean^2) /
+(n - 1) (`wald_check` takes numpy's two passes), and the top-1% sum adds the
+same largest values in the same descending order as a sort of the column.
 """
 
 from __future__ import annotations

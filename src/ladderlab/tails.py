@@ -510,9 +510,7 @@ class TruncatedBelow(TailSpec):
     def __init__(self, base: TailSpec, level: float):
         self.base, self.level = base, float(level)
         self._floor = -self.level
-        self._atom_mass = float(1.0 - base.tail(self._floor)) + float(
-            sum(m for x, m in base.atoms if x == self._floor)
-        )
+        self._atom_mass = float(1.0 - base.tail(self._floor))  # P{X <= -L}, an atom at -L included
 
     @property
     def support(self):
@@ -550,6 +548,9 @@ class ShiftedTail(TailSpec):
     @property
     def atoms(self):
         return [(x + self.offset, m) for x, m in self.base.atoms]
+
+    def _breakpoints(self):
+        return sorted({p + self.offset for p in self.base._breakpoints()})
 
     def tail(self, x):
         return self.base.tail(np.asarray(x, dtype=float) - self.offset)

@@ -145,7 +145,8 @@ def test_majorant_requires_proper_coefficient(g2):
 def test_splice_mean_formula_matches_quadrature(g2, chains):
     chain = chains["g2"]
     for v in [1.0, 5.0, 20.0]:
-        _, spliced, mean_formula = splice_at(chain.base, chain.hat, v)
+        (v_prime,), (mean_formula,) = splice_at(chain.base, chain.hat, [v])
+        spliced = SplicedTail(chain.base, chain.hat, v, v_prime)
         assert mean_formula == pytest.approx(spliced.mean, rel=1e-7)
 
 
@@ -161,7 +162,7 @@ def test_splice_mean_at_v_matches_mpmath(chains, key):
     spliced tail, written from the family formulas."""
     chain = chains[key]
     family, param, _ = CHAIN_SPECS[key]
-    _, _, mean = splice_at(chain.base, chain.hat, chain.V)
+    _, (mean,) = splice_at(chain.base, chain.hat, [chain.V])
     log_tails = _base_log_tail_mp(chain.base), majorant_log_tail_mp(family, param, chain.K)
     expect = spliced_mean(*log_tails, chain.base.support[0], chain.V, chain.V_prime)
     assert mean == pytest.approx(expect, rel=1e-12)
@@ -188,10 +189,10 @@ def test_splice_bits_do_not_depend_on_the_round(chains, key):
     at = levels.index(chain.V)
     first = at - at % construct._SPLICE_ROUND
     round_levels = levels[first : first + construct._SPLICE_ROUND]
-    batched = list(zip(*construct._splice_means(chain.base, chain.hat, round_levels)))
+    batched = list(zip(*splice_at(chain.base, chain.hat, round_levels)))
     checked = round_levels if key == "g1" else [chain.V]
     for v in checked:
-        v_prime, _, mean = splice_at(chain.base, chain.hat, v)
+        (v_prime,), (mean,) = splice_at(chain.base, chain.hat, [v])
         assert batched[round_levels.index(v)] == (v_prime, mean), v
 
 
@@ -215,6 +216,26 @@ def test_splice_reads_each_round_of_v_prime_in_one_quantile_call(chains, key, mo
     assert sizes == [construct._SPLICE_ROUND] * (at // construct._SPLICE_ROUND + 1)
 
 
+@pytest.mark.parametrize("key", sorted(CHAIN_SPECS))
+def test_splice_calls_splice_at_once_per_round(chains, key, monkeypatch):
+    """splice hands each round of `_SPLICE_ROUND` ladder levels to one
+    `splice_at` call, up to the round that holds V."""
+    chain = chains[key]
+    rounds = []
+    batched = construct.splice_at
+
+    def counted(base, hat, levels):
+        rounds.append(list(levels))
+        return batched(base, hat, levels)
+
+    monkeypatch.setattr(construct, "splice_at", counted)
+    assert splice(chain.base, chain.hat, chain.delta)[:2] == (chain.V, chain.V_prime)
+    ladder = construct._ladder(max(float(chain.base.tail_quantile(0.5)), 1e-6))
+    at = ladder.index(chain.V)
+    assert [len(levels) for levels in rounds] == [construct._SPLICE_ROUND] * (at // construct._SPLICE_ROUND + 1)
+    assert sum(rounds, []) == ladder[: len(rounds) * construct._SPLICE_ROUND]
+
+
 def test_splice_raises_on_a_round_integral_that_did_not_converge(chains, monkeypatch):
     """The splice has the convergence policy of `tail_integral_above`: one
     integral of a round reported as not converged raises TailError."""
@@ -235,7 +256,7 @@ def test_splice_passes_a_level_whose_mean_only_meets_the_target(chains):
     """The spliced mean must stay strictly below -a + delta, as `build_chain`
     then checks: a level whose mean equals the target is passed over."""
     chain = chains["g1"]
-    a, mean_at_v = -chain.base.mean, splice_at(chain.base, chain.hat, chain.V)[2]
+    a, mean_at_v = -chain.base.mean, splice_at(chain.base, chain.hat, [chain.V])[1][0]
     near = mean_at_v + a
     delta = next(d for d in (np.nextafter(near, 0.0), near, np.nextafter(near, a)) if -a + d == mean_at_v)
     v, _, spliced = splice(chain.base, chain.hat, delta)
@@ -290,7 +311,7 @@ def test_splice_tail_sandwich_and_monotone(chains):
 def test_splice_mean_monotone_toward_base(chains):
     chain = chains["g2"]
     vs = [1.0, 2.0, 5.0, 15.0, 60.0, 200.0]
-    means = [splice_at(chain.base, chain.hat, v)[2] for v in vs]
+    means = [splice_at(chain.base, chain.hat, [v])[1][0] for v in vs]
     assert all(b <= a + 1e-12 for a, b in zip(means[:-1], means[1:]))
     assert means[-1] == pytest.approx(chain.base.mean, abs=1e-6)
 
@@ -302,7 +323,8 @@ def test_splice_at_keeps_v_prime_at_least_v_under_a_lighter_majorant(g2):
     g, _ = g2
     base, hat = Exponential(100.0), MajorantIncrement(g, 1.0)
     assert float(hat.tail_quantile(float(base.tail(100.0)))) < 100.0
-    v_prime, spliced, mean = splice_at(base, hat, 100.0)
+    (v_prime,), (mean,) = splice_at(base, hat, [100.0])
+    spliced = SplicedTail(base, hat, 100.0, v_prime)
     assert v_prime == 100.0
     assert mean == pytest.approx(spliced.mean, rel=1e-12)
 
@@ -336,6 +358,22 @@ def test_truncate_bounded_base_unchanged():
     assert trunc.mean == pytest.approx(-0.5)
     xs = np.linspace(-3.0, 3.0, 50)
     assert np.allclose(trunc.tail(xs), b.tail(xs))
+
+
+def test_truncate_returns_a_base_bounded_below_itself(chains):
+    """max(X, -L) at L = -(support lower end) is X: no wrapper is built."""
+    bases = [BernoulliPM1(0.25), Constant(-1.0), WeibullShifted(0.5, 0.5, -2.0), chains["g1"].tilde]
+    for base in bases:
+        level, trunc = truncate_below(base, target_mean_margin=0.1)
+        assert trunc is base
+        assert level == -base.support[0]
+
+
+def test_truncate_tries_the_cap_level_itself(monkeypatch):
+    base = QueuePair(Exponential(1.0), Exponential(2.0))
+    monkeypatch.setattr(construct, "_LEVEL_CAP", 1.0)
+    level, trunc = truncate_below(base, base.mass_integral_below(-1.0))
+    assert level == 1.0 and trunc.support[0] == -1.0
 
 
 def test_truncate_unbounded_exponential_left_tail():
@@ -405,6 +443,13 @@ def test_truncation_at_the_support_keeps_the_spliced_mean(chains):
         assert -chain.L == chain.tilde.support[0], key
         assert chain.a_trunc == chain.a_tilde, key
         assert {chain.V, chain.V_prime} <= set(chain.trunc._breakpoints()), key
+
+
+def test_chain_truncation_is_the_spliced_tail(chains):
+    """Every spliced tail of the test chains is bounded below, so it is its
+    own truncation and `a_trunc` is its cached mean."""
+    for key, chain in chains.items():
+        assert chain.trunc is chain.tilde, key
 
 
 def test_chain_mean_quadrature_cross_check(chains):

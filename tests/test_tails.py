@@ -26,6 +26,7 @@ from ladderlab import (
 )
 from ladderlab import tails
 
+from conftest import CHAIN_SPECS
 from oracles import lognormal_pos_mean, mean_from_tail, pareto_log_tail_mp, weibull_log_tail_mp
 
 
@@ -190,6 +191,34 @@ def test_shifted_tail():
     assert s.mean == pytest.approx(-1.0, rel=1e-9)
     assert float(s.tail(0.0)) == pytest.approx(float(Pareto(2.0, 1.0).tail(3.0)))
     assert float(s.quantile(0.5)) == pytest.approx(float(Pareto(2.0, 1.0).quantile(0.5)) - 3.0)
+
+
+@pytest.mark.parametrize(
+    "base, level",
+    [
+        (BernoulliPM1(0.25), 1.0),
+        (Constant(-1.0), 1.0),
+        (WeibullShifted(0.5, 0.5), 0.0),
+        (QueuePair(Exponential(1.0), Exponential(2.0)), 3.0),
+    ],
+)
+def test_truncation_floor_atom_is_the_mass_at_or_below_the_floor(base, level):
+    """The atom at -L is P{X <= -L}, which already holds an atom of X at -L."""
+    trunc = TruncatedBelow(base, level)
+    assert dict(trunc.atoms)[-level] == 1.0 - float(base.tail(-level))
+    if sum(m for _, m in base.atoms) == 1.0:  # atomic: the truncation's atoms hold all its mass
+        assert sum(m for _, m in trunc.atoms) == pytest.approx(1.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("key", sorted(CHAIN_SPECS))
+def test_shifted_tail_keeps_its_base_kinks(chains, key):
+    """A shifted spliced tail splits its integrals at V + shift and V' + shift,
+    so its positive mean is the spliced tail's integral above -shift."""
+    chain = chains[key]
+    psi = ShiftedTail(chain.tilde, chain.shift)
+    assert {chain.V + chain.shift, chain.V_prime + chain.shift} <= set(psi._breakpoints())
+    expect = chain.tilde.tail_integral_above(-chain.shift)
+    assert abs(psi.pos_mean - expect) <= 4 * math.ulp(expect)
 
 
 def test_tail_monotone_on_random_grid():
