@@ -474,7 +474,7 @@ def cmd_construct(cfg: ExperimentConfig, out_dir: Path) -> int:
     }
     _write_json(out_dir / "chain.json", {**chain.to_dict(), "config_hash": cfg.config_hash})
 
-    lo = min(chain.base.support[0], 0.0)
+    lo = min(chain.trunc.support[0], 0.0)  # -L where the base is unbounded below
     hi = diagnostics.usable_tail_horizon(chain.base)
     xs = np.concatenate([np.linspace(lo, max(lo + 1.0, 1.0), 64), np.geomspace(1.0, hi, 192)])
     cols = [xs] + [spec.tail(xs) for spec in (chain.base, chain.tilde, chain.hat)]

@@ -4,7 +4,8 @@ Given a negative-drift increment distribution and a certified growth function
 g, the pipeline builds, in order:
 
 1. a coefficient K such that the transformed variable exp(g(X)) has its tail
-   dominated by min(1, K/x) everywhere (``fit_majorant_coefficient``),
+   dominated by min(1, K/x) everywhere (``fit_majorant_coefficient``, on a
+   grid that ends at g of the base's tail quantile at 1e-300),
 2. the dominating increment with tail min(1, K exp(-g(x)))
    (``tails.MajorantIncrement``),
 3. a splice that keeps the original tail up to a level V, stays flat to V',
@@ -28,7 +29,7 @@ import numpy as np
 
 from .config import Report
 from .growth import ConditionReport, GrowthFunction
-from .numerics import bracket_root, integrate
+from .numerics import integrate
 from .tails import MajorantIncrement, SplicedTail, TailSpec, TruncatedBelow, integrals_above
 
 __all__ = [
@@ -43,7 +44,6 @@ __all__ = [
     "build_chain",
 ]
 
-_LOG_TAIL_FLOOR = math.log(1e-300)
 _LEVEL_CAP = 1e10  # largest splice level V and truncation level L tried
 _SPLICE_ROUND = 16  # splice levels whose means are computed together
 
@@ -60,20 +60,6 @@ def _transformed_log_product(base: TailSpec, g: GrowthFunction, t):
     """log of s * P{exp(g(X)) > s} at s = e^t, computed without overflow."""
     t = np.asarray(t, dtype=float)
     return t + base.log_tail(g.inverse(t))
-
-
-def _find_log_tail_horizon(base: TailSpec, g: GrowthFunction) -> float:
-    """Largest useful t = log s: g where the base log-tail drops below the
-    floor, the upper end of the `numerics.bracket_root` bracket of the crossing."""
-    hi = base.support[1]
-    if math.isfinite(hi):
-        return float(g(hi))
-    start = max(1.0, base.support[0] + 1.0, abs(base.support[0]))
-    try:
-        _, x = bracket_root(lambda x, i: base.log_tail(x) < _LOG_TAIL_FLOOR, start, 2.0 * start)
-    except ValueError:
-        raise UndeterminedError("tail does not decay: cannot place the majorant grid") from None
-    return float(g(x))
 
 
 def _exp_growth_moment(base: TailSpec, g: GrowthFunction, t_hi: float) -> float | None:
@@ -115,12 +101,22 @@ def fit_majorant_coefficient(base: TailSpec, g: GrowthFunction, x0: float) -> Ma
     """Fit K with P{exp(g(X)) > s} <= K/s for all s > 0 and K >= exp(g(x0)).
 
     The product s * P{exp(g(X)) > s} is maximized in log space over a dense
-    grid (plus local refinement and exact atom candidates), then inflated by
-    1e-6 so the bound holds with margin between grid points.  Raises
-    UndeterminedError when the product is still rising at the grid end above
-    every other candidate, i.e. when no finite coefficient is in evidence.
+    grid of t = log s up to g(base.tail_quantile(1e-300)), where the base tail
+    reaches 1e-300 (plus local refinement and exact atom candidates), then
+    inflated by 1e-6 so the bound holds with margin between grid points.
+    Raises UndeterminedError when the product is still rising at the grid end
+    above every other candidate, i.e. when no finite coefficient is in
+    evidence, and when that quantile is not finite or its search finds no
+    bracket (the tail does not decay).
     """
-    t_hi = _find_log_tail_horizon(base, g)
+    try:
+        with np.errstate(over="ignore"):  # Pareto's closed form overflows to inf
+            x = float(base.tail_quantile(1e-300))
+    except ValueError:  # the generic quantile's search found no bracket
+        x = math.inf
+    if not math.isfinite(x):
+        raise UndeterminedError("tail does not decay: cannot place the majorant grid")
+    t_hi = float(g(x))
     exp_moment = _exp_growth_moment(base, g, t_hi)
 
     # candidate (log-product, log s) pairs; s -> 1- always yields product one

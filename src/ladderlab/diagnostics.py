@@ -70,10 +70,10 @@ class IncrementFitReport(Report):
 def usable_tail_horizon(spec: TailSpec, log_floor: float = _LOG_FLOOR) -> float:
     """Largest x where the log-tail still clears the given floor, capped at 1e13:
     the lower end of the `numerics.bracket_root` bracket of its crossing."""
-    cap, hi = 1e13, spec.support[1]
+    cap, (lo, hi) = 1e13, spec.support
     if math.isfinite(hi):
         return hi
-    start = max(1.0, spec.support[0] + 1.0, abs(spec.support[0]))
+    start = max(1.0, lo + 1.0, abs(lo)) if math.isfinite(lo) else 1.0
     if start >= cap or spec.log_tail(np.array([cap]))[0] >= log_floor:
         return cap
     return float(bracket_root(lambda x, i: spec.log_tail(x) < log_floor, start, cap)[0])

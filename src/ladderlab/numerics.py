@@ -10,8 +10,9 @@ decide for themselves what a non-converged result means.
 
 One search serves every monotone crossing: ``bracket_root``, growth of a
 bracket then bisection, each element on its own bracket and stop.  It
-computes the g3 and table growth inverses, the generic tail quantile and
-the depths at which a tail underflows.
+computes the g3 and table growth inverses, the generic tail quantile (so
+also the majorant grid's end of a base without a closed-form quantile) and
+``diagnostics.usable_tail_horizon``, the depth at which a tail underflows.
 
 One sweep serves both increment bounds, g(x) - g(x - y) <= gamma g(y) + A
 of the growth function and its hazard-scale twin on -log tail:

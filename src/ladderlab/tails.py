@@ -501,7 +501,8 @@ class SplicedTail(TailSpec):
 
     def tail_quantile(self, q):
         q = np.asarray(q, dtype=float)
-        return np.where(q > self._q_v, self.base.tail_quantile(q), self.hat.tail_quantile(q))
+        hat_side = np.maximum(self.hat.tail_quantile(q), self.v_prime)  # the flat stretch ends at V'
+        return np.where(q >= self._q_v, self.base.tail_quantile(q), hat_side)
 
 
 class TruncatedBelow(TailSpec):

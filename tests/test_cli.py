@@ -624,12 +624,29 @@ def test_verify_certification_failure_exit_code(tmp_path):
 
 
 def test_construction_failure_exit_code(tmp_path, capsys):
-    """g1 grows faster than log x, so a Pareto tail never decays through it."""
+    """g1 grows faster than log x, so the tail product of a Pareto tail still
+    rises where the grid ends, at the Pareto(2) tail's 1e-300 quantile x = 1e150."""
     cfg = _write_config(tmp_path / "pareto.yaml", growth={"family": "g1", "param": 2.0},
                         increments={"family": "pareto", "index": 2.0, "scale": 1.0, "shift": -3.0})
     capsys.readouterr()
     assert main(["construct", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
-    assert "construction failed: tail does not decay" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "construction failed: running sup of the tail product has not stabilized by the grid end" in err
+
+
+def test_pipeline_on_a_base_unbounded_below(tmp_path):
+    """Weibull service minus exponential interarrival has no lower support end:
+    the chain is truncated at a finite -L, and the tail table starts there."""
+    queue = {"family": "queue_pair", "sigma": {"family": "weibull_shifted", "c": 1.0, "beta": 0.6},
+             "t": {"family": "exponential", "mean": 3.0}}
+    cfg, out = _write_config(tmp_path / "queue.yaml", increments=queue), tmp_path / "run"
+    for stage in ("check", "construct", "simulate", "estimate", "verify"):
+        assert main([stage, "--config", str(cfg), "--out", str(out)]) == 0, stage
+    chain = json.loads((out / "chain.json").read_text())
+    assert math.isfinite(chain["L"]) and chain["a_trunc"] < chain["a_tilde"]
+    assert json.loads((out / "verify_report.json").read_text())["dominance"]["ok"]
+    table = np.loadtxt(out / "tail_tables.csv", delimiter=",", skiprows=1)
+    assert np.isfinite(table).all() and table[0, 0] == -chain["L"]
 
 
 def test_no_estimand_configured(tmp_path):
@@ -975,7 +992,7 @@ GOLDEN_DIGESTS = {
     },
     "g1_lognormal": {
         "condition_report.json": "8e57f41cddd4f8defa211162efb8121250f118bb05365c6f49c3c2c7345e4dd8",
-        "chain.json": "736a197348d87504499713c0b40947c62d1dd25b09fd96bbf113342ca0d75fea",
+        "chain.json": "c4dbac49ed01a5b4e385549c40b26cdb5f4818861b13411eac27858b13a62c0d",
         "tail_tables.csv": "0cac49e430c7c2d70ada9f438272347cc4b4127b120f44ec9865df4224d89e59",
         "samples.csv": "dedd44a01621dd585373c7af0f58438c78f940cca01c07388f6625d3800709fd",
         "estimates.json": "7e2b34b23bb619e3d6cc9623d6db9146088354fe0dafacdab778aa8130a1bbd0",

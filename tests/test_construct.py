@@ -104,6 +104,22 @@ def test_fit_undetermined_when_tail_never_underflows():
         fit_majorant_coefficient(Pareto(1e-3, 1.0, -3.0), make_growth({"family": "g1", "param": 2.0}), 1.0)
 
 
+def test_fit_grid_ends_at_the_base_tail_quantile(chains):
+    for key, chain in chains.items():
+        assert chain.fit.grid_log_s_hi == float(chain.g(chain.base.tail_quantile(1e-300))), key
+
+
+def test_fit_undetermined_when_the_quantile_search_finds_no_bracket(g2):
+    """A Pareto(0.5) service tail reaches 1e-300 only at x = 1e600, past the
+    generic quantile's search range, so the search raises and the fit has no grid end."""
+    g, report = g2
+    base = QueuePair(Pareto(0.5, 1.0), Exponential(3.0))
+    with pytest.raises(ValueError, match="no bracket"):
+        base.tail_quantile(1e-300)
+    with pytest.raises(UndeterminedError, match="tail does not decay"):
+        fit_majorant_coefficient(base, g, x0=report.x0)
+
+
 # -- dominating increment ------------------------------------------------------
 
 
@@ -327,6 +343,37 @@ def test_splice_at_keeps_v_prime_at_least_v_under_a_lighter_majorant(g2):
     spliced = SplicedTail(base, hat, 100.0, v_prime)
     assert v_prime == 100.0
     assert mean == pytest.approx(spliced.mean, rel=1e-12)
+
+
+def _brute_force_tail_quantile(spec, q, xs):
+    """The bracket (xs[k - 1], xs[k]] of inf{x : tail(x) <= q} on an increasing grid."""
+    k = int(np.argmax(spec.tail(xs) <= q))
+    assert k > 0 and spec.tail(xs[k]) <= q
+    return xs[k - 1], xs[k]
+
+
+def test_spliced_quantile_is_the_brute_force_quantile_under_a_lighter_majorant(g2):
+    """With V' = V and a majorant lighter than the base, the spliced tail drops
+    at V from tail(V) to the majorant's; a q between those two has quantile V."""
+    g, _ = g2
+    base, hat = Exponential(100.0), MajorantIncrement(g, 1.0)
+    spliced = SplicedTail(base, hat, 100.0, 100.0)
+    xs = np.linspace(0.0, 2000.0, 2_000_001)
+    qs = [0.5, spliced._q_v, 0.3, 0.1, 1e-3, 1e-5, 1e-7]
+    for q, got in zip(qs, spliced.tail_quantile(np.array(qs))):
+        lo, hi = _brute_force_tail_quantile(spliced, q, xs)
+        assert lo < got <= hi * (1 + 1e-12), q
+    assert spliced.tail_quantile(np.array([0.3, 0.1, 1e-3])).tolist() == [100.0] * 3
+
+
+def test_spliced_quantile_at_tail_v_is_the_base_quantile(chains):
+    """tail(V) is the flat stretch's level, so its quantile is at most V, not V'."""
+    chain = chains["g2"]
+    tilde, q_v = chain.tilde, float(chain.base.tail(chain.V))
+    assert chain.V < chain.V_prime
+    xs = np.linspace(chain.V - 1.0, chain.V + 1.0, 200_001)
+    lo, hi = _brute_force_tail_quantile(tilde, q_v, xs)
+    assert lo < float(tilde.tail_quantile(q_v)) <= hi * (1 + 1e-12)
 
 
 def test_splice_degenerate_nonpositive_base(g2):

@@ -10,6 +10,7 @@ from ladderlab import (
     Pareto,
     QueuePair,
     TailSpec,
+    WeibullShifted,
     check_log_tail_increment,
     long_tailed_profile,
     numerics,
@@ -247,6 +248,17 @@ def test_usable_horizon_scales():
     hz = usable_tail_horizon(e)
     assert float(e.log_tail(hz)) >= math.log(1e-290)
     assert float(e.log_tail(hz * (1.0 + 8.0 * np.spacing(1.0)))) < math.log(1e-290)
+
+
+def test_usable_horizon_on_a_support_unbounded_below():
+    """The search starts at 1 where the support has no lower end, and finds
+    the 1e-290 crossing instead of returning the 1e13 cap."""
+    q = QueuePair(WeibullShifted(1.0, 0.6), Exponential(3.0))
+    assert q.support[0] == -math.inf
+    hz = usable_tail_horizon(q)
+    assert 1e4 < hz < 1e5
+    assert float(q.log_tail(hz)) >= math.log(1e-290)
+    assert float(q.log_tail(hz * (1.0 + 8.0 * np.spacing(1.0)))) < math.log(1e-290)
 
 
 def test_long_tailed_grid_truncated_at_underflow(chains):

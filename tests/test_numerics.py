@@ -402,3 +402,36 @@ def test_layertrace_names_exist():
         module = importlib.import_module(f"ladderlab.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"ladderlab.{layer}.{name}"
+
+
+@pytest.mark.parametrize("script", ["run.py", "smoke.py"])
+def test_perfbench_names_exist(script):
+    """Every ladderlab name a benchmark script uses resolves: the attribute
+    chains rooted at `ladderlab` or at a name imported from it (as in
+    `ladderlab.diagnostics.usable_tail_horizon` or `cli.main`), and every
+    `from ladderlab... import` name.  The scripts are parsed, not run."""
+    import ast
+    import importlib
+
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / script).read_text())
+    roots = {"ladderlab": importlib.import_module("ladderlab")}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ladderlab":
+            module = importlib.import_module(node.module)
+            for alias in node.names:  # a name, else a submodule, as the import statement finds it
+                if not hasattr(module, alias.name):
+                    importlib.import_module(f"{node.module}.{alias.name}")
+                roots[alias.asname or alias.name] = getattr(module, alias.name)
+    used = 0
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.insert(0, node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in roots:
+            obj = roots[node.id]
+            for k, name in enumerate(chain):
+                assert hasattr(obj, name), ".".join([node.id, *chain[: k + 1]])
+                obj = getattr(obj, name)
+            used += 1
+    assert used
